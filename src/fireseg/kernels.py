@@ -5,10 +5,16 @@ dtype-preserving so tests may push float64 through the same code paths).
 All ops are pure functions: forward kernels take inputs and parameters,
 backward kernels take the same inputs plus the output gradient, nothing
 is hidden in layer objects. Reductions run through numpy's sequential
-loops / single-threaded BLAS, so identical inputs give bitwise-identical
-outputs.
+loops / single-threaded BLAS in a fixed order, so identical inputs give
+bitwise-identical outputs.
 
-Convolution uses the cross-correlation convention (no kernel flip).
+Convolution uses the cross-correlation convention (no kernel flip) and
+shift-and-accumulate GEMMs (Anderson et al. 2017, arXiv:1709.03395), with
+no column matrix: the input is copied once into a zero-padded channel-major
+buffer xf[C, N*H2*W2], where kernel tap (a, b) is the column offset
+a*W2 + b. Forward and both backward products take one GEMM per tap, in
+row-major (a, b) order, on the slice of xf (or of grad_out placed on the
+same padded grid) at that offset.
 """
 
 from __future__ import annotations
@@ -81,39 +87,38 @@ def _require_nchw(x: np.ndarray, name: str) -> None:
         raise ShapeError(f"{name} must be 4-d [N,C,H,W], got shape {x.shape}")
 
 
-def _windows(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
-    """Sliding [kh,kw] windows of a padded NCHW tensor as a zero-copy view."""
-    if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+def _shift_setup(x: np.ndarray, k: ConvKernel) -> tuple[np.ndarray, list, int]:
+    """(xf, taps, span): taps are ([Co, Ci] matrix W[:, :, a, b], offset a*W2 + b)
+    in row-major order; a window may start at padded-grid columns [0, span)."""
     n, c, h, w = x.shape
-    oh = (h - kh) // stride + 1
-    ow = (w - kw) // stride + 1
-    sn, sc, sh, sw = x.strides
-    return np.lib.stride_tricks.as_strided(
-        x, (n, c, oh, ow, kh, kw), (sn, sc, stride * sh, stride * sw, sh, sw)
-    )
-
-
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> tuple[np.ndarray, int, int]:
-    win = _windows(x, kh, kw, stride, pad)
-    n, c, oh, ow, _, _ = win.shape
-    col = win.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c * kh * kw)
-    return col, oh, ow
+    _, _, kh, kw = k.weights.shape
+    p = k.padding
+    dtype = np.result_type(x, k.weights)
+    xf = np.zeros((c, n, h + 2 * p, w + 2 * p), dtype)
+    xf[:, :, p : p + h, p : p + w] = x.transpose(1, 0, 2, 3)
+    wt = np.ascontiguousarray(k.weights.transpose(2, 3, 0, 1), dtype=dtype)
+    taps = [(wt[a, b], a * (w + 2 * p) + b) for a in range(kh) for b in range(kw)]
+    return xf.reshape(c, -1), taps, max(xf[0].size - taps[-1][1], 0)
 
 
 def conv2d_forward(x: np.ndarray, k: ConvKernel) -> np.ndarray:
-    """2-d cross-correlation of an [N,Cin,H,W] batch with bias."""
+    """2-d cross-correlation of an [N,Cin,H,W] batch with bias (a strided NCHW view)."""
     _require_nchw(x, "input")
     co, ci, kh, kw = k.weights.shape
     n, c, h, w = x.shape
     if c != ci:
         raise ShapeError(f"input channel axis has {c} channels, kernel expects {ci}")
-    if h + 2 * k.padding < kh or w + 2 * k.padding < kw:
+    h2, w2 = h + 2 * k.padding, w + 2 * k.padding
+    if h2 < kh or w2 < kw:
         raise ShapeError(f"spatial axes {h}x{w} (padding {k.padding}) smaller than kernel {kh}x{kw}")
-    col, oh, ow = _im2col(x, kh, kw, k.stride, k.padding)
-    out = col @ k.weights.reshape(co, -1).T
-    out += k.bias
-    return _checked(out.reshape(n, oh, ow, co).transpose(0, 3, 1, 2))
+    xf, taps, span = _shift_setup(x, k)
+    out = np.zeros((co, xf.shape[1]), xf.dtype)
+    tmp = np.empty((co, span), xf.dtype)
+    for wab, off in taps:
+        out[:, :span] += np.matmul(wab, xf[:, off : off + span], out=tmp)
+    out += k.bias[:, None]
+    out = out.reshape(co, n, h2, w2)[:, :, : h2 - kh + 1 : k.stride, : w2 - kw + 1 : k.stride]
+    return _checked(out.transpose(1, 0, 2, 3))
 
 
 def conv2d_backward(
@@ -124,23 +129,25 @@ def conv2d_backward(
         raise ConfigError("conv2d_backward supports stride 1 only")
     co, ci, kh, kw = k.weights.shape
     n, c, h, w = x.shape
-    expect = (n, co, h + 2 * k.padding - kh + 1, w + 2 * k.padding - kw + 1)
+    p = k.padding
+    expect = (n, co, h + 2 * p - kh + 1, w + 2 * p - kw + 1)
     if grad_out.shape != expect:
         raise ShapeError(f"grad_output shape {grad_out.shape} does not match forward output {expect}")
 
-    g = np.ascontiguousarray(grad_out.transpose(0, 2, 3, 1)).reshape(-1, co)
-    col, _, _ = _im2col(x, kh, kw, 1, k.padding)
-    d_weights = (g.T @ col).reshape(k.weights.shape)
-    d_bias = g.sum(axis=0, dtype=np.float64).astype(x.dtype)
-
-    # d_input: full correlation of grad_out with the spatially flipped kernel,
-    # then crop the forward padding back off.
-    col2, ph, pw = _im2col(grad_out, kh, kw, 1, kh - 1)
-    w_flip = np.ascontiguousarray(k.weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)).reshape(ci, -1)
-    d_pad = (col2 @ w_flip.T).reshape(n, ph, pw, ci).transpose(0, 3, 1, 2)
-    p = k.padding
-    d_input = np.ascontiguousarray(d_pad[:, :, p : p + h, p : p + w])
-    return _checked(d_input), _checked(d_weights), d_bias
+    xf, taps, span = _shift_setup(x, k)
+    g = np.zeros((co, n, h + 2 * p, w + 2 * p), xf.dtype)  # column q: window starting at q
+    g[:, :, : expect[2], : expect[3]] = grad_out.transpose(1, 0, 2, 3)
+    g = g.reshape(co, -1)[:, :span]
+    d_weights = np.empty((kh, kw, co, ci), xf.dtype)
+    dxf = np.zeros_like(xf)
+    tmp = np.empty((ci, span), xf.dtype)
+    for t, (wab, off) in enumerate(taps):
+        np.matmul(g, xf[:, off : off + span].T, out=d_weights[divmod(t, kw)])
+        dxf[:, off : off + span] += np.matmul(wab.T, g, out=tmp)
+    d_bias = grad_out.sum(axis=(0, 2, 3), dtype=np.float64).astype(x.dtype)
+    d_input = dxf.reshape(ci, n, h + 2 * p, w + 2 * p)[:, :, p : p + h, p : p + w].transpose(1, 0, 2, 3)
+    d_weights = np.ascontiguousarray(d_weights.transpose(2, 3, 0, 1))
+    return _checked(np.ascontiguousarray(d_input)), _checked(d_weights), d_bias
 
 
 def conv_transpose2d_forward(x: np.ndarray, k: ConvKernel) -> np.ndarray:
@@ -286,13 +293,15 @@ def weighted_ce_loss(
         return LossResult(0.0, np.zeros_like(logits), 0)
 
     z = logits - logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=1))  # (N,H,W)
+    e = np.exp(z)
+    esum = e.sum(axis=1)  # (N,H,W)
+    lse = np.log(esum)
     cls = np.where(valid, target, 0).astype(np.int64)
     logp = np.take_along_axis(z, cls[:, None], axis=1)[:, 0] - lse
     wpix = np.where(cls == 1, w1, w0) * valid
     loss = float(-np.sum(wpix * logp, dtype=np.float64) / counted)
 
-    probs = softmax2(logits)
+    probs = e / esum[:, None]  # softmax2(logits), without a second exp
     onehot = cls[:, None] == np.arange(2).reshape(1, 2, 1, 1)
     grad = (wpix[:, None] * (probs - onehot) / counted).astype(logits.dtype)
     return LossResult(loss, _checked(grad), counted)

@@ -166,6 +166,19 @@ class TestDeterminism:
             q = tmp_path / "p4" / "prepared" / p.name
             assert p.read_bytes() == q.read_bytes(), p.name
 
+    def test_threads_do_not_change_predict_output(self, pipeline, tmp_path):
+        # predict is where conv kernels run concurrently, one thread per day
+        ds, run = pipeline
+        days = ["2021-06-09", "2021-06-10", "2021-06-11", "2021-06-12"]
+        for out, threads in [("t1", "1"), ("t2", "2")]:
+            proc = run_cli("predict", "--data", ds, "--out", tmp_path / out, run / "best.unc",
+                           *days, "--seed", "3", "--threads", threads)
+            assert proc.returncode == 0, proc.stderr
+        masks = sorted(p.name for p in (tmp_path / "t1").glob("pred_*.msk"))
+        assert masks == [f"pred_{day}.msk" for day in days]
+        for name in masks:
+            assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t2" / name).read_bytes(), name
+
 
 class TestErrorContract:
     def test_missing_data_dir_is_one_line_error(self, tmp_path):

@@ -71,6 +71,55 @@ class TestConv2dForward:
         b = K.conv2d_forward(x, k)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize(
+        "xshape,wshape,stride,pad",
+        [
+            ((2, 3, 6, 6), (4, 3, 3, 3), 1, 0),
+            ((1, 2, 5, 7), (3, 2, 3, 3), 1, 2),
+            ((2, 2, 5, 7), (3, 2, 1, 3), 1, 1),
+            ((2, 2, 5, 7), (3, 2, 3, 1), 1, 1),
+            ((2, 3, 5, 7), (2, 3, 1, 1), 1, 0),
+            ((1, 2, 7, 6), (3, 2, 3, 3), 2, 1),
+            ((1, 2, 5, 7), (2, 2, 1, 3), 2, 0),
+        ],
+    )
+    def test_tap_offsets_match_naive_loop(self, xshape, wshape, stride, pad):
+        rng = np.random.default_rng(20)
+        x = rand(xshape, rng)
+        w = rand(wshape, rng)
+        b = rand(wshape[:1], rng)
+        out = K.conv2d_forward(x, ConvKernel(w, b, stride=stride, padding=pad))
+        ref = conv2d_naive(x, w, b, stride=stride, padding=pad)
+        assert out.shape == ref.shape
+        assert np.max(np.abs(out - ref)) < 1e-12
+
+    def test_float64_in_float64_out(self):
+        rng = np.random.default_rng(21)
+        x = rand((1, 2, 5, 5), rng)
+        k = ConvKernel(rand((3, 2, 3, 3), rng), rand((3,), rng), padding=1)
+        assert K.conv2d_forward(x, k).dtype == np.float64
+        gi, gw, gb = K.conv2d_backward(x, k, rand((1, 3, 5, 5), rng))
+        assert gi.dtype == gw.dtype == gb.dtype == np.float64
+
+    def test_empty_batch(self):
+        k = ConvKernel(np.ones((2, 3, 3, 3)), np.zeros(2), padding=1)
+        assert K.conv2d_forward(np.zeros((0, 3, 4, 4)), k).shape == (0, 2, 4, 4)
+        gi, gw, gb = K.conv2d_backward(np.zeros((0, 3, 4, 4)), k, np.zeros((0, 2, 4, 4)))
+        assert gi.shape == (0, 3, 4, 4) and not gw.any() and not gb.any()
+
+    def test_strided_input_matches_contiguous_copy(self):
+        rng = np.random.default_rng(22)
+        x = rand((2, 3, 8, 8), rng, np.float32)
+        k1 = ConvKernel(rand((4, 3, 3, 3), rng, np.float32), rand((4,), rng, np.float32), padding=1)
+        k2 = ConvKernel(rand((5, 4, 3, 3), rng, np.float32), rand((5,), rng, np.float32), padding=1)
+        view = K.conv2d_forward(x, k1)  # a strided view, as layers pass it on
+        dense = np.ascontiguousarray(view)
+        assert not view.flags.c_contiguous
+        assert np.array_equal(K.conv2d_forward(view, k2), K.conv2d_forward(dense, k2))
+        go = rand((2, 5, 8, 8), rng, np.float32)
+        for a, b in zip(K.conv2d_backward(view, k2, go), K.conv2d_backward(dense, k2, go)):
+            assert np.array_equal(a, b)
+
 
 class TestConv2dBackward:
     def test_zero_grad_out(self):
@@ -113,6 +162,25 @@ class TestConv2dBackward:
         assert rel_err(gi, fd_x) <= 1e-3
         assert rel_err(gw, fd_w) <= 1e-3
         assert rel_err(gb, fd_b) <= 1e-3
+
+    @pytest.mark.parametrize(
+        "xshape,wshape,pad", [((1, 2, 4, 5), (3, 2, 3, 3), 2), ((2, 2, 4, 5), (2, 2, 1, 3), 1)]
+    )
+    def test_finite_differences_padding_and_rect_kernel(self, xshape, wshape, pad):
+        rng = np.random.default_rng(23)
+        x = rand(xshape, rng)
+        w = rand(wshape, rng)
+        b = rand(wshape[:1], rng)
+        k = ConvKernel(w, b, padding=pad)
+        r = rand(K.conv2d_forward(x, k).shape, rng)
+        gi, gw, gb = K.conv2d_backward(x, k, r)
+        fd_x = finite_diff_grad(lambda v: weighted_sum_loss(K.conv2d_forward(v, k), r), x)
+        fd_w = finite_diff_grad(
+            lambda v: weighted_sum_loss(K.conv2d_forward(x, ConvKernel(v, b, padding=pad)), r), w
+        )
+        assert rel_err(gi, fd_x) <= 1e-3
+        assert rel_err(gw, fd_w) <= 1e-3
+        assert rel_err(gb, r.sum(axis=(0, 2, 3))) <= 1e-12
 
     def test_grad_out_shape_checked(self):
         x = np.zeros((1, 1, 4, 4))
@@ -342,6 +410,26 @@ class TestWeightedCELoss:
         p = K.softmax2(logits)
         assert p.min() >= 0.0
         assert np.max(np.abs(p.sum(axis=1) - 1.0)) <= 1e-6
+
+    def test_matches_softmax2_formula_bitwise(self):
+        rng = np.random.default_rng(24)
+        logits = (rng.standard_normal((2, 2, 8, 8)) * 4).astype(np.float32)
+        target = rng.integers(0, 3, (2, 8, 8)).astype(np.uint8)
+        w0, w1 = 0.6, 2.5
+        res = K.weighted_ce_loss(logits, target, (w0, w1))
+        # the formula with a separate softmax2 call
+        valid = target != K.IGNORE_LABEL
+        z = logits - logits.max(axis=1, keepdims=True)
+        lse = np.log(np.exp(z).sum(axis=1))
+        cls = np.where(valid, target, 0).astype(np.int64)
+        logp = np.take_along_axis(z, cls[:, None], axis=1)[:, 0] - lse
+        wpix = np.where(cls == 1, w1, w0) * valid
+        counted = int(valid.sum())
+        loss = float(-np.sum(wpix * logp, dtype=np.float64) / counted)
+        onehot = cls[:, None] == np.arange(2).reshape(1, 2, 1, 1)
+        grad = (wpix[:, None] * (K.softmax2(logits) - onehot) / counted).astype(logits.dtype)
+        assert res.loss == loss
+        assert np.array_equal(res.grad_logits, grad)
 
     def test_rejects_nonpositive_weights(self):
         with pytest.raises(ValueError):
