@@ -70,9 +70,13 @@ def atomic_write_text(path: Path, payload: str) -> None:
 
 
 def _read_exact(f, n: int, what: str) -> bytes:
+    # a header may claim any size: compare it with the bytes the file still
+    # holds before read() allocates it
+    if n > os.fstat(f.fileno()).st_size - f.tell():
+        raise FormatError(f"{f.name}: truncated file while reading {what}")
     buf = f.read(n)
     if len(buf) != n:
-        raise FormatError(f"truncated file while reading {what}")
+        raise FormatError(f"{f.name}: truncated file while reading {what}")
     return buf
 
 
@@ -98,6 +102,8 @@ def read_stack(path: Path) -> tuple[list[str], np.ndarray]:
         if _read_exact(f, 4, "magic") != MAGIC_STACK:
             raise FormatError(f"{path}: not a feature stack (bad magic)")
         c, h, w = struct.unpack("<III", _read_exact(f, 12, "dimensions"))
+        if c == 0:
+            raise FormatError(f"{path}: feature stack declares zero channels")
         names = []
         for _ in range(c):
             (n,) = struct.unpack("<I", _read_exact(f, 4, "name length"))

@@ -122,9 +122,14 @@ def conv2d_forward(x: np.ndarray, k: ConvKernel) -> np.ndarray:
 
 
 def conv2d_backward(
-    x: np.ndarray, k: ConvKernel, grad_out: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients (d_input, d_weights, d_bias) of a stride-1 conv2d."""
+    x: np.ndarray, k: ConvKernel, grad_out: np.ndarray, input_grad: bool = True
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """Gradients (d_input, d_weights, d_bias) of a stride-1 conv2d.
+
+    With input_grad=False the d_input products are skipped and d_input is
+    None (the network input needs no gradient); d_weights and d_bias are
+    the same bits either way.
+    """
     if k.stride != 1:
         raise ConfigError("conv2d_backward supports stride 1 only")
     co, ci, kh, kw = k.weights.shape
@@ -139,15 +144,18 @@ def conv2d_backward(
     g[:, :, : expect[2], : expect[3]] = grad_out.transpose(1, 0, 2, 3)
     g = g.reshape(co, -1)[:, :span]
     d_weights = np.empty((kh, kw, co, ci), xf.dtype)
-    dxf = np.zeros_like(xf)
-    tmp = np.empty((ci, span), xf.dtype)
     for t, (wab, off) in enumerate(taps):
         np.matmul(g, xf[:, off : off + span].T, out=d_weights[divmod(t, kw)])
-        dxf[:, off : off + span] += np.matmul(wab.T, g, out=tmp)
     d_bias = grad_out.sum(axis=(0, 2, 3), dtype=np.float64).astype(x.dtype)
+    d_weights = _checked(np.ascontiguousarray(d_weights.transpose(2, 3, 0, 1)))
+    if not input_grad:
+        return None, d_weights, d_bias
+    dxf = np.zeros_like(xf)
+    tmp = np.empty((ci, span), xf.dtype)
+    for wab, off in taps:
+        dxf[:, off : off + span] += np.matmul(wab.T, g, out=tmp)
     d_input = dxf.reshape(ci, n, h + 2 * p, w + 2 * p)[:, :, p : p + h, p : p + w].transpose(1, 0, 2, 3)
-    d_weights = np.ascontiguousarray(d_weights.transpose(2, 3, 0, 1))
-    return _checked(np.ascontiguousarray(d_input)), _checked(d_weights), d_bias
+    return _checked(np.ascontiguousarray(d_input)), d_weights, d_bias
 
 
 def conv_transpose2d_forward(x: np.ndarray, k: ConvKernel) -> np.ndarray:

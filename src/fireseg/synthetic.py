@@ -11,6 +11,11 @@ bias)), then independent contagion to Chebyshev-1 and -2 neighbors with
 decaying probabilities. Because every ignition/contagion event is
 independent, the exact per-pixel fire marginal is a closed-form product,
 which both the bias calibration and the reference (ceiling) predictor use.
+Calibration bisects the bias against the exact expected rate: it computes
+the bias-independent score once per day and stops the bisection at its
+fixed point (where a step no longer moves either bound). Neither shortcut
+changes a floating-point operation, so generated bytes are bit-identical
+to earlier versions.
 
 The rule description is returned next to the dataset so tests can evaluate
 that ceiling; it is not part of the schema the model sees.
@@ -89,28 +94,40 @@ class PlantedRule:
         return self.coef_a * fa + self.coef_b * fb * fc + self.coef_c * fc * fc
 
     def seed_probability(self, features: np.ndarray, land: np.ndarray) -> np.ndarray:
-        q = 1.0 / (1.0 + np.exp(-self.gain * (self.score(features) - self.bias)))
+        return self._seed_from_score(self.score(features), land)
+
+    def _seed_from_score(self, score: np.ndarray, land: np.ndarray) -> np.ndarray:
+        q = 1.0 / (1.0 + np.exp(-self.gain * (score - self.bias)))
         return np.where(land, q, 0.0)
 
     def fire_marginal(self, features: np.ndarray, land: np.ndarray) -> np.ndarray:
         """Exact P(pixel burns): independent seed + contagion events."""
-        q = self.seed_probability(features, land)
-        no_fire = 1.0 - q
-        for off, p in [(o, self.spread_p1) for o in _NEIGH1] + [
-            (o, self.spread_p2) for o in _NEIGH2
-        ]:
-            no_fire = no_fire * (1.0 - p * _shift(q, off))
-        return np.where(land, 1.0 - no_fire, 0.0)
+        return self._spread(self.seed_probability(features, land), land)
+
+    def _spread(self, q: np.ndarray, land: np.ndarray) -> np.ndarray:
+        """1 - P(no seed) * prod over neighbors (1 - p * q[neighbor]), q zero off-grid.
+
+        The products run on a flat row-major copy of q with a 2-wide zero
+        border (and a spare row), where neighbor (dr, dc) is a contiguous
+        slice; the garbage columns past the raster width are cut at the end.
+        """
+        h, w = q.shape
+        row, span = w + 4, h * (w + 4)
+        qp = _pad2(q).ravel()
+        no_fire = 1.0 - qp[2 * row + 2 : 2 * row + 2 + span]
+        f1 = 1.0 - self.spread_p1 * qp
+        f2 = 1.0 - self.spread_p2 * qp
+        for (dr, dc), f in [(o, f1) for o in _NEIGH1] + [(o, f2) for o in _NEIGH2]:
+            off = (dr + 2) * row + dc + 2
+            no_fire *= f[off : off + span]
+        return np.where(land, 1.0 - no_fire.reshape(h, row)[:, :w], 0.0)
 
 
-def _shift(arr: np.ndarray, off: tuple[int, int]) -> np.ndarray:
-    """out[p] = arr[p + off], zero outside the grid."""
-    dr, dc = off
-    h, w = arr.shape
-    out = np.zeros_like(arr)
-    rs = slice(max(0, -dr), min(h, h - dr))
-    cs = slice(max(0, -dc), min(w, w - dc))
-    out[rs, cs] = arr[max(0, dr) : h + min(0, dr), max(0, dc) : w + min(0, dc)]
+def _pad2(a: np.ndarray) -> np.ndarray:
+    """a on a 2-wide zero border plus one spare bottom row: shape (h + 5, w + 4)."""
+    h, w = a.shape
+    out = np.zeros((h + 5, w + 4), a.dtype)
+    out[2 : h + 2, 2 : w + 2] = a
     return out
 
 
@@ -119,10 +136,11 @@ def _box1d(a: np.ndarray, radius: int, axis: int) -> np.ndarray:
     pad[axis] = (radius + 1, radius)
     p = np.pad(a, pad, mode="edge")
     c = np.cumsum(p, axis=axis, dtype=np.float64)
-    n = a.shape[axis]
-    hi = np.take(c, np.arange(2 * radius + 1, n + 2 * radius + 1), axis=axis)
-    lo = np.take(c, np.arange(0, n), axis=axis)
-    return (hi - lo) / (2 * radius + 1)
+    hi = [slice(None)] * a.ndim
+    lo = [slice(None)] * a.ndim
+    hi[axis] = slice(2 * radius + 1, None)
+    lo[axis] = slice(0, a.shape[axis])
+    return (c[tuple(hi)] - c[tuple(lo)]) / (2 * radius + 1)
 
 
 def _smooth_field(rng: np.random.Generator, h: int, w: int, radius: int) -> np.ndarray:
@@ -146,11 +164,13 @@ def _draw_labels(
 ) -> np.ndarray:
     q = rule.seed_probability(features, land)
     seeds = land & (rng.random(q.shape) < q)
+    h, w = q.shape
+    sp = _pad2(seeds)  # seeds[r + dr, c + dc] is sp[2 + dr + r, 2 + dc + c]
     fire = seeds.copy()
-    for off, p in [(o, rule.spread_p1) for o in _NEIGH1] + [
+    for (dr, dc), p in [(o, rule.spread_p1) for o in _NEIGH1] + [
         (o, rule.spread_p2) for o in _NEIGH2
     ]:
-        fire |= _shift(seeds, off) & (rng.random(q.shape) < p)
+        fire |= sp[2 + dr : 2 + dr + h, 2 + dc : 2 + dc + w] & (rng.random(q.shape) < p)
     return fire & land
 
 
@@ -263,21 +283,22 @@ def _calibrate_bias(
     rule: PlantedRule, stacks: list[np.ndarray], land: np.ndarray, target: float
 ) -> float:
     """Bisect the rule bias so the exact expected fire rate hits the target."""
+    scores = [rule.score(s) for s in stacks]  # independent of the bias
 
     def expected_rate(bias: float) -> float:
         r = replace(rule, bias=bias)
-        total = sum(float(r.fire_marginal(s, land)[land].sum()) for s in stacks)
-        return total / (len(stacks) * int(land.sum()))
+        marginals = (r._spread(r._seed_from_score(sc, land), land) for sc in scores)
+        return sum(float(m[land].sum()) for m in marginals) / (len(stacks) * int(land.sum()))
 
     lo, hi = -30.0, 60.0
     if not expected_rate(lo) >= target >= expected_rate(hi):
         raise RuntimeError("fire-rate target outside the calibratable range")
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if expected_rate(mid) >= target:
-            lo = mid
-        else:
-            hi = mid
+        step = (mid, hi) if expected_rate(mid) >= target else (lo, mid)
+        if step == (lo, hi):
+            break  # fixed point: every later step would repeat this one
+        lo, hi = step
     return 0.5 * (lo + hi)
 
 
@@ -300,15 +321,12 @@ def bayes_reference(
     """
     if taus is None:
         taus = [i / 20 for i in range(1, 20)]
+    marginals = [rule.fire_marginal(day.features, day.mask != WATER) for day in days]
     out = []
     for tau in taus:
         counts = None
-        for day in days:
-            land = day.mask != WATER
-            marg = rule.fire_marginal(day.features, land)
-            pred = (marg >= tau).astype(np.uint8)
-            truth = day.mask
-            c = confusion(pred, truth)
+        for day, marg in zip(days, marginals):
+            c = confusion((marg >= tau).astype(np.uint8), day.mask)
             counts = c if counts is None else counts + c
         sens = sensitivity(counts)
         spec = specificity(counts)

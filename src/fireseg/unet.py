@@ -249,7 +249,8 @@ def backward(params: UNetParams, cache: dict, grad_logits: np.ndarray) -> list[n
         g, dw, db = conv2d_backward(r1, ks[f"enc{i}_conv2"], g)
         grads[f"enc{i}_conv2"] = (dw, db)
         g = relu_backward(a, g)
-        g, dw, db = conv2d_backward(x_in, ks[f"enc{i}_conv1"], g)
+        # the network input (block 1) needs no gradient
+        g, dw, db = conv2d_backward(x_in, ks[f"enc{i}_conv1"], g, input_grad=i > 1)
         grads[f"enc{i}_conv1"] = (dw, db)
 
     flat: list[np.ndarray] = []

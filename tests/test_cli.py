@@ -200,6 +200,22 @@ class TestErrorContract:
         assert proc.returncode == 1
         assert "c.cfg:2" in proc.stderr
 
+    def test_hostile_mask_header_is_one_line_error(self, tmp_path):
+        import struct
+
+        proc = run_cli("generate", "--out", tmp_path, "--days", "2", "--holdout-days", "1",
+                       "--height", "64", "--width", "64", "--seed", "5",
+                       "--target-fire-rate", "0.01")
+        assert proc.returncode == 0, proc.stderr
+        # a 12-byte mask whose header claims 2^20 x 2^20 pixels
+        mask = sorted((tmp_path / "raw").glob("*.msk"))[0]
+        mask.write_bytes(F.MAGIC_MASK + struct.pack("<II", 1 << 20, 1 << 20))
+        proc = run_cli("prepare", "--data", tmp_path, "--out", tmp_path, "--tr", "1")
+        assert proc.returncode == 1
+        errors = proc.stderr.strip().splitlines()
+        assert len(errors) == 1
+        assert errors[0].startswith("error: ") and "truncated" in errors[0]
+
     def test_invalid_day_id(self, tmp_path):
         proc = run_cli("predict", "--data", tmp_path, "--out", tmp_path,
                        tmp_path / "x.unc", "not-a-date")

@@ -66,6 +66,23 @@ class TestStackFormat:
         with pytest.raises(F.FormatError, match="non-finite"):
             F.read_stack(path)
 
+    def test_huge_dimensions_rejected_before_allocating(self, tmp_path):
+        import struct
+
+        path = tmp_path / "x.fsk"
+        header = F.MAGIC_STACK + struct.pack("<III", 1, 1 << 20, 1 << 20)
+        path.write_bytes(header + struct.pack("<I", 1) + b"a")
+        with pytest.raises(F.FormatError, match="truncated"):
+            F.read_stack(path)
+
+    def test_zero_channels_rejected(self, tmp_path):
+        import struct
+
+        path = tmp_path / "x.fsk"
+        path.write_bytes(F.MAGIC_STACK + struct.pack("<III", 0, 1 << 20, 1 << 20))
+        with pytest.raises(F.FormatError, match="zero channels"):
+            F.read_stack(path)
+
 
 class TestMaskFormat:
     def test_round_trip(self, tmp_path):
@@ -78,6 +95,21 @@ class TestMaskFormat:
     def test_out_of_range_values_rejected(self, tmp_path):
         with pytest.raises(F.FormatError):
             F.write_mask(tmp_path / "m.msk", np.full((2, 2), 7, np.uint8))
+
+    def test_huge_dimensions_rejected_before_allocating(self, tmp_path):
+        import struct
+
+        path = tmp_path / "m.msk"
+        path.write_bytes(F.MAGIC_MASK + struct.pack("<II", 1 << 20, 1 << 20))
+        with pytest.raises(F.FormatError, match="truncated"):
+            F.read_mask(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "m.msk"
+        F.write_mask(path, np.zeros((2, 2), np.uint8))
+        path.write_bytes(path.read_bytes() + b"z")
+        with pytest.raises(F.FormatError, match="trailing"):
+            F.read_mask(path)
 
 
 class TestManifest:
@@ -132,6 +164,17 @@ class TestCheckpoint:
         raw[4:8] = (99).to_bytes(4, "little")  # claim 99 input channels
         path.write_bytes(bytes(raw))
         with pytest.raises(Exception):
+            F.read_checkpoint(path)
+
+    def test_huge_tensor_shape_rejected_before_allocating(self, tmp_path):
+        params = init_params(UNetConfig(in_channels=3, init_features=2, seed=0))
+        path = tmp_path / "net.unc"
+        F.write_checkpoint(path, params)
+        raw = bytearray(path.read_bytes())
+        # first tensor: rank at byte 32, then its dims; claim 2^20 x 2^20 x kh x kw
+        raw[36:44] = (1 << 20).to_bytes(4, "little") * 2
+        path.write_bytes(bytes(raw))
+        with pytest.raises(F.FormatError, match="truncated"):
             F.read_checkpoint(path)
 
 

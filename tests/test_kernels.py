@@ -188,6 +188,19 @@ class TestConv2dBackward:
         with pytest.raises(K.ShapeError):
             K.conv2d_backward(x, k, np.zeros((1, 1, 3, 3)))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_without_input_grad_weights_and_bias_bitwise_equal(self, dtype):
+        # the shape of enc1_conv1 at a small batch: 12 -> 8 channels, 3x3, padding 1
+        rng = np.random.default_rng(31)
+        x = rand((3, 12, 16, 16), rng, dtype)
+        k = ConvKernel(rand((8, 12, 3, 3), rng, dtype), rand((8,), rng, dtype), padding=1)
+        go = rand((3, 8, 16, 16), rng, dtype)
+        _, gw, gb = K.conv2d_backward(x, k, go)
+        gi_skip, gw_skip, gb_skip = K.conv2d_backward(x, k, go, input_grad=False)
+        assert gi_skip is None
+        assert gw_skip.dtype == gw.dtype and gb_skip.dtype == gb.dtype
+        assert np.array_equal(gw_skip, gw) and np.array_equal(gb_skip, gb)
+
 
 class TestConvTranspose2d:
     def test_single_pixel_broadcast(self):

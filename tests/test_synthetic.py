@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,36 @@ class TestGeneration:
             assert a.day_id == b.day_id
             assert np.array_equal(a.features, b.features)
             assert np.array_equal(a.mask, b.mask)
+
+    @pytest.mark.parametrize(
+        "extra, bias_hex, level, digest",
+        [
+            (
+                dict(days=3, seed=4),
+                "0x1.83b9b38711a10p+4",
+                None,
+                "b13615c32c37f4459f6c790b9c6201d08174bd140cac7bdb5ab07a76016b5925",
+            ),
+            (
+                dict(days=4, seed=6, deterministic_labels=True),
+                "0x1.dcb24c166ebe0p+2",
+                0.3660280407358429,
+                "0897a519984e249e094e55e3498565503675251201711f84d6e090a0313f0c4e",
+            ),
+        ],
+    )
+    def test_generated_bytes_are_pinned(self, extra, bias_hex, level, digest):
+        # golden values: any change to a generated bit (calibration, marginal,
+        # label draws) must show here, not only in a downstream benchmark
+        cfg = SynthConfig(height=64, width=64, target_fire_rate=5e-3, **extra)
+        days, _, rule = generate_dataset(cfg)
+        sha = hashlib.sha256()
+        for day in days:
+            sha.update(day.features.tobytes())
+            sha.update(day.mask.tobytes())
+        assert rule.bias.hex() == bias_hex
+        assert rule.deterministic_level == level
+        assert sha.hexdigest() == digest
 
     def test_achieved_rate_within_20_percent(self, full_dataset):
         cfg, days, schema, rule = full_dataset
@@ -128,6 +160,27 @@ class TestBayesReference:
         assert 0.0 < best.sens <= 1.0 and 0.0 < best.spec <= 1.0
         assert best.sh2 <= 3.0
         assert best.sh2 == max(p.sh2 for p in pts)
+
+    def test_points_equal_a_per_tau_loop(self, full_dataset):
+        # bayes_reference computes each day's marginal once; the points must
+        # be the bits of recomputing it for every threshold
+        from fireseg.metrics import confusion, sensitivity, shybrid, specificity
+
+        _, days, _, rule = full_dataset
+        days = days[-4:]
+        taus = [i / 20 for i in range(1, 20)]
+        expected = []
+        for tau in taus:
+            counts = None
+            for day in days:
+                marg = rule.fire_marginal(day.features, day.mask != D.WATER)
+                c = confusion((marg >= tau).astype(np.uint8), day.mask)
+                counts = c if counts is None else counts + c
+            sens, spec = sensitivity(counts), specificity(counts)
+            if sens is not None and spec is not None:
+                expected.append((tau, sens, spec, shybrid(1, sens, spec), shybrid(2, sens, spec)))
+        got = [(p.tau, p.sens, p.spec, p.sh1, p.sh2) for p in bayes_reference(days, rule, taus)]
+        assert got == expected
 
     def test_marginal_is_exact_for_a_nailed_down_rule(self):
         # hand-checkable case: one seed pixel with probability ~1, spread p1 only
