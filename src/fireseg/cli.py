@@ -401,6 +401,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# exceptions main() reports as one `error:` line on stderr (exit status 1)
+REPORTED_ERRORS = (CliError, ValueError, KeyError, OSError, RuntimeError)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -417,7 +421,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "predict":
             return cmd_predict(cfg, args.checkpoint, args.days, args.render)
         raise CliError(f"unknown command {args.command!r}")
-    except (CliError, ValueError, KeyError, OSError, RuntimeError) as exc:
+    except REPORTED_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -20,6 +20,7 @@ import csv
 import json
 import os
 import struct
+import threading
 from datetime import date
 from pathlib import Path
 
@@ -35,7 +36,7 @@ from .data import (
     TileSet,
     TileSpec,
 )
-from .unet import UNetConfig, UNetParams, init_params
+from .unet import UNetConfig, UNetParams, _kernel_for, layer_shapes
 
 MAGIC_STACK = b"FSK1"
 MAGIC_MASK = b"MSK1"
@@ -59,10 +60,20 @@ class FormatError(ValueError):
 
 
 def atomic_write_bytes(path: Path, payload: bytes) -> None:
+    """Write through a temp file in the target directory, then rename.
+
+    The temp name carries the process and thread id, so concurrent writers
+    of one path never share a temp file (a thread writes one file at a
+    time); a failed write or rename removes it.
+    """
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(payload)
-    os.replace(tmp, path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
+    try:
+        tmp.write_bytes(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def atomic_write_text(path: Path, payload: str) -> None:
@@ -276,22 +287,29 @@ def write_manifest(path: Path, tileset: TileSet) -> None:
 
 
 def read_manifest(path: Path) -> TileSet:
+    specs = []
+    provenances = set()
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
-        if reader.fieldnames != MANIFEST_HEADER:
-            raise FormatError(f"{path}: manifest header {reader.fieldnames} != {MANIFEST_HEADER}")
-        specs = []
-        provenances = set()
-        for row in reader:
-            specs.append(
-                TileSpec(
-                    date.fromisoformat(row["day_id"]),
-                    int(row["row_off"]),
-                    int(row["col_off"]),
-                    row["tile_class"],
+        try:
+            if reader.fieldnames != MANIFEST_HEADER:
+                raise FormatError(f"{path}: manifest header {reader.fieldnames} != {MANIFEST_HEADER}")
+            for row in reader:
+                if None in row or None in row.values():  # surplus or missing fields
+                    raise FormatError(
+                        f"{path}: line {reader.line_num} does not hold {len(MANIFEST_HEADER)} fields"
+                    )
+                specs.append(
+                    TileSpec(
+                        date.fromisoformat(row["day_id"]),
+                        int(row["row_off"]),
+                        int(row["col_off"]),
+                        row["tile_class"],
+                    )
                 )
-            )
-            provenances.add(row["provenance"])
+                provenances.add(row["provenance"])
+        except csv.Error as exc:
+            raise FormatError(f"{path}: line {reader.line_num}: {exc}") from None
     if len(provenances) != 1:
         raise FormatError(f"{path}: manifest mixes provenances {sorted(provenances)}")
     return TileSet(tuple(specs), provenances.pop())
@@ -337,7 +355,10 @@ def read_checkpoint(path: Path) -> UNetParams:
         config = UNetConfig(
             in_channels=in_ch, init_features=feats, depth=depth, num_classes=classes, seed=seed
         )
+        names = [name for name, _, _ in layer_shapes(config)]
         (count,) = struct.unpack("<I", _read_exact(f, 4, "tensor count"))
+        if count != 2 * len(names):
+            raise FormatError(f"{path}: {count} tensors, the architecture has {2 * len(names)}")
         tensors = []
         for i in range(count):
             (ndim,) = struct.unpack("<I", _read_exact(f, 4, "tensor rank"))
@@ -347,9 +368,9 @@ def read_checkpoint(path: Path) -> UNetParams:
             tensors.append(data.reshape(shape).astype(np.float32))
         if f.read(1):
             raise FormatError(f"{path}: trailing bytes after payload")
-    # reuse a freshly structured parameter set to validate shapes against config
-    template = init_params(config)
-    return template.with_tensors(tensors)
+    # UNetParams checks every shape against the configured architecture
+    kernels = {n: _kernel_for(n, w, b) for n, w, b in zip(names, tensors[::2], tensors[1::2])}
+    return UNetParams(config, kernels)
 
 
 def read_checkpoint_metrics(path: Path) -> dict[str, float]:

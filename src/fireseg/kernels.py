@@ -8,13 +8,26 @@ is hidden in layer objects. Reductions run through numpy's sequential
 loops / single-threaded BLAS in a fixed order, so identical inputs give
 bitwise-identical outputs.
 
-Convolution uses the cross-correlation convention (no kernel flip) and
-shift-and-accumulate GEMMs (Anderson et al. 2017, arXiv:1709.03395), with
-no column matrix: the input is copied once into a zero-padded channel-major
-buffer xf[C, N*H2*W2], where kernel tap (a, b) is the column offset
-a*W2 + b. Forward and both backward products take one GEMM per tap, in
-row-major (a, b) order, on the slice of xf (or of grad_out placed on the
-same padded grid) at that offset.
+Convolution uses the cross-correlation convention (no kernel flip) and one
+routine, a valid-window im2col GEMM (Chellapilla et al. 2006). The input is
+copied once into a zero-padded channel-major buffer xp[C, N, H2, W2]. A
+column matrix holds one row per (a, b, c), in that order (row
+(a*kw + b)*C + c, tap-major like the weights reshaped from [Co, kh, kw, C]),
+and one column per valid output position (image, i, j); no padding
+position is ever a column. The batch is walked in blocks of whole images
+whose columns fit BLOCK_BYTES, about a core's L2 cache: each block is
+filled by one copy of a strided view of xp and read back by its GEMM while
+it is still cached (the blocking argument of Goto & van de Geijn 2008).
+Each block takes one GEMM with K = kh*kw*C, written straight into a
+channel-major output [Co, N, Ho, Wo].
+
+The backward rebuilds the same column blocks: d_weights accumulates
+grad_block @ col_block.T block by block, and d_input is the same routine
+applied to grad_out, padded by k-1-p (cropped where p > k-1), with the
+spatially flipped, in/out-transposed kernel.
+
+Max pooling works on the four quarter views x[:, :, r::2, s::2] of the
+2x2 windows, with no per-window argmax.
 """
 
 from __future__ import annotations
@@ -23,6 +36,7 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 
 class ShapeError(ValueError):
@@ -82,23 +96,58 @@ class ConvKernel:
         return self.weights.shape[1]
 
 
+# Bytes of one column block: whole images, sized to stay in a core's L2 cache.
+BLOCK_BYTES = 1 << 19
+
+
 def _require_nchw(x: np.ndarray, name: str) -> None:
     if x.ndim != 4:
         raise ShapeError(f"{name} must be 4-d [N,C,H,W], got shape {x.shape}")
 
 
-def _shift_setup(x: np.ndarray, k: ConvKernel) -> tuple[np.ndarray, list, int]:
-    """(xf, taps, span): taps are ([Co, Ci] matrix W[:, :, a, b], offset a*W2 + b)
-    in row-major order; a window may start at padded-grid columns [0, span)."""
-    n, c, h, w = x.shape
-    _, _, kh, kw = k.weights.shape
-    p = k.padding
-    dtype = np.result_type(x, k.weights)
-    xf = np.zeros((c, n, h + 2 * p, w + 2 * p), dtype)
-    xf[:, :, p : p + h, p : p + w] = x.transpose(1, 0, 2, 3)
-    wt = np.ascontiguousarray(k.weights.transpose(2, 3, 0, 1), dtype=dtype)
-    taps = [(wt[a, b], a * (w + 2 * p) + b) for a in range(kh) for b in range(kw)]
-    return xf.reshape(c, -1), taps, max(xf[0].size - taps[-1][1], 0)
+def _pad_channel_major(t: np.ndarray, ph: int, pw: int, dtype) -> np.ndarray:
+    """t[N, C, H, W] as a channel-major buffer [C, N, H + 2ph, W + 2pw]:
+    zero-padded by ph rows and pw columns on each side, cropped where negative."""
+    n, c, h, w = t.shape
+    out = np.zeros((c, n, h + 2 * ph, w + 2 * pw), dtype)
+    dh, dw, sh, sw = max(ph, 0), max(pw, 0), max(-ph, 0), max(-pw, 0)
+    out[:, :, dh : out.shape[2] - dh, dw : out.shape[3] - dw] = t.transpose(1, 0, 2, 3)[
+        :, :, sh : h - sh, sw : w - sw
+    ]
+    return out
+
+
+def _columns(xp: np.ndarray, kh: int, kw: int):
+    """Column blocks of a padded channel-major xp[C, N, H2, W2], whole images at a time.
+
+    Yields (lo, hi, col) with col[(a*kw + b)*C + c, q - lo] = xp[c, image, i + a, j + b]
+    for the valid output positions q = image*Ho*Wo + i*Wo + j in [lo, hi). All
+    blocks share one buffer of at most BLOCK_BYTES (or one image, if larger).
+    """
+    c, n, h2, w2 = xp.shape
+    ho, wo = h2 - kh + 1, w2 - kw + 1
+    per_image = kh * kw * c * ho * wo * xp.itemsize
+    nb = max(1, min(n, BLOCK_BYTES // per_image))
+    buf = np.empty((kh, kw, c, nb, ho, wo), xp.dtype)
+    sc, sn, sh, sw = xp.strides
+    for s in range(0, n, nb):
+        m = min(nb, n - s)
+        # one copy of the strided view [a, b, c, image, i, j] = xp[c, s + image, i + a, j + b]
+        buf[:, :, :, :m] = as_strided(xp[:, s:], (kh, kw, c, m, ho, wo), (sh, sw, sc, sn, sh, sw))
+        yield s * ho * wo, (s + m) * ho * wo, buf.reshape(-1, nb * ho * wo)[:, : m * ho * wo]
+
+
+def _correlate(xp: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Valid-window cross-correlation of xp[Ci, N, H2, W2] with w[Co, Ci, kh, kw]:
+    out[Co, N, Ho, Wo], one GEMM per column block."""
+    co, _, kh, kw = w.shape
+    _, n, h2, w2 = xp.shape
+    wm = np.ascontiguousarray(w.transpose(0, 2, 3, 1), dtype=xp.dtype).reshape(co, -1)
+    out = np.empty((co, n, h2 - kh + 1, w2 - kw + 1), xp.dtype)
+    flat = out.reshape(co, -1)
+    for lo, hi, col in _columns(xp, kh, kw):
+        np.matmul(wm, col, out=flat[:, lo:hi])
+    return out
 
 
 def conv2d_forward(x: np.ndarray, k: ConvKernel) -> np.ndarray:
@@ -108,17 +157,12 @@ def conv2d_forward(x: np.ndarray, k: ConvKernel) -> np.ndarray:
     n, c, h, w = x.shape
     if c != ci:
         raise ShapeError(f"input channel axis has {c} channels, kernel expects {ci}")
-    h2, w2 = h + 2 * k.padding, w + 2 * k.padding
-    if h2 < kh or w2 < kw:
-        raise ShapeError(f"spatial axes {h}x{w} (padding {k.padding}) smaller than kernel {kh}x{kw}")
-    xf, taps, span = _shift_setup(x, k)
-    out = np.zeros((co, xf.shape[1]), xf.dtype)
-    tmp = np.empty((co, span), xf.dtype)
-    for wab, off in taps:
-        out[:, :span] += np.matmul(wab, xf[:, off : off + span], out=tmp)
-    out += k.bias[:, None]
-    out = out.reshape(co, n, h2, w2)[:, :, : h2 - kh + 1 : k.stride, : w2 - kw + 1 : k.stride]
-    return _checked(out.transpose(1, 0, 2, 3))
+    p = k.padding
+    if h + 2 * p < kh or w + 2 * p < kw:
+        raise ShapeError(f"spatial axes {h}x{w} (padding {p}) smaller than kernel {kh}x{kw}")
+    out = _correlate(_pad_channel_major(x, p, p, np.result_type(x, k.weights)), k.weights)
+    out += k.bias[:, None, None, None]
+    return _checked(out[:, :, :: k.stride, :: k.stride].transpose(1, 0, 2, 3))
 
 
 def conv2d_backward(
@@ -126,7 +170,7 @@ def conv2d_backward(
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Gradients (d_input, d_weights, d_bias) of a stride-1 conv2d.
 
-    With input_grad=False the d_input products are skipped and d_input is
+    With input_grad=False the d_input correlation is skipped and d_input is
     None (the network input needs no gradient); d_weights and d_bias are
     the same bits either way.
     """
@@ -139,23 +183,18 @@ def conv2d_backward(
     if grad_out.shape != expect:
         raise ShapeError(f"grad_output shape {grad_out.shape} does not match forward output {expect}")
 
-    xf, taps, span = _shift_setup(x, k)
-    g = np.zeros((co, n, h + 2 * p, w + 2 * p), xf.dtype)  # column q: window starting at q
-    g[:, :, : expect[2], : expect[3]] = grad_out.transpose(1, 0, 2, 3)
-    g = g.reshape(co, -1)[:, :span]
-    d_weights = np.empty((kh, kw, co, ci), xf.dtype)
-    for t, (wab, off) in enumerate(taps):
-        np.matmul(g, xf[:, off : off + span].T, out=d_weights[divmod(t, kw)])
+    dtype = np.result_type(x, k.weights)
+    g = _pad_channel_major(grad_out, 0, 0, dtype).reshape(co, -1)
+    d_weights = np.zeros((co, kh * kw * ci), dtype)
+    for lo, hi, col in _columns(_pad_channel_major(x, p, p, dtype), kh, kw):
+        d_weights += g[:, lo:hi] @ col.T
     d_bias = grad_out.sum(axis=(0, 2, 3), dtype=np.float64).astype(x.dtype)
-    d_weights = _checked(np.ascontiguousarray(d_weights.transpose(2, 3, 0, 1)))
+    d_weights = _checked(np.ascontiguousarray(d_weights.reshape(co, kh, kw, ci).transpose(0, 3, 1, 2)))
     if not input_grad:
         return None, d_weights, d_bias
-    dxf = np.zeros_like(xf)
-    tmp = np.empty((ci, span), xf.dtype)
-    for wab, off in taps:
-        dxf[:, off : off + span] += np.matmul(wab.T, g, out=tmp)
-    d_input = dxf.reshape(ci, n, h + 2 * p, w + 2 * p)[:, :, p : p + h, p : p + w].transpose(1, 0, 2, 3)
-    return _checked(np.ascontiguousarray(d_input)), d_weights, d_bias
+    gp = _pad_channel_major(grad_out, kh - 1 - p, kw - 1 - p, dtype)
+    d_input = _correlate(gp, k.weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+    return _checked(np.ascontiguousarray(d_input.transpose(1, 0, 2, 3))), d_weights, d_bias
 
 
 def conv_transpose2d_forward(x: np.ndarray, k: ConvKernel) -> np.ndarray:
@@ -208,12 +247,22 @@ def maxpool2x2_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n, c, h, w = x.shape
     if h % 2 or w % 2:
         raise ShapeError(f"spatial axes must be even for 2x2 pooling, got {h}x{w}")
-    flat = x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(
-        n, c, h // 2, w // 2, 4
-    )
-    idx = flat.argmax(axis=-1).astype(np.int8)
-    out = np.take_along_axis(flat, idx[..., None].astype(np.int64), axis=-1)[..., 0]
-    return _checked(np.ascontiguousarray(out)), idx
+    # quarter t = 2r + s, copied once: the passes below run far faster on
+    # contiguous data than on the strided views
+    q = np.stack([x[:, :, r::2, s::2] for r in (0, 1) for s in (0, 1)])
+    top = np.maximum(np.maximum(q[0], q[1]), np.maximum(q[2], q[3]))
+    bits = q.view(f"u{q.itemsize}")
+    out = np.zeros(top.shape, bits.dtype)
+    idx = np.zeros(top.shape, np.int8)
+    # the output takes the bits of the first quarter equal to the max: np.maximum
+    # may return either of -0.0 and 0.0, the first one scanned must win
+    pending = np.ones(top.shape, bool)  # no earlier quarter equal to the max yet
+    for t in range(4):
+        first = (q[t] == top) & pending
+        pending ^= first
+        out |= bits[t] * first
+        idx |= np.int8(t) * first
+    return _checked(out.view(q.dtype)), idx
 
 
 def maxpool2x2_backward(idx: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
@@ -221,10 +270,10 @@ def maxpool2x2_backward(idx: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     if idx.shape != grad_out.shape:
         raise ShapeError(f"argmax indices {idx.shape} do not match grad_output {grad_out.shape}")
     n, c, oh, ow = grad_out.shape
-    scatter = (idx[..., None] == np.arange(4, dtype=np.int8)) * grad_out[..., None]
-    return np.ascontiguousarray(
-        scatter.reshape(n, c, oh, ow, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, 2 * oh, 2 * ow)
-    )
+    out = np.empty((n, c, 2 * oh, 2 * ow), grad_out.dtype)
+    for t in range(4):
+        np.multiply(idx == t, grad_out, out=out[:, :, t // 2 :: 2, t % 2 :: 2])
+    return out
 
 
 def relu_forward(x: np.ndarray) -> np.ndarray:

@@ -71,6 +71,28 @@ def maxpool_naive(x):
     return out, idx
 
 
+def maxpool2x2_reference(x):
+    """2x2 max pooling by reshape, argmax and take_along_axis (the library's
+    earlier formulation): pooled values and int8 window indices, ties to the
+    first position in row-major window order."""
+    n, c, h, w = x.shape
+    flat = x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(
+        n, c, h // 2, w // 2, 4
+    )
+    idx = flat.argmax(axis=-1).astype(np.int8)
+    out = np.take_along_axis(flat, idx[..., None].astype(np.int64), axis=-1)[..., 0]
+    return np.ascontiguousarray(out), idx
+
+
+def maxpool2x2_backward_reference(idx, grad_out):
+    """Backward of maxpool2x2_reference: one-hot window scatter of grad_out."""
+    n, c, oh, ow = grad_out.shape
+    scatter = (idx[..., None] == np.arange(4, dtype=np.int8)) * grad_out[..., None]
+    return np.ascontiguousarray(
+        scatter.reshape(n, c, oh, ow, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, 2 * oh, 2 * ow)
+    )
+
+
 def finite_diff_grad(f, x, eps=1e-3):
     """Central finite differences of scalar f at every coordinate of x."""
     g = np.zeros_like(x, dtype=np.float64)

@@ -1,3 +1,4 @@
+import threading
 from datetime import date
 
 import numpy as np
@@ -84,6 +85,47 @@ class TestStackFormat:
             F.read_stack(path)
 
 
+class TestAtomicWrite:
+    def test_concurrent_writers_of_one_path_do_not_collide(self, tmp_path, monkeypatch):
+        # a second thread writes the same path (predict --threads 2 D D) and
+        # finishes between this write's temp file and its rename
+        path = tmp_path / "day.msk"
+        real_replace = F.os.replace
+        first = threading.current_thread()
+        renamed = []
+
+        def replace(src, dst):
+            if threading.current_thread() is first:
+                other = threading.Thread(target=F.atomic_write_bytes, args=(path, b"second"))
+                other.start()
+                other.join(timeout=30)
+                assert not other.is_alive()
+            real_replace(src, dst)
+            renamed.append(src)
+
+        monkeypatch.setattr(F.os, "replace", replace)
+        F.atomic_write_bytes(path, b"first")
+        assert path.read_bytes() == b"first"
+        assert len(set(renamed)) == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["day.msk"]
+
+    def test_failed_rename_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        def replace(src, dst):
+            raise OSError("disk went away")
+
+        monkeypatch.setattr(F.os, "replace", replace)
+        with pytest.raises(OSError, match="disk went away"):
+            F.atomic_write_bytes(tmp_path / "x.fsk", b"payload")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_file_mode_follows_umask(self, tmp_path):
+        path = tmp_path / "x.json"
+        F.atomic_write_text(path, "{}\n")
+        plain = tmp_path / "plain"
+        plain.write_text("{}\n")
+        assert path.stat().st_mode == plain.stat().st_mode
+
+
 class TestMaskFormat:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -140,6 +182,25 @@ class TestManifest:
             "2021-06-01,0,32,no-fire,holdout\n"
         )
         with pytest.raises(F.FormatError, match="provenance"):
+            F.read_manifest(path)
+
+    def test_short_row_rejected(self, tmp_path):
+        path = tmp_path / "tiles.csv"
+        path.write_text(
+            "day_id,row_off,col_off,tile_class,provenance\n"
+            "2021-06-01,0,0,fire,sampled\n"
+            "2021-06-01,0,32,no-fire\n"
+        )
+        with pytest.raises(F.FormatError, match="line 3"):
+            F.read_manifest(path)
+
+    def test_carriage_return_inside_a_field_rejected(self, tmp_path):
+        path = tmp_path / "tiles.csv"
+        path.write_bytes(
+            b"day_id,row_off,col_off,tile_class,provenance\n"
+            b"2021-06-01,0,0,fi\rre,sampled\n"
+        )
+        with pytest.raises(F.FormatError, match="line"):
             F.read_manifest(path)
 
 

@@ -8,6 +8,8 @@ from oracles import (
     conv2d_matrix,
     conv2d_naive,
     finite_diff_grad,
+    maxpool2x2_backward_reference,
+    maxpool2x2_reference,
     maxpool_naive,
     rel_err,
 )
@@ -328,6 +330,99 @@ class TestMaxPool:
         gi = K.maxpool2x2_backward(idx, r)
         fd = finite_diff_grad(lambda v: weighted_sum_loss(K.maxpool2x2_forward(v)[0], r), x)
         assert rel_err(gi, fd) <= 1e-3
+
+
+class TestMaxPoolMatchesReference:
+    """The quarter-view max-pooling gives the same bytes as the reshape/argmax formulation."""
+
+    @staticmethod
+    def planted(rng, shape, dtype):
+        # a few distinct values, so windows tie; exact zeros of both signs
+        x = rng.integers(-2, 3, size=shape).astype(dtype)
+        x[rng.random(shape) < 0.3] = 0.0
+        x[rng.random(shape) < 0.2] = -0.0
+        return x
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forward_and_backward_bytes(self, dtype):
+        rng = np.random.default_rng(40)
+        x = self.planted(rng, (3, 4, 6, 10), dtype)
+        x[0, 0] = -0.0  # windows holding only -0.0
+        x[0, 1, :2, :2] = [[-0.0, 0.0], [0.0, -0.0]]
+        x[0, 1, :2, 2:4] = [[0.0, -0.0], [-0.0, 0.0]]
+        out, idx = K.maxpool2x2_forward(x)
+        ref_out, ref_idx = maxpool2x2_reference(x)
+        assert out.dtype == ref_out.dtype and idx.dtype == ref_idx.dtype == np.int8
+        assert out.shape == ref_out.shape and idx.shape == ref_idx.shape
+        assert out.tobytes() == ref_out.tobytes()
+        assert idx.tobytes() == ref_idx.tobytes()
+        assert np.signbit(out[0, 0]).all() and np.signbit(out[0, 1, 0, 0])
+        assert not np.signbit(out[0, 1, 0, 1])
+
+        g = rng.integers(-3, 4, size=out.shape).astype(dtype)  # zeros and negatives
+        gi = K.maxpool2x2_backward(idx, g)
+        ref_gi = maxpool2x2_backward_reference(ref_idx, g)
+        assert gi.dtype == ref_gi.dtype and gi.shape == ref_gi.shape
+        assert gi.tobytes() == ref_gi.tobytes()
+        assert np.signbit(gi).any()  # -0.0 routed where a negative gradient is masked out
+
+    def test_strided_input(self):
+        rng = np.random.default_rng(41)
+        x = self.planted(rng, (2, 6, 8, 8), np.float32)[:, ::2]
+        assert not x.flags.c_contiguous
+        out, idx = K.maxpool2x2_forward(x)
+        ref_out, ref_idx = maxpool2x2_reference(np.ascontiguousarray(x))
+        assert out.tobytes() == ref_out.tobytes() and idx.tobytes() == ref_idx.tobytes()
+
+
+class TestConvColumnBlocks:
+    """Convolution with BLOCK_BYTES small enough that a batch spans several image
+    blocks, the last one partial."""
+
+    @staticmethod
+    def two_image_blocks(monkeypatch, wshape, xshape, pad):
+        co, ci, kh, kw = wshape
+        ho, wo = xshape[2] + 2 * pad - kh + 1, xshape[3] + 2 * pad - kw + 1
+        # forward columns of two float64 images, so 5 images make blocks of 2, 2 and 1
+        monkeypatch.setattr(K, "BLOCK_BYTES", 2 * kh * kw * ci * ho * wo * 8 + 7)
+
+    @pytest.mark.parametrize(
+        "wshape,pad,stride",
+        [((3, 2, 3, 3), 1, 1), ((3, 2, 3, 3), 2, 1), ((2, 2, 1, 3), 1, 1), ((2, 3, 1, 1), 0, 1),
+         ((3, 2, 3, 3), 1, 2)],
+    )
+    def test_forward_matches_naive(self, monkeypatch, wshape, pad, stride):
+        rng = np.random.default_rng(42)
+        xshape = (5, wshape[1], 5, 6)
+        self.two_image_blocks(monkeypatch, wshape, xshape, pad)
+        x = rand(xshape, rng)
+        w = rand(wshape, rng)
+        b = rand(wshape[:1], rng)
+        out = K.conv2d_forward(x, ConvKernel(w, b, stride=stride, padding=pad))
+        ref = conv2d_naive(x, w, b, stride=stride, padding=pad)
+        assert out.shape == ref.shape
+        assert np.max(np.abs(out - ref)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "wshape,pad", [((3, 2, 3, 3), 1), ((3, 2, 3, 3), 2), ((2, 2, 1, 3), 1), ((2, 3, 1, 1), 0)]
+    )
+    def test_backward_finite_differences(self, monkeypatch, wshape, pad):
+        rng = np.random.default_rng(43)
+        xshape = (5, wshape[1], 4, 5)
+        self.two_image_blocks(monkeypatch, wshape, xshape, pad)
+        x = rand(xshape, rng)
+        w = rand(wshape, rng)
+        b = rand(wshape[:1], rng)
+        k = ConvKernel(w, b, padding=pad)
+        r = rand(K.conv2d_forward(x, k).shape, rng)
+        gi, gw, gb = K.conv2d_backward(x, k, r)
+        fd_x = finite_diff_grad(lambda v: weighted_sum_loss(K.conv2d_forward(v, k), r), x)
+        fd_w = finite_diff_grad(
+            lambda v: weighted_sum_loss(K.conv2d_forward(x, ConvKernel(v, b, padding=pad)), r), w
+        )
+        assert rel_err(gi, fd_x) <= 1e-3
+        assert rel_err(gw, fd_w) <= 1e-3
+        assert rel_err(gb, r.sum(axis=(0, 2, 3))) <= 1e-12
 
 
 class TestReLU:
