@@ -15,6 +15,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import Field, fields
 from datetime import date
 from pathlib import Path
 
@@ -23,36 +24,21 @@ from . import formats as F
 from . import synthetic as S
 from . import training as T
 
-# every key a config file may define; values are cast on use
-KNOWN_KEYS = {
-    "data_dir",
-    "out_dir",
-    "seed",
-    "threads",
-    # synthetic generation
-    "height",
-    "width",
-    "days",
-    "holdout_days",
-    "numeric_channels",
-    "categories",
-    "target_fire_rate",
-    "water_fraction",
-    "blur_radius",
-    # training
-    "lr",
-    "max_epochs",
-    "patience",
-    "folds",
-    "es_metric",
-    "tr",
-    "fire_buffer",
-    "buffer_radius",
-    "init_features",
-    "batch_size",
-    "threshold",
-    "grouping",
-}
+# a config key is named after the TrainConfig/SynthConfig field it sets, but
+# for `tr`; deterministic_labels is settable from Python only
+_KEY_FOR_FIELD = {"tile_ratio": "tr"}
+_NOT_KEYS = {"deterministic_labels"}
+
+
+def _field_keys(cls) -> dict[str, Field]:
+    """Config key -> the field of dataclass cls that it sets."""
+    return {_KEY_FOR_FIELD.get(f.name, f.name): f for f in fields(cls) if f.name not in _NOT_KEYS}
+
+
+# every key a config file may define: the TrainConfig and SynthConfig fields
+# (`days` counts train days only) plus the CLI's own; values are cast on use
+KNOWN_KEYS = {"data_dir", "out_dir", "threads", "holdout_days"}
+KNOWN_KEYS |= _field_keys(T.TrainConfig).keys() | _field_keys(S.SynthConfig).keys()
 
 
 class CliError(Exception):
@@ -88,33 +74,24 @@ def resolve(args: argparse.Namespace) -> dict[str, str]:
     return merged
 
 
-def _get(cfg: dict, key: str, cast, default):
+def _get(cfg: dict, key: str, default):
+    """cfg[key] cast to the type of default, or default when key is unset."""
     if key not in cfg:
         return default
     try:
-        if cast is bool:
-            return cfg[key].lower() in ("1", "true", "yes", "on")
-        return cast(cfg[key])
+        return type(default)(cfg[key])
     except ValueError as exc:
         raise CliError(f"config key {key}={cfg[key]!r}: {exc}") from exc
 
 
+def _build(cls, cfg: dict, **fixed):
+    """cls from its field defaults, overridden by cfg's keys, then by fixed."""
+    values = {f.name: _get(cfg, key, f.default) for key, f in _field_keys(cls).items()}
+    return cls(**{**values, **fixed})
+
+
 def train_config(cfg: dict) -> T.TrainConfig:
-    return T.TrainConfig(
-        lr=_get(cfg, "lr", float, 0.001),
-        max_epochs=_get(cfg, "max_epochs", int, 45),
-        patience=_get(cfg, "patience", int, 10),
-        folds=_get(cfg, "folds", int, 3),
-        es_metric=_get(cfg, "es_metric", str, "sh2"),
-        tile_ratio=_get(cfg, "tr", float, 4.0),
-        fire_buffer=_get(cfg, "fire_buffer", str, "off"),
-        buffer_radius=_get(cfg, "buffer_radius", int, 1),
-        init_features=_get(cfg, "init_features", int, 8),
-        batch_size=_get(cfg, "batch_size", int, 32),
-        seed=_get(cfg, "seed", int, 0),
-        threshold=_get(cfg, "threshold", float, 0.5),
-        grouping=_get(cfg, "grouping", str, "by-tile"),
-    )
+    return _build(T.TrainConfig, cfg)
 
 
 def _map_days(fn, items, threads: int):
@@ -142,24 +119,14 @@ def _require_file(path: Path, what: str) -> Path:
 
 def cmd_generate(cfg: dict) -> int:
     out = Path(cfg.get("out_dir", "."))
-    n_train = _get(cfg, "days", int, 30)
-    n_holdout = _get(cfg, "holdout_days", int, 10)
-    synth = S.SynthConfig(
-        height=_get(cfg, "height", int, 128),
-        width=_get(cfg, "width", int, 128),
-        days=n_train + n_holdout,
-        numeric_channels=_get(cfg, "numeric_channels", int, 8),
-        categories=_get(cfg, "categories", int, 4),
-        target_fire_rate=_get(cfg, "target_fire_rate", float, 1e-3),
-        water_fraction=_get(cfg, "water_fraction", float, 0.15),
-        seed=_get(cfg, "seed", int, 0),
-        blur_radius=_get(cfg, "blur_radius", int, 9),
-    )
+    n_train = _get(cfg, "days", S.SynthConfig.days)
+    n_holdout = _get(cfg, "holdout_days", 10)
+    synth = _build(S.SynthConfig, cfg, days=n_train + n_holdout)
     days, schema, rule = S.generate_dataset(synth)
     raw = out / "raw"
     raw.mkdir(parents=True, exist_ok=True)
     names = [ch.name for ch in schema.channels]
-    threads = _get(cfg, "threads", int, 1)
+    threads = _get(cfg, "threads", 1)
     _map_days(lambda day: F.write_day(raw, day, names), days, threads)
     F.write_schema(out / "schema.json", schema)
     F.write_rule(out / "rule.json", rule)
@@ -187,9 +154,9 @@ def cmd_prepare(cfg: dict) -> int:
     data = _require_dir(Path(cfg.get("data_dir", cfg.get("out_dir", "."))), "data")
     out = Path(cfg.get("out_dir", data))
     train_days, holdout_days, schema = _load_split_days(data)
-    threads = _get(cfg, "threads", int, 1)
-    seed = _get(cfg, "seed", int, 0)
-    tr = _get(cfg, "tr", float, 4.0)
+    threads = _get(cfg, "threads", 1)
+    seed = _get(cfg, "seed", T.TrainConfig.seed)
+    tr = _get(cfg, "tr", T.TrainConfig.tile_ratio)
     out.mkdir(parents=True, exist_ok=True)
 
     scaling = D.fit_scaling(train_days, schema)
@@ -240,6 +207,11 @@ def cmd_train(cfg: dict) -> int:
 
     cv = T.cross_validate(tileset, store, config)
 
+    def save_checkpoint(path: Path, r: T.FoldResult) -> None:
+        metrics = {"fold": r.fold_index, "epoch": r.best.epoch, "sensitivity": r.best.sens,
+                   "specificity": r.best.spec, "sh1": r.best.sh1, "sh2": r.best.sh2}
+        F.write_checkpoint(path, r.best.params, metrics)
+
     prefix = [config.tile_ratio, config.fire_buffer, config.buffer_radius,
               config.init_features, config.es_metric]
     rows = []
@@ -248,12 +220,7 @@ def cmd_train(cfg: dict) -> int:
             F.metric_row(prefix + [r.fold_index, r.best.epoch], r.best.sens, r.best.spec,
                          r.best.sh1, r.best.sh2)
         )
-        F.write_checkpoint(
-            out / f"fold_{r.fold_index}.unc",
-            r.best.params,
-            {"fold": r.fold_index, "epoch": r.best.epoch, "sensitivity": r.best.sens,
-             "specificity": r.best.spec, "sh1": r.best.sh1, "sh2": r.best.sh2},
-        )
+        save_checkpoint(out / f"fold_{r.fold_index}.unc", r)
         trace_rows = [
             [str(m.epoch), repr(m.train_loss), repr(m.sens), repr(m.spec), repr(m.sh1), repr(m.sh2)]
             for m in r.trace
@@ -269,12 +236,7 @@ def cmd_train(cfg: dict) -> int:
     F.write_csv(out / "validation.csv", F.VALIDATION_COLUMNS, rows)
 
     best = max(cv.folds, key=lambda r: r.best.sh1 if config.es_metric == "sh1" else r.best.sh2)
-    F.write_checkpoint(
-        out / "best.unc",
-        best.best.params,
-        {"fold": best.fold_index, "epoch": best.best.epoch, "sensitivity": best.best.sens,
-         "specificity": best.best.spec, "sh1": best.best.sh1, "sh2": best.best.sh2},
-    )
+    save_checkpoint(out / "best.unc", best)
     for r in cv.folds:
         print(
             f"fold {r.fold_index}: epoch {r.best.epoch}/{r.stopped_epoch} "
@@ -326,8 +288,8 @@ def cmd_predict(cfg: dict, checkpoint: Path, day_args: list[str], render: bool) 
     except ValueError as exc:
         raise CliError(f"invalid day id: {exc}") from exc
     store = _load_prepared_days(data, day_ids)
-    threshold = _get(cfg, "threshold", float, 0.5)
-    threads = _get(cfg, "threads", int, 1)
+    threshold = _get(cfg, "threshold", T.TrainConfig.threshold)
+    threads = _get(cfg, "threads", 1)
 
     def predict_one(day_id: date) -> None:
         day = store[day_id]

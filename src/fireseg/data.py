@@ -242,10 +242,6 @@ class TileSet:
         return sum(1 for s in self.specs if s.tile_class == FIRE_TILE)
 
 
-def _tile_offsets(extent: int, stride: int) -> range:
-    return range(0, extent, stride)
-
-
 def extract_tiles(day: GridDay, tile: int = TILE_SIDE, stride: int = TILE_SIDE) -> list[TileSpec]:
     """Cut a day into tiles and classify each by its mask content.
 
@@ -259,8 +255,8 @@ def extract_tiles(day: GridDay, tile: int = TILE_SIDE, stride: int = TILE_SIDE) 
         raise ValueError("tile and stride must be positive")
     specs = []
     mask = day.mask
-    for r in _tile_offsets(day.height, stride):
-        for c in _tile_offsets(day.width, stride):
+    for r in range(0, day.height, stride):
+        for c in range(0, day.width, stride):
             window = mask[r : r + tile, c : c + tile]
             if np.any(window == FIRE):
                 cls = FIRE_TILE

@@ -21,17 +21,16 @@ import json
 import os
 import struct
 import threading
+from contextlib import contextmanager
 from datetime import date
 from pathlib import Path
 
 import numpy as np
 
 from .data import (
-    CATEGORICAL,
     Channel,
     FeatureSchema,
     GridDay,
-    NUMERIC,
     ScalingParams,
     TileSet,
     TileSpec,
@@ -174,6 +173,23 @@ def read_day(directory: Path, day_id: date) -> tuple[GridDay, list[str]]:
 # schema / scaling / splits (JSON sidecars)
 
 
+@contextmanager
+def _json_document(path: Path):
+    """The parsed JSON file at path. Whatever the document's shape, a failure
+    to read it, inside the with block too, is a FormatError naming the file."""
+    try:
+        yield json.loads(Path(path).read_text())
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: unexpected content ({type(exc).__name__}: {exc})") from None
+
+
+def _typed(value, *kinds):
+    """value, if its type is one of kinds (so a JSON boolean is no number)."""
+    if type(value) not in kinds:
+        raise TypeError(f"expected {' or '.join(k.__name__ for k in kinds)}, got {value!r}")
+    return value
+
+
 def write_schema(path: Path, schema: FeatureSchema) -> None:
     doc = {
         "channels": [
@@ -185,14 +201,13 @@ def write_schema(path: Path, schema: FeatureSchema) -> None:
 
 
 def read_schema(path: Path) -> FeatureSchema:
-    doc = json.loads(Path(path).read_text())
-    channels = []
-    for entry in doc["channels"]:
-        kind = entry["kind"]
-        if kind not in (NUMERIC, CATEGORICAL):
-            raise FormatError(f"{path}: unknown channel kind {kind!r}")
-        channels.append(Channel(entry["name"], kind, tuple(entry.get("categories", ()))))
-    return FeatureSchema(tuple(channels))
+    with _json_document(path) as doc:
+        channels = []
+        for entry in _typed(doc["channels"], list):
+            categories = tuple(_typed(c, str) for c in _typed(entry.get("categories", []), list))
+            # Channel rejects an unknown kind
+            channels.append(Channel(_typed(entry["name"], str), entry["kind"], categories))
+        return FeatureSchema(tuple(channels))
 
 
 def write_scaling(path: Path, params: ScalingParams) -> None:
@@ -206,14 +221,14 @@ def write_scaling(path: Path, params: ScalingParams) -> None:
 
 
 def read_scaling(path: Path) -> ScalingParams:
-    doc = json.loads(Path(path).read_text())
-    rows = doc["channels"]
-    return ScalingParams(
-        tuple(int(r["index"]) for r in rows),
-        tuple(r["name"] for r in rows),
-        tuple(float(r["min"]) for r in rows),
-        tuple(float(r["max"]) for r in rows),
-    )
+    with _json_document(path) as doc:
+        rows = _typed(doc["channels"], list)
+        return ScalingParams(
+            tuple(_typed(r["index"], int) for r in rows),
+            tuple(_typed(r["name"], str) for r in rows),
+            tuple(float(_typed(r["min"], float, int)) for r in rows),
+            tuple(float(_typed(r["max"], float, int)) for r in rows),
+        )
 
 
 def write_splits(path: Path, train_val: list[date], holdout: list[date]) -> None:
@@ -225,11 +240,11 @@ def write_splits(path: Path, train_val: list[date], holdout: list[date]) -> None
 
 
 def read_splits(path: Path) -> tuple[list[date], list[date]]:
-    doc = json.loads(Path(path).read_text())
-    return (
-        [date.fromisoformat(s) for s in doc["train_val"]],
-        [date.fromisoformat(s) for s in doc["holdout"]],
-    )
+    with _json_document(path) as doc:
+        return (
+            [date.fromisoformat(s) for s in _typed(doc["train_val"], list)],
+            [date.fromisoformat(s) for s in _typed(doc["holdout"], list)],
+        )
 
 
 def write_rule(path: Path, rule) -> None:
@@ -255,22 +270,22 @@ def write_rule(path: Path, rule) -> None:
 def read_rule(path: Path):
     from .synthetic import PlantedRule
 
-    doc = json.loads(Path(path).read_text())
-    return PlantedRule(
-        channel_a=int(doc["channel_a"]),
-        channel_b=int(doc["channel_b"]),
-        channel_c=int(doc["channel_c"]),
-        coef_a=float(doc["coef_a"]),
-        coef_b=float(doc["coef_b"]),
-        coef_c=float(doc["coef_c"]),
-        gain=float(doc["gain"]),
-        bias=float(doc["bias"]),
-        spread_p1=float(doc["spread_p1"]),
-        spread_p2=float(doc["spread_p2"]),
-        static_channels=tuple(doc["static_channels"]),
-        dynamic_channels=tuple(doc["dynamic_channels"]),
-        deterministic_level=doc.get("deterministic_level"),
-    )
+    with _json_document(path) as doc:
+        return PlantedRule(
+            channel_a=_typed(doc["channel_a"], int),
+            channel_b=_typed(doc["channel_b"], int),
+            channel_c=_typed(doc["channel_c"], int),
+            coef_a=float(_typed(doc["coef_a"], float, int)),
+            coef_b=float(_typed(doc["coef_b"], float, int)),
+            coef_c=float(_typed(doc["coef_c"], float, int)),
+            gain=float(_typed(doc["gain"], float, int)),
+            bias=float(_typed(doc["bias"], float, int)),
+            spread_p1=float(_typed(doc["spread_p1"], float, int)),
+            spread_p2=float(_typed(doc["spread_p2"], float, int)),
+            static_channels=tuple(_typed(c, int) for c in _typed(doc["static_channels"], list)),
+            dynamic_channels=tuple(_typed(c, int) for c in _typed(doc["dynamic_channels"], list)),
+            deterministic_level=_typed(doc.get("deterministic_level"), float, int, type(None)),
+        )
 
 
 # ---------------------------------------------------------------------------

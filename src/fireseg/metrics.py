@@ -80,16 +80,3 @@ def shybrid(l: float, sens: float, spec: float) -> float:
         raise ValueError("shybrid is undefined for degenerate sensitivity/specificity")
     return l * sens + spec
 
-
-def macro_average(counts: list[ConfusionCounts]) -> tuple[float | None, float | None]:
-    """Mean of per-tile recalls (non-default alternative to pooled pixels).
-
-    Tiles where a recall is undefined are skipped for that recall; returns
-    None when no tile defines it.
-    """
-    sens_vals = [s for s in (sensitivity(c) for c in counts) if s is not None]
-    spec_vals = [s for s in (specificity(c) for c in counts) if s is not None]
-    return (
-        sum(sens_vals) / len(sens_vals) if sens_vals else None,
-        sum(spec_vals) / len(spec_vals) if spec_vals else None,
-    )

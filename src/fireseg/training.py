@@ -13,6 +13,7 @@ insists on a holdout-provenance tile set.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from datetime import date
 
@@ -95,9 +96,10 @@ class FoldResult:
 class EarlyStopping:
     """Strict-improvement early stopping with best-epoch tracking.
 
-    update() returns True once the monitored value has not strictly
-    improved for `patience` consecutive epochs. The best epoch is the
-    earliest one attaining the running maximum.
+    update() returns (improved, stop): whether the value strictly improved
+    on the best so far, and whether it has now not strictly improved for
+    `patience` consecutive epochs. The best epoch is the earliest one
+    attaining the running maximum.
     """
 
     def __init__(self, patience: int):
@@ -108,14 +110,14 @@ class EarlyStopping:
         self.best_epoch = 0
         self.stale = 0
 
-    def update(self, epoch: int, value: float) -> bool:
+    def update(self, epoch: int, value: float) -> tuple[bool, bool]:
         if value > self.best:
             self.best = value
             self.best_epoch = epoch
             self.stale = 0
-            return False
+            return True, False
         self.stale += 1
-        return self.stale >= self.patience
+        return False, self.stale >= self.patience
 
 
 def run_stopping_rule(trace: list[float], patience: int, max_epochs: int) -> tuple[int, int]:
@@ -128,7 +130,7 @@ def run_stopping_rule(trace: list[float], patience: int, max_epochs: int) -> tup
     run = 0
     for epoch, value in enumerate(trace[:max_epochs], start=1):
         run = epoch
-        if stopper.update(epoch, value):
+        if stopper.update(epoch, value)[1]:
             break
     return run, stopper.best_epoch
 
@@ -155,19 +157,23 @@ def _buffer_masks(masks: np.ndarray, radius: int) -> np.ndarray:
     return np.stack([D.apply_fire_buffer(m, radius) for m in masks])
 
 
-def _evaluate_tiles(
+def predict_tiles(
     params: U.UNetParams,
-    feats: np.ndarray,
-    masks: np.ndarray,
+    specs: Sequence[D.TileSpec],
+    days: dict[date, D.GridDay],
     threshold: float,
     batch_size: int,
-) -> ConfusionCounts:
-    counts = ConfusionCounts()
-    for lo in range(0, feats.shape[0], batch_size):
-        logits, _ = U.forward(params, feats[lo : lo + batch_size])
-        pred = U.predict_mask(logits, threshold)
-        counts = counts + confusion(pred, masks[lo : lo + batch_size])
-    return counts
+) -> Iterator[tuple[Sequence[D.TileSpec], np.ndarray, np.ndarray]]:
+    """Predict tile masks in batches of at most batch_size tiles, in spec order.
+
+    Yields (batch specs, predicted masks, true masks) per batch. Validation,
+    holdout scoring and day prediction all run this one loop.
+    """
+    for lo in range(0, len(specs), batch_size):
+        chunk = specs[lo : lo + batch_size]
+        feats, masks = D.materialize_batch(chunk, days)
+        logits, _ = U.forward(params, feats)
+        yield chunk, U.predict_mask(logits, threshold), masks
 
 
 def train_fold(
@@ -179,7 +185,8 @@ def train_fold(
 ) -> FoldResult:
     """Train on one fold split and return its best checkpoint and trace."""
     tr_feats, tr_masks = D.materialize_batch(list(train_specs), days)
-    va_feats, va_masks = D.materialize_batch(list(val_specs), days)
+    val_specs = list(val_specs)
+    _, va_masks = D.materialize_batch(val_specs, days)
     if config.fire_buffer in (BUFFER_TRAIN, BUFFER_TRAIN_VAL):
         tr_masks = _buffer_masks(tr_masks, config.buffer_radius)
     if config.fire_buffer == BUFFER_TRAIN_VAL:
@@ -217,7 +224,8 @@ def train_fold(
             epoch_loss += res.loss
             batches += 1
 
-        counts = _evaluate_tiles(params, va_feats, va_masks, config.threshold, config.batch_size)
+        scored = predict_tiles(params, val_specs, days, config.threshold, config.batch_size)
+        counts = confusion(np.concatenate([pred for _, pred, _ in scored]), va_masks)
         sens = sensitivity(counts)
         spec = specificity(counts)
         if sens is None or spec is None:
@@ -231,9 +239,7 @@ def train_fold(
             sh2=shybrid(2, sens, spec),
         )
         trace.append(em)
-        score = em.score(config.es_metric)
-        improved = score > stopper.best
-        stop = stopper.update(epoch, score)
+        improved, stop = stopper.update(epoch, em.score(config.es_metric))
         if improved:
             snapshot = params.with_tensors([t.copy() for t in params.tensors()])
             best = Checkpoint(epoch, snapshot, em.sens, em.spec, em.sh1, em.sh2)
@@ -295,34 +301,27 @@ def evaluate_holdout(
     tileset = D.holdout_tileset(holdout_days)
     assert tileset.provenance == D.HOLDOUT
     store = {day.day_id: day for day in holdout_days}
-    counts = ConfusionCounts()
-    specs = list(tileset.specs)
-    for lo in range(0, len(specs), config.batch_size):
-        feats, masks = D.materialize_batch(specs[lo : lo + config.batch_size], store)
-        logits, _ = U.forward(params, feats)
-        pred = U.predict_mask(logits, config.threshold)
-        counts = counts + confusion(pred, masks)
+    scored = predict_tiles(params, tileset.specs, store, config.threshold, config.batch_size)
+    counts = sum((confusion(pred, masks) for _, pred, masks in scored), ConfusionCounts())
     sens = sensitivity(counts)
     spec = specificity(counts)
     if sens is None or spec is None:
         raise ValueError("holdout metrics undefined (a class is absent from the holdout days)")
     return HoldoutResult(
-        counts, sens, spec, shybrid(1, sens, spec), shybrid(2, sens, spec), len(specs)
+        counts, sens, spec, shybrid(1, sens, spec), shybrid(2, sens, spec), len(tileset.specs)
     )
 
 
-def predict_day(params: U.UNetParams, day: D.GridDay, threshold: float = 0.5) -> np.ndarray:
+def predict_day(
+    params: U.UNetParams, day: D.GridDay, threshold: float = TrainConfig.threshold
+) -> np.ndarray:
     """Predict a full day raster by tiling, then stitch tiles back together."""
-    specs = D.extract_tiles(day)
-    store = {day.day_id: day}
     out = np.zeros((day.height, day.width), np.uint8)
-    for lo in range(0, len(specs), 32):
-        chunk = specs[lo : lo + 32]
-        feats, _ = D.materialize_batch(chunk, store)
-        logits, _ = U.forward(params, feats)
-        pred = U.predict_mask(logits, threshold)
+    specs = D.extract_tiles(day)
+    scored = predict_tiles(params, specs, {day.day_id: day}, threshold, TrainConfig.batch_size)
+    for chunk, pred, _ in scored:
         for n, s in enumerate(chunk):
-            rows = min(D.TILE_SIDE, day.height - s.row_off)
-            cols = min(D.TILE_SIDE, day.width - s.col_off)
-            out[s.row_off : s.row_off + rows, s.col_off : s.col_off + cols] = pred[n, :rows, :cols]
+            # the slice stops at the raster edge, dropping an edge tile's padding
+            window = out[s.row_off : s.row_off + D.TILE_SIDE, s.col_off : s.col_off + D.TILE_SIDE]
+            window[...] = pred[n, : window.shape[0], : window.shape[1]]
     return out

@@ -1,11 +1,15 @@
+import dataclasses
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fireseg import cli as C
 from fireseg import formats as F
+from fireseg import synthetic as S
+from fireseg import training as T
 
 
 def run_cli(*args, cwd=None):
@@ -48,6 +52,55 @@ class TestConfigFile:
         tc = C.train_config(cfg)
         assert tc.lr == 0.01 and tc.folds == 4
         assert tc.es_metric == "sh1" and tc.fire_buffer == "train"
+
+
+class TestConfigSurface:
+    def test_known_keys(self):
+        assert C.KNOWN_KEYS == {
+            "data_dir", "out_dir", "seed", "threads",
+            "height", "width", "days", "holdout_days", "numeric_channels", "categories",
+            "target_fire_rate", "water_fraction", "blur_radius",
+            "lr", "max_epochs", "patience", "folds", "es_metric", "tr", "fire_buffer",
+            "buffer_radius", "init_features", "batch_size", "threshold", "grouping",
+        }
+
+    def test_train_config_defaults_are_the_dataclass_defaults(self):
+        assert C.train_config({}) == T.TrainConfig()
+
+    def test_float_for_an_int_key_is_one_line_error(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("height=4.5\n")
+        assert C.main(["generate", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        errors = capsys.readouterr().err.strip().splitlines()
+        assert len(errors) == 1 and errors[0].startswith("error: config key height='4.5'")
+
+    def test_generate_defaults_are_the_dataclass_defaults(self, tmp_path, monkeypatch):
+        class Generated(Exception):
+            pass
+
+        def record(config):
+            raise Generated(config)
+
+        monkeypatch.setattr(C.S, "generate_dataset", record)
+        with pytest.raises(Generated) as caught:
+            C.main(["generate", "--out", str(tmp_path)])
+        # `days` counts train days (30) and `holdout_days` adds 10
+        assert caught.value.args[0] == S.SynthConfig(days=40)
+
+    def test_readme_table_matches_keys_and_defaults(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n## Configuration keys\n", 1)[1].split("\n## ", 1)[0]
+        table = {}
+        for line in section.splitlines():
+            if line.startswith("| `"):
+                key, default = (cell.strip().strip("`") for cell in line.split("|")[1:3])
+                table[key] = default
+        assert set(table) == C.KNOWN_KEYS
+        for cls in (T.TrainConfig, S.SynthConfig):
+            for f in dataclasses.fields(cls):
+                key = "tr" if f.name == "tile_ratio" else f.name
+                if key in table:
+                    assert table[key] == str(f.default), key
 
 
 @pytest.fixture(scope="module")

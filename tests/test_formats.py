@@ -1,3 +1,4 @@
+import json
 import threading
 from datetime import date
 
@@ -270,6 +271,21 @@ class TestJsonSidecars:
         path = tmp_path / "rule.json"
         F.write_rule(path, rule)
         assert F.read_rule(path) == rule
+
+    def test_rule_refuses_a_number_of_the_wrong_kind(self, tmp_path):
+        # int() would turn 2.7 into channel 2 and true into a gain of 1.0
+        rule = PlantedRule(
+            channel_a=0, channel_b=2, channel_c=1, coef_a=1.2, coef_b=0.9, coef_c=0.6,
+            gain=4.0, bias=17.25, spread_p1=0.35, spread_p2=0.08,
+            static_channels=(1, 3), dynamic_channels=(0, 2),
+        )
+        path = tmp_path / "rule.json"
+        F.write_rule(path, rule)
+        valid = json.loads(path.read_text())
+        for key, value in (("channel_a", 2.7), ("gain", True), ("static_channels", [1.9, 3])):
+            path.write_text(json.dumps({**valid, key: value}))
+            with pytest.raises(F.FormatError, match="rule.json"):
+                F.read_rule(path)
 
 
 class TestRendering:

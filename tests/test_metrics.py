@@ -4,7 +4,6 @@ import pytest
 from fireseg.metrics import (
     ConfusionCounts,
     confusion,
-    macro_average,
     sensitivity,
     shybrid,
     specificity,
@@ -126,16 +125,6 @@ class TestRatios:
         single = confusion(np.concatenate(preds), np.concatenate(truths))
         assert pooled == single
         assert sensitivity(pooled) == sensitivity(single)
-
-    def test_macro_average_skips_undefined_tiles(self):
-        counts = [
-            ConfusionCounts(tp=1, fn=1, tn=8, fp=2),  # sens 0.5, spec 0.8
-            ConfusionCounts(tp=0, fn=0, tn=5, fp=5),  # sens undefined, spec 0.5
-        ]
-        sens, spec = macro_average(counts)
-        assert sens == 0.5
-        assert spec == pytest.approx(0.65)
-        assert macro_average([ConfusionCounts()]) == (None, None)
 
 
 class TestShybrid:

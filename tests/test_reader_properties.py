@@ -7,8 +7,13 @@ flipped float is still a float) or raise one of cli.REPORTED_ERRORS, of
 which FormatError is one; MemoryError, IndexError, TypeError, struct.error
 and the like break the contract. Examples are derandomized, so the suite
 stays deterministic.
+
+The JSON sidecars also get every valid JSON document of the wrong shape
+that replacing one value by a value of another type makes: the reader
+accepts it or raises a FormatError naming the file.
 """
 
+import json
 from datetime import date
 
 import numpy as np
@@ -19,6 +24,7 @@ from hypothesis import strategies as st
 from fireseg import data as D
 from fireseg import formats as F
 from fireseg.cli import REPORTED_ERRORS
+from fireseg.synthetic import PlantedRule
 from fireseg.unet import UNetConfig, init_params
 
 PROPERTY = settings(
@@ -61,12 +67,36 @@ def _write_schema(path):
     F.write_schema(path, D.FeatureSchema(channels))
 
 
+def _write_scaling(path):
+    F.write_scaling(path, D.ScalingParams((0, 2), ("weather_00", "terrain_01"), (-1.5, 0.0), (2.5, 3.0)))
+
+
+def _write_splits(path):
+    F.write_splits(path, [date(2021, 6, 1), date(2021, 6, 2)], [date(2021, 6, 3)])
+
+
+def _write_rule(path):
+    rule = PlantedRule(
+        channel_a=0, channel_b=2, channel_c=1, coef_a=1.2, coef_b=0.9, coef_c=0.6,
+        gain=4.0, bias=17.25, spread_p1=0.35, spread_p2=0.08,
+        static_channels=(1, 3), dynamic_channels=(0, 2), deterministic_level=0.25,
+    )
+    F.write_rule(path, rule)
+
+
+JSON_SIDECARS = {
+    "schema": (_write_schema, F.read_schema),
+    "scaling": (_write_scaling, F.read_scaling),
+    "splits": (_write_splits, F.read_splits),
+    "rule": (_write_rule, F.read_rule),
+}
+
 READERS = {
     "fsk1": (_write_fsk, F.read_stack),
     "msk1": (_write_msk, F.read_mask),
     "unc1": (_write_unc, F.read_checkpoint),
     "manifest": (_write_manifest, F.read_manifest),
-    "schema": (_write_schema, F.read_schema),
+    **JSON_SIDECARS,
 }
 
 
@@ -115,3 +145,39 @@ def test_every_checkpoint_header_byte_flip_fails_cleanly(tmp_path, offset):
         corrupt = bytearray(valid)
         corrupt[offset] ^= xor
         _read_corrupt((path, valid, F.read_checkpoint), bytes(corrupt))
+
+
+# one value of each JSON type; a boolean, an integer and a float each count
+# as their own type, since the readers tell them apart
+JSON_VALUES = (None, True, 7, 2.5, "text", [], {}, [1], {"key": 1})
+
+
+def _retyped(doc, where="$"):
+    """(where, copy of doc) for each value of doc, doc itself included,
+    replaced by each JSON value of another type."""
+    for value in JSON_VALUES:
+        if type(value) is not type(doc):
+            yield where, value
+    if isinstance(doc, (list, dict)):
+        for key in range(len(doc)) if isinstance(doc, list) else list(doc):
+            for inner_where, inner in _retyped(doc[key], f"{where}[{key!r}]"):
+                copy = doc.copy()
+                copy[key] = inner
+                yield inner_where, copy
+
+
+@pytest.mark.parametrize("name", sorted(JSON_SIDECARS))
+def test_retyped_json_value_fails_cleanly(tmp_path, name):
+    write, read = JSON_SIDECARS[name]
+    path = tmp_path / f"{name}.json"
+    write(path)
+    cases = list(_retyped(json.loads(path.read_text())))
+    assert len(cases) > len(JSON_VALUES)  # reached below the document root
+    for where, doc in cases:
+        path.write_text(json.dumps(doc))
+        try:
+            read(path)
+        except F.FormatError as exc:
+            assert str(path) in str(exc), where
+        except Exception as exc:  # any other exception breaks the contract
+            pytest.fail(f"{name}: {where} retyped to {doc!r}: {exc!r}")

@@ -6,6 +6,7 @@ import pytest
 from fireseg import data as D
 from fireseg import training as T
 from fireseg import unet as U
+from fireseg.metrics import ConfusionCounts, confusion
 from fireseg.synthetic import SynthConfig, generate_dataset
 
 from oracles import early_stop_naive
@@ -54,6 +55,13 @@ class TestStoppingRule:
 
     def test_tie_counts_as_no_improvement_and_keeps_earliest(self):
         assert T.run_stopping_rule([1.0, 1.0], patience=1, max_epochs=45) == (2, 1)
+
+    def test_update_reports_improvement_and_stop(self):
+        stopper = T.EarlyStopping(patience=2)
+        assert stopper.update(1, 1.0) == (True, False)
+        assert stopper.update(2, 1.0) == (False, False)  # a tie is no improvement
+        assert stopper.update(3, 0.5) == (False, True)
+        assert stopper.best_epoch == 1
 
     def test_matches_direct_rule_on_random_traces(self):
         rng = np.random.default_rng(0)
@@ -124,8 +132,9 @@ class TestTrainFold:
         folds = D.kfold_split(tileset, 2, seed=5)
         config = tiny_config(fire_buffer="train")
         result = T.train_fold(folds[1], folds[0], store, config, fold_index=0)
-        feats, masks = D.materialize_batch(list(folds[0]), store)
-        counts = T._evaluate_tiles(result.best.params, feats, masks, config.threshold, 8)
+        counts = ConfusionCounts()
+        for _, pred, masks in T.predict_tiles(result.best.params, folds[0], store, config.threshold, 8):
+            counts = counts + confusion(pred, masks)
         sens = counts.tp / (counts.tp + counts.fn)
         spec = counts.tn / (counts.tn + counts.fp)
         assert abs(sens - result.best.sens) < 1e-6
@@ -221,3 +230,40 @@ class TestEvaluateHoldout:
         store, tileset, _ = tiny_setup
         with pytest.raises(ValueError, match="holdout"):
             D.sample_tileset(D.TileSet(tileset.specs, D.HOLDOUT), 1.0, seed=0)
+
+
+class TestPredictDay:
+    def test_stitched_mask_equals_oracle_raster(self, monkeypatch):
+        # 200x200 is 7x7 = 49 tiles: one full batch of 32, a partial batch of
+        # 17, and edge tiles that keep 8 of their 32 rows or columns
+        rng = np.random.default_rng(4)
+        feats = rng.standard_normal((3, 200, 200)).astype(np.float32)
+        day = D.GridDay(date(2021, 7, 1), feats, rng.integers(0, 3, (200, 200)).astype(np.uint8))
+        sizes = []
+
+        def oracle_forward(params, batch, training=False):
+            # per pixel: the fire logit is the first feature channel
+            sizes.append(batch.shape[0])
+            logits = np.zeros((batch.shape[0], 2) + batch.shape[2:], np.float32)
+            logits[:, 1] = batch[:, 0]
+            return logits, None
+
+        monkeypatch.setattr(T.U, "forward", oracle_forward)
+        params = U.init_params(U.UNetConfig(in_channels=3, init_features=2))
+        pred = T.predict_day(params, day, threshold=0.6)
+        assert sizes == [32, 17]
+        full = oracle_forward(params, feats[None])[0]
+        assert np.array_equal(pred, U.predict_mask(full, 0.6)[0])
+
+    def test_predict_tiles_keeps_spec_order_and_ends_with_partial_batch(self, tiny_setup):
+        store, tileset, _ = tiny_setup
+        specs = tileset.specs[:11]
+        params = U.init_params(
+            U.UNetConfig(in_channels=store[specs[0].day_id].features.shape[0], init_features=2)
+        )
+        batches = list(T.predict_tiles(params, specs, store, 0.5, 4))
+        assert [len(chunk) for chunk, _, _ in batches] == [4, 4, 3]
+        assert tuple(s for chunk, _, _ in batches for s in chunk) == specs
+        _, masks = D.materialize_batch(specs, store)
+        assert np.array_equal(np.concatenate([m for _, _, m in batches]), masks)
+        assert all(pred.shape == m.shape for _, pred, m in batches)
