@@ -235,7 +235,7 @@ def cmd_train(cfg: dict) -> int:
     )
     F.write_csv(out / "validation.csv", F.VALIDATION_COLUMNS, rows)
 
-    best = max(cv.folds, key=lambda r: r.best.sh1 if config.es_metric == "sh1" else r.best.sh2)
+    best = max(cv.folds, key=lambda r: getattr(r.best, config.es_metric))
     save_checkpoint(out / "best.unc", best)
     for r in cv.folds:
         print(
@@ -342,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--fire-buffer", dest="fire_buffer", choices=["off", "train", "train+val"])
     t.add_argument("--buffer-radius", dest="buffer_radius", type=int)
     t.add_argument("--init-features", dest="init_features", type=int)
-    t.add_argument("--es-metric", dest="es_metric", choices=["sh1", "sh2"])
+    t.add_argument("--es-metric", dest="es_metric", choices=T.ES_METRICS)
     t.add_argument("--folds", type=int)
     t.add_argument("--patience", type=int)
     t.add_argument("--max-epochs", dest="max_epochs", type=int)

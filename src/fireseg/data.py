@@ -242,22 +242,20 @@ class TileSet:
         return sum(1 for s in self.specs if s.tile_class == FIRE_TILE)
 
 
-def extract_tiles(day: GridDay, tile: int = TILE_SIDE, stride: int = TILE_SIDE) -> list[TileSpec]:
+def extract_tiles(day: GridDay) -> list[TileSpec]:
     """Cut a day into tiles and classify each by its mask content.
 
     fire: contains at least one fire pixel; water: covered exclusively by
     water; no-fire: land present but no fire. Rasters whose extent is not a
-    multiple of the stride are conceptually padded at right/bottom with
+    multiple of the tile side are conceptually padded at right/bottom with
     water pixels, so edge tiles classify (and later materialize) as if that
     padding existed.
     """
-    if tile < 1 or stride < 1:
-        raise ValueError("tile and stride must be positive")
     specs = []
     mask = day.mask
-    for r in range(0, day.height, stride):
-        for c in range(0, day.width, stride):
-            window = mask[r : r + tile, c : c + tile]
+    for r in range(0, day.height, TILE_SIDE):
+        for c in range(0, day.width, TILE_SIDE):
+            window = mask[r : r + TILE_SIDE, c : c + TILE_SIDE]
             if np.any(window == FIRE):
                 cls = FIRE_TILE
             elif np.all(window == WATER):
@@ -299,11 +297,11 @@ def sample_tileset(tiles: list[TileSpec] | TileSet, tile_ratio: float, seed: int
     return TileSet(tuple(fire + chosen), SAMPLED, seed=seed, tile_ratio=tile_ratio)
 
 
-def holdout_tileset(days: list[GridDay], tile: int = TILE_SIDE, stride: int = TILE_SIDE) -> TileSet:
+def holdout_tileset(days: list[GridDay]) -> TileSet:
     """Every land tile of the given days, in raster order, never sampled."""
     specs = []
     for day in days:
-        specs.extend(t for t in extract_tiles(day, tile, stride) if t.tile_class != WATER_TILE)
+        specs.extend(t for t in extract_tiles(day) if t.tile_class != WATER_TILE)
     return TileSet(tuple(specs), HOLDOUT)
 
 
@@ -384,7 +382,6 @@ def kfold_split(
 def materialize_batch(
     specs: list[TileSpec] | tuple[TileSpec, ...],
     days: dict[date, GridDay],
-    tile: int = TILE_SIDE,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Slice feature/mask tiles at the recorded offsets, bit-exact.
 
@@ -397,15 +394,15 @@ def materialize_batch(
     if first is None:
         raise KeyError(f"day {specs[0].day_id} not present in the day store")
     channels = first.features.shape[0]
-    feats = np.zeros((len(specs), channels, tile, tile), dtype=np.float32)
-    masks = np.full((len(specs), tile, tile), WATER, dtype=np.uint8)
+    feats = np.zeros((len(specs), channels, TILE_SIDE, TILE_SIDE), dtype=np.float32)
+    masks = np.full((len(specs), TILE_SIDE, TILE_SIDE), WATER, dtype=np.uint8)
     for n, spec in enumerate(specs):
         day = days.get(spec.day_id)
         if day is None:
             raise KeyError(f"day {spec.day_id} not present in the day store")
         r, c = spec.row_off, spec.col_off
-        rows = min(tile, day.height - r)
-        cols = min(tile, day.width - c)
+        rows = min(TILE_SIDE, day.height - r)
+        cols = min(TILE_SIDE, day.width - c)
         if rows <= 0 or cols <= 0:
             raise ShapeError(f"tile at ({r},{c}) lies outside day {spec.day_id} raster")
         feats[n, :, :rows, :cols] = day.features[:, r : r + rows, c : c + cols]

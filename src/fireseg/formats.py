@@ -7,8 +7,10 @@ Binary formats are little-endian with 4-byte magics:
   MSK1 label mask: magic, u32 H, W; H*W bytes valued 0/1/2.
   UNC1 checkpoint: magic, u32 in_channels, init_features, depth,
        num_classes, u64 seed, u32 tensor count; per tensor u32 ndim,
-       u32 dims..., float32 data. Tensors appear in topology order. A
-       sidecar CSV next to the file stores the validation metrics.
+       u32 dims..., float32 data. Tensors appear in topology order. Depth
+       and num_classes are the architecture's constants (4 and 2); the
+       reader refuses any other value. A sidecar CSV next to the file
+       stores the validation metrics.
 
 Tile manifests and metric tables are CSV. Every writer is atomic
 (write to a temp file in the same directory, then rename).
@@ -35,7 +37,8 @@ from .data import (
     TileSet,
     TileSpec,
 )
-from .unet import UNetConfig, UNetParams, _kernel_for, layer_shapes
+from .kernels import ConvKernel
+from .unet import DEPTH, NUM_CLASSES, UNetConfig, UNetParams, layer_shapes
 
 MAGIC_STACK = b"FSK1"
 MAGIC_MASK = b"MSK1"
@@ -338,9 +341,7 @@ def write_checkpoint(path: Path, params: UNetParams, metrics: dict[str, float] |
     cfg = params.config
     parts = [
         MAGIC_CHECKPOINT,
-        struct.pack(
-            "<IIIIQ", cfg.in_channels, cfg.init_features, cfg.depth, cfg.num_classes, cfg.seed
-        ),
+        struct.pack("<IIIIQ", cfg.in_channels, cfg.init_features, DEPTH, NUM_CLASSES, cfg.seed),
     ]
     tensors = params.tensors()
     parts.append(struct.pack("<I", len(tensors)))
@@ -367,9 +368,12 @@ def read_checkpoint(path: Path) -> UNetParams:
         in_ch, feats, depth, classes, seed = struct.unpack(
             "<IIIIQ", _read_exact(f, 24, "network configuration")
         )
-        config = UNetConfig(
-            in_channels=in_ch, init_features=feats, depth=depth, num_classes=classes, seed=seed
-        )
+        if (depth, classes) != (DEPTH, NUM_CLASSES):
+            raise FormatError(
+                f"{path}: network of depth {depth} with {classes} classes; "
+                f"the architecture has depth {DEPTH} with {NUM_CLASSES} classes"
+            )
+        config = UNetConfig(in_channels=in_ch, init_features=feats, seed=seed)
         names = [name for name, _, _ in layer_shapes(config)]
         (count,) = struct.unpack("<I", _read_exact(f, 4, "tensor count"))
         if count != 2 * len(names):
@@ -384,7 +388,7 @@ def read_checkpoint(path: Path) -> UNetParams:
         if f.read(1):
             raise FormatError(f"{path}: trailing bytes after payload")
     # UNetParams checks every shape against the configured architecture
-    kernels = {n: _kernel_for(n, w, b) for n, w, b in zip(names, tensors[::2], tensors[1::2])}
+    kernels = {n: ConvKernel(w, b) for n, w, b in zip(names, tensors[::2], tensors[1::2])}
     return UNetParams(config, kernels)
 
 
@@ -475,11 +479,11 @@ def render_prediction(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
     return rgb
 
 
-def render_panels(truth: np.ndarray, pred: np.ndarray, gutter: int = 2) -> np.ndarray:
-    """Side-by-side ground truth | prediction image."""
+def render_panels(truth: np.ndarray, pred: np.ndarray) -> np.ndarray:
+    """Side-by-side ground truth | prediction image, split by a 2-pixel gutter."""
     left = render_mask(truth)
     right = render_prediction(pred, truth)
-    gap = np.full((truth.shape[0], gutter, 3), PALETTE["gutter"], np.uint8)
+    gap = np.full((truth.shape[0], 2, 3), PALETTE["gutter"], np.uint8)
     return np.concatenate([left, gap, right], axis=1)
 
 

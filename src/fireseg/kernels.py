@@ -21,10 +21,12 @@ it is still cached (the blocking argument of Goto & van de Geijn 2008).
 Each block takes one GEMM with K = kh*kw*C, written straight into a
 channel-major output [Co, N, Ho, Wo].
 
-The backward rebuilds the same column blocks: d_weights accumulates
+Every conv2d kernel has odd sides and pads by (kh // 2, kw // 2), so its
+output keeps the input's spatial shape: 3x3 convs pad by 1, the 1x1 head
+by 0. The backward rebuilds the same column blocks: d_weights accumulates
 grad_block @ col_block.T block by block, and d_input is the same routine
-applied to grad_out, padded by k-1-p (cropped where p > k-1), with the
-spatially flipped, in/out-transposed kernel.
+applied to grad_out, padded by the same (kh // 2, kw // 2) and never
+cropped, with the spatially flipped, in/out-transposed kernel.
 
 Max pooling works on the four quarter views x[:, :, r::2, s::2] of the
 2x2 windows, with no per-window argmax.
@@ -32,7 +34,6 @@ Max pooling works on the four quarter views x[:, :, r::2, s::2] of the
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,12 +45,12 @@ class ShapeError(ValueError):
 
 
 class ConfigError(ValueError):
-    """Unsupported kernel configuration (stride/padding combination)."""
+    """Unsupported network configuration or input."""
 
 
 # Extra finite-ness assertions after every kernel; cheap insurance for tests,
-# off by default in production runs.
-_strict = os.environ.get("FIRESEG_DEBUG", "") not in ("", "0")
+# off in production runs.
+_strict = False
 
 
 def set_strict_checks(enabled: bool) -> None:
@@ -69,13 +70,11 @@ class ConvKernel:
 
     weights: [out_channels, in_channels, kh, kw], bias: [out_channels].
     The same container serves 3x3 convs, the 1x1 head and the 2x2
-    stride-2 transposed convs.
+    stride-2 transposed convs; the kernel shape says which.
     """
 
     weights: np.ndarray
     bias: np.ndarray
-    stride: int = 1
-    padding: int = 0
 
     def __post_init__(self):
         if self.weights.ndim != 4:
@@ -84,8 +83,6 @@ class ConvKernel:
             raise ShapeError(
                 f"bias shape {self.bias.shape} does not match out_channels {self.weights.shape[0]}"
             )
-        if self.stride < 1 or self.padding < 0:
-            raise ConfigError(f"invalid stride={self.stride} padding={self.padding}")
 
     @property
     def out_channels(self) -> int:
@@ -105,15 +102,22 @@ def _require_nchw(x: np.ndarray, name: str) -> None:
         raise ShapeError(f"{name} must be 4-d [N,C,H,W], got shape {x.shape}")
 
 
+def _same_padding(x: np.ndarray, w: np.ndarray) -> tuple[int, int]:
+    """The shape-preserving padding (kh // 2, kw // 2) of an odd-sided kernel w over x."""
+    _, _, kh, kw = w.shape
+    if kh % 2 == 0 or kw % 2 == 0:
+        raise ShapeError(f"kernel {kh}x{kw} has an even side; conv2d needs odd sides")
+    if x.shape[2] == 0 or x.shape[3] == 0:
+        raise ShapeError(f"spatial axes {x.shape[2]}x{x.shape[3]} are empty")
+    return kh // 2, kw // 2
+
+
 def _pad_channel_major(t: np.ndarray, ph: int, pw: int, dtype) -> np.ndarray:
-    """t[N, C, H, W] as a channel-major buffer [C, N, H + 2ph, W + 2pw]:
-    zero-padded by ph rows and pw columns on each side, cropped where negative."""
+    """t[N, C, H, W] as a channel-major buffer [C, N, H + 2ph, W + 2pw],
+    zero-padded by ph rows and pw columns on each side."""
     n, c, h, w = t.shape
     out = np.zeros((c, n, h + 2 * ph, w + 2 * pw), dtype)
-    dh, dw, sh, sw = max(ph, 0), max(pw, 0), max(-ph, 0), max(-pw, 0)
-    out[:, :, dh : out.shape[2] - dh, dw : out.shape[3] - dw] = t.transpose(1, 0, 2, 3)[
-        :, :, sh : h - sh, sw : w - sw
-    ]
+    out[:, :, ph : ph + h, pw : pw + w] = t.transpose(1, 0, 2, 3)
     return out
 
 
@@ -151,48 +155,45 @@ def _correlate(xp: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def conv2d_forward(x: np.ndarray, k: ConvKernel) -> np.ndarray:
-    """2-d cross-correlation of an [N,Cin,H,W] batch with bias (a strided NCHW view)."""
+    """Shape-preserving 2-d cross-correlation of an [N,Cin,H,W] batch with bias
+    (a strided NCHW view)."""
     _require_nchw(x, "input")
-    co, ci, kh, kw = k.weights.shape
-    n, c, h, w = x.shape
-    if c != ci:
-        raise ShapeError(f"input channel axis has {c} channels, kernel expects {ci}")
-    p = k.padding
-    if h + 2 * p < kh or w + 2 * p < kw:
-        raise ShapeError(f"spatial axes {h}x{w} (padding {p}) smaller than kernel {kh}x{kw}")
-    out = _correlate(_pad_channel_major(x, p, p, np.result_type(x, k.weights)), k.weights)
+    ci = k.in_channels
+    if x.shape[1] != ci:
+        raise ShapeError(f"input channel axis has {x.shape[1]} channels, kernel expects {ci}")
+    ph, pw = _same_padding(x, k.weights)
+    out = _correlate(_pad_channel_major(x, ph, pw, np.result_type(x, k.weights)), k.weights)
     out += k.bias[:, None, None, None]
-    return _checked(out[:, :, :: k.stride, :: k.stride].transpose(1, 0, 2, 3))
+    return _checked(out.transpose(1, 0, 2, 3))
 
 
 def conv2d_backward(
     x: np.ndarray, k: ConvKernel, grad_out: np.ndarray, input_grad: bool = True
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
-    """Gradients (d_input, d_weights, d_bias) of a stride-1 conv2d.
+    """Gradients (d_input, d_weights, d_bias) of conv2d_forward.
 
     With input_grad=False the d_input correlation is skipped and d_input is
     None (the network input needs no gradient); d_weights and d_bias are
     the same bits either way.
     """
-    if k.stride != 1:
-        raise ConfigError("conv2d_backward supports stride 1 only")
     co, ci, kh, kw = k.weights.shape
-    n, c, h, w = x.shape
-    p = k.padding
-    expect = (n, co, h + 2 * p - kh + 1, w + 2 * p - kw + 1)
-    if grad_out.shape != expect:
-        raise ShapeError(f"grad_output shape {grad_out.shape} does not match forward output {expect}")
+    n, _, h, w = x.shape
+    if grad_out.shape != (n, co, h, w):
+        raise ShapeError(
+            f"grad_output shape {grad_out.shape} does not match forward output {(n, co, h, w)}"
+        )
+    ph, pw = _same_padding(x, k.weights)
 
     dtype = np.result_type(x, k.weights)
     g = _pad_channel_major(grad_out, 0, 0, dtype).reshape(co, -1)
     d_weights = np.zeros((co, kh * kw * ci), dtype)
-    for lo, hi, col in _columns(_pad_channel_major(x, p, p, dtype), kh, kw):
+    for lo, hi, col in _columns(_pad_channel_major(x, ph, pw, dtype), kh, kw):
         d_weights += g[:, lo:hi] @ col.T
     d_bias = grad_out.sum(axis=(0, 2, 3), dtype=np.float64).astype(x.dtype)
     d_weights = _checked(np.ascontiguousarray(d_weights.reshape(co, kh, kw, ci).transpose(0, 3, 1, 2)))
     if not input_grad:
         return None, d_weights, d_bias
-    gp = _pad_channel_major(grad_out, kh - 1 - p, kw - 1 - p, dtype)
+    gp = _pad_channel_major(grad_out, ph, pw, dtype)
     d_input = _correlate(gp, k.weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
     return _checked(np.ascontiguousarray(d_input.transpose(1, 0, 2, 3))), d_weights, d_bias
 
@@ -201,14 +202,15 @@ def conv_transpose2d_forward(x: np.ndarray, k: ConvKernel) -> np.ndarray:
     """Stride-2 transposed convolution with a 2x2 kernel: exact 2x upsampling."""
     _require_nchw(x, "input")
     co, ci, kh, kw = k.weights.shape
-    if k.stride != 2 or k.padding != 0 or (kh, kw) != (2, 2):
-        raise ConfigError("transposed conv supports stride=2, padding=0, 2x2 kernels only")
+    if (kh, kw) != (2, 2):
+        raise ShapeError(f"transposed conv takes 2x2 kernels, got {kh}x{kw}")
     n, c, h, w = x.shape
     if c != ci:
         raise ShapeError(f"input channel axis has {c} channels, kernel expects {ci}")
     # out[n,o,2y+a,2x+b] = bias[o] + sum_i x[n,i,y,x] * W[o,i,a,b]
     t = np.tensordot(x, k.weights, axes=([1], [1]))  # (N,H,W,Co,2,2)
-    out = t.transpose(0, 3, 1, 4, 2, 5).reshape(n, co, 2 * h, 2 * w).copy()
+    # the reshape of the transposed t copies it (t is a temporary either way)
+    out = t.transpose(0, 3, 1, 4, 2, 5).reshape(n, co, 2 * h, 2 * w)
     out += k.bias[None, :, None, None]
     return _checked(out)
 
@@ -376,30 +378,28 @@ class AdamState:
         return cls([np.zeros_like(p) for p in params], [np.zeros_like(p) for p in params])
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 def adam_step(
-    params: list[np.ndarray],
-    grads: list[np.ndarray],
-    state: AdamState,
-    lr: float,
-    t: int,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
+    params: list[np.ndarray], grads: list[np.ndarray], state: AdamState, lr: float, t: int
 ) -> tuple[list[np.ndarray], AdamState]:
-    """One bias-corrected Adam update; t is the 1-based step count."""
+    """One bias-corrected Adam update (Kingma & Ba defaults); t is the 1-based step count."""
     if t < 1:
         raise ValueError("Adam step count t must be >= 1")
     if not (len(params) == len(grads) == len(state.m) == len(state.v)):
         raise ShapeError("params, grads and optimizer state lengths differ")
     new_params, new_m, new_v = [], [], []
-    c1 = 1.0 - beta1**t
-    c2 = 1.0 - beta2**t
+    c1 = 1.0 - ADAM_BETA1**t
+    c2 = 1.0 - ADAM_BETA2**t
     for p, g, m, v in zip(params, grads, state.m, state.v):
         if p.shape != g.shape:
             raise ShapeError(f"parameter {p.shape} and gradient {g.shape} differ")
-        m = beta1 * m + (1.0 - beta1) * g
-        v = beta2 * v + (1.0 - beta2) * np.square(g)
-        update = (lr / c1) * m / (np.sqrt(v / c2) + eps)
+        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * np.square(g)
+        update = (lr / c1) * m / (np.sqrt(v / c2) + ADAM_EPS)
         new_params.append(_checked((p - update).astype(p.dtype, copy=False)))
         new_m.append(m.astype(p.dtype, copy=False))
         new_v.append(v.astype(p.dtype, copy=False))

@@ -339,5 +339,4 @@ def bayes_reference(
 
 
 def best_reference(points: list[ReferencePoint], es_metric: str = "sh2") -> ReferencePoint:
-    key = (lambda p: p.sh1) if es_metric == "sh1" else (lambda p: p.sh2)
-    return max(points, key=key)
+    return max(points, key=lambda p: getattr(p, es_metric))

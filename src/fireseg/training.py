@@ -28,7 +28,8 @@ BUFFER_OFF = "off"
 BUFFER_TRAIN = "train"
 BUFFER_TRAIN_VAL = "train+val"
 
-ES_METRICS = {"sh1": 1.0, "sh2": 2.0}
+# early-stopping scores, each named after the metric attribute it reads
+ES_METRICS = ("sh1", "sh2")
 
 
 @dataclass(frozen=True)
@@ -72,7 +73,7 @@ class EpochMetrics:
     sh2: float
 
     def score(self, es_metric: str) -> float:
-        return self.sh1 if es_metric == "sh1" else self.sh2
+        return getattr(self, es_metric)
 
 
 @dataclass

@@ -10,8 +10,11 @@ Architecture (IF = init_features, widths mirror across the bottleneck):
                              concat with skip i, one 3x3 conv -> ReLU
   head:                      1x1 conv to 2 logits
 
-All 3x3 convs use zero-padding 1 so a 32x32 tile maps to a 32x32 mask.
-Parameter count is a closed form of (IF, in_channels):
+Each conv pads by half its kernel side, (kh // 2, kw // 2), which follows
+from the kernel shape: the 3x3 convs pad by 1 so a 32x32 tile maps to a
+32x32 mask, and the 1x1 head pads by 0. Depth (4) and class count (2) are
+constants, not settings; UNC1 checkpoints still record both and the reader
+refuses any other value. Parameter count is a closed form of (IF, in_channels):
 
   params(f, c) = 6809*f^2 + 9*c*f + 94*f + 2
 
@@ -42,7 +45,6 @@ from .kernels import (
     split_channels,
 )
 
-TILE = 32
 DEPTH = 4
 NUM_CLASSES = 2
 
@@ -51,17 +53,11 @@ NUM_CLASSES = 2
 class UNetConfig:
     in_channels: int
     init_features: int = 8
-    depth: int = DEPTH
-    num_classes: int = NUM_CLASSES
     seed: int = 0
 
     def __post_init__(self):
         if self.in_channels < 1 or self.init_features < 1:
             raise ConfigError("in_channels and init_features must be >= 1")
-        if self.depth != DEPTH or self.num_classes != NUM_CLASSES:
-            raise ConfigError("architecture is fixed at depth 4 with 2 classes")
-        if TILE % (1 << self.depth) != 0:
-            raise ConfigError(f"tile side {TILE} not divisible by 2^{self.depth}")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must fit in an unsigned 64-bit integer")
 
@@ -85,7 +81,7 @@ def layer_shapes(config: UNetConfig) -> list[tuple[str, tuple[int, ...], tuple[i
         inv.append((f"dec{i}_up", (width, prev, 2, 2), (width,)))
         inv.append((f"dec{i}_conv", (width, 2 * width, 3, 3), (width,)))
         prev = width
-    inv.append(("head", (config.num_classes, f, 1, 1), (config.num_classes,)))
+    inv.append(("head", (NUM_CLASSES, f, 1, 1), (NUM_CLASSES,)))
     return inv
 
 
@@ -123,21 +119,11 @@ class UNetParams:
         return out
 
     def with_tensors(self, tensors: list[np.ndarray]) -> "UNetParams":
-        """Rebuild with replaced parameter tensors (same topology and hyperparams)."""
+        """Rebuild with replaced parameter tensors (same topology)."""
         if len(tensors) != 2 * len(self.kernels):
             raise ShapeError(f"expected {2 * len(self.kernels)} tensors, got {len(tensors)}")
-        rebuilt = {}
-        for (name, old), w, b in zip(self.kernels.items(), tensors[::2], tensors[1::2]):
-            rebuilt[name] = ConvKernel(w, b, stride=old.stride, padding=old.padding)
-        return UNetParams(self.config, rebuilt)
-
-
-def _kernel_for(name: str, w: np.ndarray, b: np.ndarray) -> ConvKernel:
-    if name.endswith("_up"):
-        return ConvKernel(w, b, stride=2, padding=0)
-    if name == "head":
-        return ConvKernel(w, b, stride=1, padding=0)
-    return ConvKernel(w, b, stride=1, padding=1)
+        pairs = zip(self.kernels, tensors[::2], tensors[1::2])
+        return UNetParams(self.config, {name: ConvKernel(w, b) for name, w, b in pairs})
 
 
 def init_params(config: UNetConfig) -> UNetParams:
@@ -153,7 +139,7 @@ def init_params(config: UNetConfig) -> UNetParams:
         std = np.sqrt(2.0 / fan_in)
         w = (rng.standard_normal(wshape) * std).astype(np.float32)
         b = np.zeros(bshape, dtype=np.float32)
-        kernels[name] = _kernel_for(name, w, b)
+        kernels[name] = ConvKernel(w, b)
     return UNetParams(config, kernels)
 
 
@@ -261,7 +247,7 @@ def backward(params: UNetParams, cache: dict, grad_logits: np.ndarray) -> list[n
     return flat
 
 
-def predict_mask(logits: np.ndarray, threshold: float = 0.5) -> np.ndarray:
+def predict_mask(logits: np.ndarray, threshold: float) -> np.ndarray:
     """Per-pixel labels: fire (1) where softmax fire-probability >= threshold."""
     if logits.ndim != 4 or logits.shape[1] != 2:
         raise ShapeError(f"logits must be [N,2,H,W], got {logits.shape}")

@@ -110,15 +110,15 @@ def test_criterion_2_gradient_correctness():
     x = rng.standard_normal((1, 2, 6, 6))
     w = rng.standard_normal((3, 2, 3, 3))
     b = rng.standard_normal(3)
-    k = K.ConvKernel(w, b, padding=1)
+    k = K.ConvKernel(w, b)
     r = rng.standard_normal((1, 3, 6, 6))
     gi, gw, gb = K.conv2d_backward(x, k, r)
     for name, an, f, arg in [
         ("conv2d/input", gi, lambda v: float(np.sum(r * K.conv2d_forward(v, k))), x),
         ("conv2d/weights", gw,
-         lambda v: float(np.sum(r * K.conv2d_forward(x, K.ConvKernel(v, b, padding=1)))), w),
+         lambda v: float(np.sum(r * K.conv2d_forward(x, K.ConvKernel(v, b)))), w),
         ("conv2d/bias", gb,
-         lambda v: float(np.sum(r * K.conv2d_forward(x, K.ConvKernel(w, v, padding=1)))), b),
+         lambda v: float(np.sum(r * K.conv2d_forward(x, K.ConvKernel(w, v)))), b),
     ]:
         n, err = check(name, an, f, arg)
         coords += n
@@ -128,15 +128,15 @@ def test_criterion_2_gradient_correctness():
     x = rng.standard_normal((1, 2, 3, 3))
     w = rng.standard_normal((2, 2, 2, 2))
     b = rng.standard_normal(2)
-    k = K.ConvKernel(w, b, stride=2)
+    k = K.ConvKernel(w, b)
     r = rng.standard_normal((1, 2, 6, 6))
     gi, gw, gb = K.conv_transpose2d_backward(x, k, r)
     for name, an, f, arg in [
         ("convT/input", gi, lambda v: float(np.sum(r * K.conv_transpose2d_forward(v, k))), x),
         ("convT/weights", gw,
-         lambda v: float(np.sum(r * K.conv_transpose2d_forward(x, K.ConvKernel(v, b, stride=2)))), w),
+         lambda v: float(np.sum(r * K.conv_transpose2d_forward(x, K.ConvKernel(v, b)))), w),
         ("convT/bias", gb,
-         lambda v: float(np.sum(r * K.conv_transpose2d_forward(x, K.ConvKernel(w, v, stride=2)))), b),
+         lambda v: float(np.sum(r * K.conv_transpose2d_forward(x, K.ConvKernel(w, v)))), b),
     ]:
         n, err = check(name, an, f, arg)
         coords += n

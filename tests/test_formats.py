@@ -228,6 +228,18 @@ class TestCheckpoint:
         with pytest.raises(Exception):
             F.read_checkpoint(path)
 
+    @pytest.mark.parametrize("offset", [12, 16])  # the depth field, then the class count
+    def test_other_depth_or_class_count_rejected(self, tmp_path, offset):
+        params = init_params(UNetConfig(in_channels=3, init_features=2, seed=0))
+        path = tmp_path / "net.unc"
+        F.write_checkpoint(path, params)
+        raw = bytearray(path.read_bytes())
+        raw[offset : offset + 4] = (3).to_bytes(4, "little")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(F.FormatError) as exc:
+            F.read_checkpoint(path)
+        assert str(path) in str(exc.value)
+
     def test_huge_tensor_shape_rejected_before_allocating(self, tmp_path):
         params = init_params(UNetConfig(in_channels=3, init_features=2, seed=0))
         path = tmp_path / "net.unc"
@@ -292,19 +304,19 @@ class TestRendering:
     def test_palette_applied(self):
         truth = np.array([[0, 1], [2, 1]], np.uint8)
         pred = np.array([[1, 1], [0, 0]], np.uint8)
-        img = F.render_panels(truth, pred, gutter=1)
-        assert img.shape == (2, 5, 3)
+        img = F.render_panels(truth, pred)
+        assert img.shape == (2, 6, 3)
         # left panel: ground truth colors
         assert tuple(img[0, 0]) == F.PALETTE["no_fire"]
         assert tuple(img[0, 1]) == F.PALETTE["fire"]
         assert tuple(img[1, 0]) == F.PALETTE["water"]
-        # gutter
-        assert tuple(img[0, 2]) == F.PALETTE["gutter"]
+        # two gutter columns
+        assert tuple(img[0, 2]) == tuple(img[1, 3]) == F.PALETTE["gutter"]
         # right panel: overlay classes
-        assert tuple(img[0, 3]) == F.PALETTE["false_positive"]
-        assert tuple(img[0, 4]) == F.PALETTE["fire"]  # true positive
-        assert tuple(img[1, 3]) == F.PALETTE["water"]
-        assert tuple(img[1, 4]) == F.PALETTE["false_negative"]
+        assert tuple(img[0, 4]) == F.PALETTE["false_positive"]
+        assert tuple(img[0, 5]) == F.PALETTE["fire"]  # true positive
+        assert tuple(img[1, 4]) == F.PALETTE["water"]
+        assert tuple(img[1, 5]) == F.PALETTE["false_negative"]
 
     def test_ppm_round_trip(self, tmp_path):
         rng = np.random.default_rng(2)
