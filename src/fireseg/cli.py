@@ -23,6 +23,7 @@ from . import data as D
 from . import formats as F
 from . import synthetic as S
 from . import training as T
+from .metrics import format_scores
 
 # a config key is named after the TrainConfig/SynthConfig field it sets, but
 # for `tr`; deterministic_labels is settable from Python only
@@ -208,45 +209,29 @@ def cmd_train(cfg: dict) -> int:
     cv = T.cross_validate(tileset, store, config)
 
     def save_checkpoint(path: Path, r: T.FoldResult) -> None:
-        metrics = {"fold": r.fold_index, "epoch": r.best.epoch, "sensitivity": r.best.sens,
-                   "specificity": r.best.spec, "sh1": r.best.sh1, "sh2": r.best.sh2}
+        metrics = {"fold": r.fold_index, "epoch": r.best.epoch,
+                   **dict(zip(F.SCORE_COLUMNS, r.best.values()))}
         F.write_checkpoint(path, r.best.params, metrics)
 
     prefix = [config.tile_ratio, config.fire_buffer, config.buffer_radius,
               config.init_features, config.es_metric]
     rows = []
     for r in cv.folds:
-        rows.append(
-            F.metric_row(prefix + [r.fold_index, r.best.epoch], r.best.sens, r.best.spec,
-                         r.best.sh1, r.best.sh2)
-        )
+        rows.append(F.metric_row(prefix + [r.fold_index, r.best.epoch], r.best.values()))
         save_checkpoint(out / f"fold_{r.fold_index}.unc", r)
-        trace_rows = [
-            [str(m.epoch), repr(m.train_loss), repr(m.sens), repr(m.spec), repr(m.sh1), repr(m.sh2)]
-            for m in r.trace
-        ]
-        F.write_csv(
-            out / f"trace_fold_{r.fold_index}.csv",
-            ["epoch", "train_loss", "sensitivity", "specificity", "sh1", "sh2"],
-            trace_rows,
-        )
-    rows.append(
-        F.metric_row(prefix + ["mean", "-"], cv.mean_sens, cv.mean_spec, cv.mean_sh1, cv.mean_sh2)
-    )
+        trace_rows = [[str(m.epoch), *map(repr, (m.train_loss, *m.values()))] for m in r.trace]
+        F.write_csv(out / f"trace_fold_{r.fold_index}.csv",
+                    ["epoch", "train_loss", *F.SCORE_COLUMNS], trace_rows)
+    means = (cv.mean_sens, cv.mean_spec, cv.mean_sh1, cv.mean_sh2)
+    rows.append(F.metric_row(prefix + ["mean", "-"], means))
     F.write_csv(out / "validation.csv", F.VALIDATION_COLUMNS, rows)
 
-    best = max(cv.folds, key=lambda r: getattr(r.best, config.es_metric))
+    best = max(cv.folds, key=lambda r: r.best.score(config.es_metric))
     save_checkpoint(out / "best.unc", best)
     for r in cv.folds:
-        print(
-            f"fold {r.fold_index}: epoch {r.best.epoch}/{r.stopped_epoch} "
-            f"sens={r.best.sens:.4f} spec={r.best.spec:.4f} "
-            f"sh1={r.best.sh1:.4f} sh2={r.best.sh2:.4f}"
-        )
-    print(
-        f"mean: sens={cv.mean_sens:.4f} spec={cv.mean_spec:.4f} "
-        f"sh1={cv.mean_sh1:.4f} sh2={cv.mean_sh2:.4f} (best fold {best.fold_index})"
-    )
+        print(f"fold {r.fold_index}: epoch {r.best.epoch}/{r.stopped_epoch} "
+              f"{format_scores(r.best.values())}")
+    print(f"mean: {format_scores(means)} (best fold {best.fold_index})")
     return 0
 
 
@@ -267,14 +252,10 @@ def cmd_evaluate(cfg: dict, checkpoint: Path) -> int:
         raise CliError("holdout manifest does not match the prepared holdout days; re-run prepare")
     config = train_config(cfg)
     result = T.evaluate_holdout(params, days, config)
-    row = [str(checkpoint), f"{day_ids[0].isoformat()}..{day_ids[-1].isoformat()}",
-           str(result.tiles), f"{result.sens:.4f}", f"{result.spec:.4f}",
-           repr(result.sens), repr(result.spec)]
+    days_run = f"{day_ids[0].isoformat()}..{day_ids[-1].isoformat()}"
+    row = F.metric_row([checkpoint, days_run, result.tiles], result.values()[:2])
     F.write_csv(out / "holdout.csv", F.HOLDOUT_COLUMNS, [row])
-    print(
-        f"holdout: tiles={result.tiles} sens={result.sens:.4f} spec={result.spec:.4f} "
-        f"sh1={result.sh1:.4f} sh2={result.sh2:.4f}"
-    )
+    print(f"holdout: tiles={result.tiles} {format_scores(result.values())}")
     return 0
 
 

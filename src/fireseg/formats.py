@@ -37,7 +37,7 @@ from .data import (
     TileSet,
     TileSpec,
 )
-from .kernels import ConvKernel
+from .kernels import ConfigError, ShapeError
 from .unet import DEPTH, NUM_CLASSES, UNetConfig, UNetParams, layer_shapes
 
 MAGIC_STACK = b"FSK1"
@@ -351,8 +351,7 @@ def write_checkpoint(path: Path, params: UNetParams, metrics: dict[str, float] |
         parts.append(np.ascontiguousarray(t, dtype="<f4").tobytes())
     atomic_write_bytes(path, b"".join(parts))
     if metrics is not None:
-        keys = list(metrics)
-        rows = [",".join(keys), ",".join(repr(float(metrics[k])) for k in keys)]
+        rows = [",".join(metrics), ",".join(repr(float(v)) for v in metrics.values())]
         atomic_write_text(checkpoint_metrics_path(path), "\n".join(rows) + "\n")
 
 
@@ -362,34 +361,37 @@ def checkpoint_metrics_path(path: Path) -> Path:
 
 
 def read_checkpoint(path: Path) -> UNetParams:
-    with open(path, "rb") as f:
-        if _read_exact(f, 4, "magic") != MAGIC_CHECKPOINT:
-            raise FormatError(f"{path}: not a checkpoint (bad magic)")
-        in_ch, feats, depth, classes, seed = struct.unpack(
-            "<IIIIQ", _read_exact(f, 24, "network configuration")
-        )
-        if (depth, classes) != (DEPTH, NUM_CLASSES):
-            raise FormatError(
-                f"{path}: network of depth {depth} with {classes} classes; "
-                f"the architecture has depth {DEPTH} with {NUM_CLASSES} classes"
+    try:
+        with open(path, "rb") as f:
+            if _read_exact(f, 4, "magic") != MAGIC_CHECKPOINT:
+                raise FormatError(f"{path}: not a checkpoint (bad magic)")
+            in_ch, feats, depth, classes, seed = struct.unpack(
+                "<IIIIQ", _read_exact(f, 24, "network configuration")
             )
-        config = UNetConfig(in_channels=in_ch, init_features=feats, seed=seed)
-        names = [name for name, _, _ in layer_shapes(config)]
-        (count,) = struct.unpack("<I", _read_exact(f, 4, "tensor count"))
-        if count != 2 * len(names):
-            raise FormatError(f"{path}: {count} tensors, the architecture has {2 * len(names)}")
-        tensors = []
-        for i in range(count):
-            (ndim,) = struct.unpack("<I", _read_exact(f, 4, "tensor rank"))
-            shape = struct.unpack(f"<{ndim}I", _read_exact(f, 4 * ndim, "tensor shape"))
-            size = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(_read_exact(f, 4 * size, f"tensor {i} payload"), dtype="<f4")
-            tensors.append(data.reshape(shape).astype(np.float32))
-        if f.read(1):
-            raise FormatError(f"{path}: trailing bytes after payload")
-    # UNetParams checks every shape against the configured architecture
-    kernels = {n: ConvKernel(w, b) for n, w, b in zip(names, tensors[::2], tensors[1::2])}
-    return UNetParams(config, kernels)
+            if (depth, classes) != (DEPTH, NUM_CLASSES):
+                raise FormatError(
+                    f"{path}: network of depth {depth} with {classes} classes; "
+                    f"the architecture has depth {DEPTH} with {NUM_CLASSES} classes"
+                )
+            config = UNetConfig(in_channels=in_ch, init_features=feats, seed=seed)
+            # checked before any payload is read: the count bounds the allocation
+            expected = 2 * len(layer_shapes(config))
+            (count,) = struct.unpack("<I", _read_exact(f, 4, "tensor count"))
+            if count != expected:
+                raise FormatError(f"{path}: {count} tensors, the architecture has {expected}")
+            tensors = []
+            for i in range(count):
+                (ndim,) = struct.unpack("<I", _read_exact(f, 4, "tensor rank"))
+                shape = struct.unpack(f"<{ndim}I", _read_exact(f, 4 * ndim, "tensor shape"))
+                size = int(np.prod(shape))
+                data = np.frombuffer(_read_exact(f, 4 * size, f"tensor {i} payload"), dtype="<f4")
+                tensors.append(data.reshape(shape).astype(np.float32))
+            if f.read(1):
+                raise FormatError(f"{path}: trailing bytes after payload")
+        # UNetParams checks every shape against the configured architecture
+        return UNetParams.from_tensors(config, tensors)
+    except (ConfigError, ShapeError) as exc:  # a header the architecture refuses
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def read_checkpoint_metrics(path: Path) -> dict[str, float]:
@@ -402,46 +404,18 @@ def read_checkpoint_metrics(path: Path) -> dict[str, float]:
 # ---------------------------------------------------------------------------
 # metric tables
 
-VALIDATION_COLUMNS = [
-    "tr",
-    "fire_buffer",
-    "buffer_radius",
-    "init_features",
-    "es_metric",
-    "fold",
-    "epoch",
-    "sensitivity",
-    "specificity",
-    "sh1",
-    "sh2",
-    "sensitivity_full",
-    "specificity_full",
-    "sh1_full",
-    "sh2_full",
-]
-
-HOLDOUT_COLUMNS = [
-    "checkpoint",
-    "holdout_days",
-    "tiles",
-    "sensitivity",
-    "specificity",
-    "sensitivity_full",
-    "specificity_full",
-]
+# the order of metrics.Scores.values(); each table has the rounded columns, then
+# the same at full precision, as metric_row writes them
+SCORE_COLUMNS = ["sensitivity", "specificity", "sh1", "sh2"]
+VALIDATION_COLUMNS = ["tr", "fire_buffer", "buffer_radius", "init_features", "es_metric",
+                      "fold", "epoch", *SCORE_COLUMNS, *[c + "_full" for c in SCORE_COLUMNS]]
+HOLDOUT_COLUMNS = ["checkpoint", "holdout_days", "tiles", *SCORE_COLUMNS[:2],
+                   *[c + "_full" for c in SCORE_COLUMNS[:2]]]
 
 
-def metric_row(prefix: list, sens: float, spec: float, sh1: float, sh2: float) -> list[str]:
-    return [str(v) for v in prefix] + [
-        f"{sens:.4f}",
-        f"{spec:.4f}",
-        f"{sh1:.4f}",
-        f"{sh2:.4f}",
-        repr(float(sens)),
-        repr(float(spec)),
-        repr(float(sh1)),
-        repr(float(sh2)),
-    ]
+def metric_row(prefix: list, values: tuple[float, ...]) -> list[str]:
+    """The prefix cells, then each value at 4 decimals, then each at full precision."""
+    return [str(v) for v in prefix] + [f"{v:.4f}" for v in values] + [repr(float(v)) for v in values]
 
 
 def write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:

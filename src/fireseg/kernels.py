@@ -102,6 +102,18 @@ def _require_nchw(x: np.ndarray, name: str) -> None:
         raise ShapeError(f"{name} must be 4-d [N,C,H,W], got shape {x.shape}")
 
 
+def _require_conv_input(x: np.ndarray, k: ConvKernel) -> None:
+    """x is an [N,C,H,W] batch with k's input channel count (forward and backward)."""
+    _require_nchw(x, "input")
+    if x.shape[1] != k.in_channels:
+        raise ShapeError(f"input channel axis has {x.shape[1]} channels, kernel expects {k.in_channels}")
+
+
+def _require_2x2(k: ConvKernel) -> None:
+    if k.weights.shape[2:] != (2, 2):
+        raise ShapeError("transposed conv takes 2x2 kernels, got {}x{}".format(*k.weights.shape[2:]))
+
+
 def _same_padding(x: np.ndarray, w: np.ndarray) -> tuple[int, int]:
     """The shape-preserving padding (kh // 2, kw // 2) of an odd-sided kernel w over x."""
     _, _, kh, kw = w.shape
@@ -157,10 +169,7 @@ def _correlate(xp: np.ndarray, w: np.ndarray) -> np.ndarray:
 def conv2d_forward(x: np.ndarray, k: ConvKernel) -> np.ndarray:
     """Shape-preserving 2-d cross-correlation of an [N,Cin,H,W] batch with bias
     (a strided NCHW view)."""
-    _require_nchw(x, "input")
-    ci = k.in_channels
-    if x.shape[1] != ci:
-        raise ShapeError(f"input channel axis has {x.shape[1]} channels, kernel expects {ci}")
+    _require_conv_input(x, k)
     ph, pw = _same_padding(x, k.weights)
     out = _correlate(_pad_channel_major(x, ph, pw, np.result_type(x, k.weights)), k.weights)
     out += k.bias[:, None, None, None]
@@ -176,6 +185,7 @@ def conv2d_backward(
     None (the network input needs no gradient); d_weights and d_bias are
     the same bits either way.
     """
+    _require_conv_input(x, k)
     co, ci, kh, kw = k.weights.shape
     n, _, h, w = x.shape
     if grad_out.shape != (n, co, h, w):
@@ -200,13 +210,10 @@ def conv2d_backward(
 
 def conv_transpose2d_forward(x: np.ndarray, k: ConvKernel) -> np.ndarray:
     """Stride-2 transposed convolution with a 2x2 kernel: exact 2x upsampling."""
-    _require_nchw(x, "input")
-    co, ci, kh, kw = k.weights.shape
-    if (kh, kw) != (2, 2):
-        raise ShapeError(f"transposed conv takes 2x2 kernels, got {kh}x{kw}")
-    n, c, h, w = x.shape
-    if c != ci:
-        raise ShapeError(f"input channel axis has {c} channels, kernel expects {ci}")
+    _require_2x2(k)
+    _require_conv_input(x, k)
+    co = k.out_channels
+    n, _, h, w = x.shape
     # out[n,o,2y+a,2x+b] = bias[o] + sum_i x[n,i,y,x] * W[o,i,a,b]
     t = np.tensordot(x, k.weights, axes=([1], [1]))  # (N,H,W,Co,2,2)
     # the reshape of the transposed t copies it (t is a temporary either way)
@@ -219,8 +226,10 @@ def conv_transpose2d_backward(
     x: np.ndarray, k: ConvKernel, grad_out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients (d_input, d_weights, d_bias) of the 2x2 stride-2 transposed conv."""
-    co, ci, _, _ = k.weights.shape
-    n, c, h, w = x.shape
+    _require_2x2(k)
+    _require_conv_input(x, k)
+    co = k.out_channels
+    n, _, h, w = x.shape
     if grad_out.shape != (n, co, 2 * h, 2 * w):
         raise ShapeError(
             f"grad_output shape {grad_out.shape} does not match forward output {(n, co, 2*h, 2*w)}"
@@ -286,7 +295,9 @@ def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     """Pass gradient where input > 0; subgradient 0 at exactly 0."""
     if x.shape != grad_out.shape:
         raise ShapeError(f"input {x.shape} and grad_output {grad_out.shape} differ")
-    return np.where(x > 0, grad_out, 0).astype(grad_out.dtype, copy=False)
+    # a bit select, the bits of np.where(x > 0, grad_out, 0): AND with all ones or with 0
+    word = np.dtype(f"i{grad_out.itemsize}")
+    return (grad_out.view(word) & -(x > 0).astype(word)).view(grad_out.dtype)
 
 
 def concat_channels(a: np.ndarray, b: np.ndarray) -> np.ndarray:

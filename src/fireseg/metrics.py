@@ -2,6 +2,9 @@
 
 Ratios with empty denominators come back as None rather than a silent 0,
 so model selection can recognize (and reject) degenerate validation folds.
+Scores is the one record of a pooled score: the epoch trace, the kept
+checkpoint, the holdout result and the Bayes reference points all extend
+it, and every report writes its (sens, spec, sh1, sh2) from values().
 """
 
 from __future__ import annotations
@@ -80,3 +83,36 @@ def shybrid(l: float, sens: float, spec: float) -> float:
         raise ValueError("shybrid is undefined for degenerate sensitivity/specificity")
     return l * sens + spec
 
+
+@dataclass(frozen=True)
+class Scores:
+    """Pooled sensitivity and specificity; sh1 and sh2 follow from them."""
+
+    sens: float
+    spec: float
+
+    @classmethod
+    def of(cls, counts: ConfusionCounts, /, **fields) -> Scores | None:
+        """cls(sens, spec, **fields) from pooled counts; None when either class is absent."""
+        sens, spec = sensitivity(counts), specificity(counts)
+        return None if sens is None or spec is None else cls(sens, spec, **fields)
+
+    @property
+    def sh1(self) -> float:
+        return shybrid(1, self.sens, self.spec)
+
+    @property
+    def sh2(self) -> float:
+        return shybrid(2, self.sens, self.spec)
+
+    def score(self, name: str) -> float:  # name is "sh1" or "sh2"
+        return getattr(self, name)
+
+    def values(self) -> tuple[float, float, float, float]:
+        """(sens, spec, sh1, sh2), the order of formats.SCORE_COLUMNS."""
+        return self.sens, self.spec, self.sh1, self.sh2
+
+
+def format_scores(values: tuple[float, ...]) -> str:
+    """The `sens=... spec=... sh1=... sh2=...` text of a values() tuple, 4 decimals."""
+    return " ".join(f"{name}={v:.4f}" for name, v in zip(("sens", "spec", "sh1", "sh2"), values))

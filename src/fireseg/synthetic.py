@@ -29,7 +29,7 @@ from datetime import date, timedelta
 import numpy as np
 
 from .data import CATEGORICAL, FIRE, NO_FIRE, WATER, Channel, FeatureSchema, GridDay
-from .metrics import confusion, sensitivity, shybrid, specificity
+from .metrics import ConfusionCounts, Scores, confusion
 
 BASE_DAY = date(2021, 6, 1)
 
@@ -303,12 +303,8 @@ def _calibrate_bias(
 
 
 @dataclass(frozen=True)
-class ReferencePoint:
+class ReferencePoint(Scores):
     tau: float
-    sens: float
-    spec: float
-    sh1: float
-    sh2: float
 
 
 def bayes_reference(
@@ -324,19 +320,14 @@ def bayes_reference(
     marginals = [rule.fire_marginal(day.features, day.mask != WATER) for day in days]
     out = []
     for tau in taus:
-        counts = None
-        for day, marg in zip(days, marginals):
-            c = confusion((marg >= tau).astype(np.uint8), day.mask)
-            counts = c if counts is None else counts + c
-        sens = sensitivity(counts)
-        spec = specificity(counts)
-        if sens is None or spec is None:
-            continue
-        out.append(ReferencePoint(tau, sens, spec, shybrid(1, sens, spec), shybrid(2, sens, spec)))
+        pooled = (confusion((m >= tau).astype(np.uint8), day.mask) for day, m in zip(days, marginals))
+        point = ReferencePoint.of(sum(pooled, ConfusionCounts()), tau=tau)
+        if point is not None:
+            out.append(point)
     if not out:
         raise ValueError("reference evaluation degenerate: no defined operating points")
     return out
 
 
 def best_reference(points: list[ReferencePoint], es_metric: str = "sh2") -> ReferencePoint:
-    return max(points, key=lambda p: getattr(p, es_metric))
+    return max(points, key=lambda p: p.score(es_metric))

@@ -22,7 +22,7 @@ import numpy as np
 from . import data as D
 from . import unet as U
 from .kernels import AdamState, adam_step, weighted_ce_loss
-from .metrics import ConfusionCounts, confusion, sensitivity, shybrid, specificity
+from .metrics import ConfusionCounts, Scores, confusion
 
 BUFFER_OFF = "off"
 BUFFER_TRAIN = "train"
@@ -64,26 +64,16 @@ class TrainConfig:
 
 
 @dataclass(frozen=True)
-class EpochMetrics:
+class EpochMetrics(Scores):
     epoch: int
     train_loss: float
-    sens: float
-    spec: float
-    sh1: float
-    sh2: float
-
-    def score(self, es_metric: str) -> float:
-        return getattr(self, es_metric)
 
 
-@dataclass
-class Checkpoint:
-    epoch: int
+@dataclass(frozen=True)
+class Checkpoint(EpochMetrics):
+    """The best epoch's metrics and a snapshot of its parameters."""
+
     params: U.UNetParams
-    sens: float
-    spec: float
-    sh1: float
-    sh2: float
 
 
 @dataclass
@@ -227,23 +217,14 @@ def train_fold(
 
         scored = predict_tiles(params, val_specs, days, config.threshold, config.batch_size)
         counts = confusion(np.concatenate([pred for _, pred, _ in scored]), va_masks)
-        sens = sensitivity(counts)
-        spec = specificity(counts)
-        if sens is None or spec is None:
+        em = EpochMetrics.of(counts, epoch=epoch, train_loss=epoch_loss / max(batches, 1))
+        if em is None:
             raise ValueError(f"fold {fold_index}: validation metrics undefined at epoch {epoch}")
-        em = EpochMetrics(
-            epoch=epoch,
-            train_loss=epoch_loss / max(batches, 1),
-            sens=sens,
-            spec=spec,
-            sh1=shybrid(1, sens, spec),
-            sh2=shybrid(2, sens, spec),
-        )
         trace.append(em)
         improved, stop = stopper.update(epoch, em.score(config.es_metric))
         if improved:
             snapshot = params.with_tensors([t.copy() for t in params.tensors()])
-            best = Checkpoint(epoch, snapshot, em.sens, em.spec, em.sh1, em.sh2)
+            best = Checkpoint(**vars(em), params=snapshot)
         if stop:
             break
 
@@ -270,22 +251,15 @@ def cross_validate(
         val = folds[i]
         train = [s for j, f in enumerate(folds) if j != i for s in f]
         results.append(train_fold(train, val, days, config, fold_index=i))
-    return CrossValResult(
-        folds=results,
-        mean_sens=float(np.mean([r.best.sens for r in results])),
-        mean_spec=float(np.mean([r.best.spec for r in results])),
-        mean_sh1=float(np.mean([r.best.sh1 for r in results])),
-        mean_sh2=float(np.mean([r.best.sh2 for r in results])),
-    )
+    # each mean averages the folds' own values: 2*mean(sens) + mean(spec) is
+    # not bitwise mean(2*sens + spec)
+    per_score = zip(*(r.best.values() for r in results))
+    return CrossValResult(results, *(float(np.mean(column)) for column in per_score))
 
 
-@dataclass
-class HoldoutResult:
+@dataclass(frozen=True)
+class HoldoutResult(Scores):
     counts: ConfusionCounts
-    sens: float
-    spec: float
-    sh1: float
-    sh2: float
     tiles: int
 
 
@@ -304,13 +278,10 @@ def evaluate_holdout(
     store = {day.day_id: day for day in holdout_days}
     scored = predict_tiles(params, tileset.specs, store, config.threshold, config.batch_size)
     counts = sum((confusion(pred, masks) for _, pred, masks in scored), ConfusionCounts())
-    sens = sensitivity(counts)
-    spec = specificity(counts)
-    if sens is None or spec is None:
+    result = HoldoutResult.of(counts, counts=counts, tiles=len(tileset.specs))
+    if result is None:
         raise ValueError("holdout metrics undefined (a class is absent from the holdout days)")
-    return HoldoutResult(
-        counts, sens, spec, shybrid(1, sens, spec), shybrid(2, sens, spec), len(tileset.specs)
-    )
+    return result
 
 
 def predict_day(

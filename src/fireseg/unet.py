@@ -118,12 +118,18 @@ class UNetParams:
             out.append(k.bias)
         return out
 
+    @classmethod
+    def from_tensors(cls, config: UNetConfig, tensors: list[np.ndarray]) -> "UNetParams":
+        """Pair flat [w1, b1, w2, b2, ...] tensors with config's layers, in topology order."""
+        names = [name for name, _, _ in layer_shapes(config)]
+        if len(tensors) != 2 * len(names):
+            raise ShapeError(f"expected {2 * len(names)} tensors, got {len(tensors)}")
+        pairs = zip(names, tensors[::2], tensors[1::2])
+        return cls(config, {name: ConvKernel(w, b) for name, w, b in pairs})
+
     def with_tensors(self, tensors: list[np.ndarray]) -> "UNetParams":
         """Rebuild with replaced parameter tensors (same topology)."""
-        if len(tensors) != 2 * len(self.kernels):
-            raise ShapeError(f"expected {2 * len(self.kernels)} tensors, got {len(tensors)}")
-        pairs = zip(self.kernels, tensors[::2], tensors[1::2])
-        return UNetParams(self.config, {name: ConvKernel(w, b) for name, w, b in pairs})
+        return UNetParams.from_tensors(self.config, tensors)
 
 
 def init_params(config: UNetConfig) -> UNetParams:

@@ -171,6 +171,32 @@ class TestPipeline:
         metrics = F.read_checkpoint_metrics(run / "best.unc")
         assert {"fold", "epoch", "sensitivity", "specificity", "sh1", "sh2"} <= set(metrics)
 
+    def test_report_headers_are_pinned(self, pipeline):
+        _, run = pipeline
+        scores = "sensitivity,specificity,sh1,sh2"
+        full = "sensitivity_full,specificity_full,sh1_full,sh2_full"
+        first_line = {name: (run / name).read_text().splitlines()[0]
+                      for name in ["validation.csv", "trace_fold_0.csv", "holdout.csv"]}
+        assert first_line == {
+            "validation.csv": "tr,fire_buffer,buffer_radius,init_features,es_metric,fold,epoch,"
+                              f"{scores},{full}",
+            "trace_fold_0.csv": f"epoch,train_loss,{scores}",
+            "holdout.csv": "checkpoint,holdout_days,tiles,sensitivity,specificity,"
+                           "sensitivity_full,specificity_full",
+        }
+        metrics = F.read_checkpoint_metrics(run / "best.unc")
+        assert list(metrics) == ["fold", "epoch", "sensitivity", "specificity", "sh1", "sh2"]
+
+    def test_best_checkpoint_metrics_are_its_fold_row(self, pipeline):
+        _, run = pipeline
+        metrics = F.read_checkpoint_metrics(run / "best.unc")
+        header, *rows = (run / "validation.csv").read_text().strip().splitlines()
+        table = [dict(zip(header.split(","), row.split(","))) for row in rows]
+        (fold,) = [r for r in table if r["fold"] == str(int(metrics["fold"]))]
+        assert float(fold["epoch"]) == metrics["epoch"]
+        for name in ["sensitivity", "specificity", "sh1", "sh2"]:
+            assert float(fold[f"{name}_full"]) == metrics[name], name
+
     def test_holdout_csv_shape(self, pipeline):
         _, run = pipeline
         lines = (run / "holdout.csv").read_text().strip().splitlines()
@@ -268,6 +294,17 @@ class TestErrorContract:
         errors = proc.stderr.strip().splitlines()
         assert len(errors) == 1
         assert errors[0].startswith("error: ") and "truncated" in errors[0]
+
+    def test_bad_checkpoint_header_names_the_file(self, pipeline, tmp_path):
+        ds, run = pipeline
+        bad = tmp_path / "bad.unc"
+        raw = bytearray((run / "best.unc").read_bytes())
+        raw[4:8] = bytes(4)  # in_channels = 0
+        bad.write_bytes(bytes(raw))
+        proc = run_cli("evaluate", "--data", ds, "--out", tmp_path, bad)
+        assert proc.returncode == 1
+        errors = proc.stderr.strip().splitlines()
+        assert len(errors) == 1 and errors[0].startswith(f"error: {bad}: ")
 
     def test_invalid_day_id(self, tmp_path):
         proc = run_cli("predict", "--data", tmp_path, "--out", tmp_path,

@@ -240,6 +240,18 @@ class TestCheckpoint:
             F.read_checkpoint(path)
         assert str(path) in str(exc.value)
 
+    @pytest.mark.parametrize("offset", [4, 8])  # in_channels, then init_features
+    def test_zero_channel_or_feature_count_names_the_file(self, tmp_path, offset):
+        params = init_params(UNetConfig(in_channels=3, init_features=2, seed=0))
+        path = tmp_path / "net.unc"
+        F.write_checkpoint(path, params)
+        raw = bytearray(path.read_bytes())
+        raw[offset : offset + 4] = bytes(4)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(F.FormatError) as exc:
+            F.read_checkpoint(path)
+        assert str(exc.value).startswith(f"{path}: ")
+
     def test_huge_tensor_shape_rejected_before_allocating(self, tmp_path):
         params = init_params(UNetConfig(in_channels=3, init_features=2, seed=0))
         path = tmp_path / "net.unc"

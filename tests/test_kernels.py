@@ -200,6 +200,18 @@ class TestConv2dBackward:
         with pytest.raises(K.ShapeError):
             K.conv2d_backward(x, k, np.zeros((1, 1, 3, 3)))
 
+    def test_channel_mismatch_names_axis(self):
+        # grad_out has the forward's output shape, so only the channel count is wrong
+        x = np.zeros((1, 5, 4, 4))
+        k = ConvKernel(np.zeros((1, 3, 3, 3)), np.zeros(1))
+        with pytest.raises(K.ShapeError, match="channel"):
+            K.conv2d_backward(x, k, np.zeros((1, 1, 4, 4)))
+
+    def test_input_rank_checked(self):
+        k = ConvKernel(np.zeros((1, 3, 3, 3)), np.zeros(1))
+        with pytest.raises(K.ShapeError, match="4-d"):
+            K.conv2d_backward(np.zeros((3, 4, 4)), k, np.zeros((1, 1, 4, 4)))
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_without_input_grad_weights_and_bias_bitwise_equal(self, dtype):
         # the shape of enc1_conv1 at a small batch: 12 -> 8 channels, 3x3, padding 1
@@ -250,6 +262,17 @@ class TestConvTranspose2d:
             K.conv_transpose2d_forward(
                 np.zeros((1, 1, 2, 2)), ConvKernel(np.zeros((1, 1, 3, 3)), np.zeros(1))
             )
+
+    def test_backward_rejects_non_2x2_kernel(self):
+        k = ConvKernel(np.zeros((1, 1, 3, 3)), np.zeros(1))
+        with pytest.raises(K.ShapeError, match="2x2"):
+            K.conv_transpose2d_backward(np.zeros((1, 1, 2, 2)), k, np.zeros((1, 1, 4, 4)))
+
+    def test_backward_channel_mismatch_names_axis(self):
+        # 5 input channels for a 3-input kernel: d_weights would come out (2, 5, 2, 2)
+        k = ConvKernel(np.zeros((2, 3, 2, 2)), np.zeros(2))
+        with pytest.raises(K.ShapeError, match="channel"):
+            K.conv_transpose2d_backward(np.zeros((1, 5, 2, 2)), k, np.zeros((1, 2, 4, 4)))
 
     def test_backward_finite_differences(self):
         rng = np.random.default_rng(9)
@@ -435,6 +458,24 @@ class TestReLU:
     def test_backward_subgradient_zero_at_zero(self):
         x = np.array([-1.0, 0.0, 2.0])
         assert np.array_equal(K.relu_backward(x, np.ones(3)), [0.0, 0.0, 1.0])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("strided", [False, True])
+    def test_backward_bytes_equal_where_formula(self, dtype, strided):
+        rng = np.random.default_rng(17)
+        x = rand((4, 3, 6, 6), rng, dtype)
+        g = rand((4, 3, 6, 6), rng, dtype)
+        # signed zeros and exact zeros in both inputs
+        x.flat[::5], x.flat[1::7] = -0.0, 0.0
+        g.flat[::3], g.flat[2::11] = -0.0, 0.0
+        if strided:  # channel-major views, as the convs return them
+            x = np.ascontiguousarray(x.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+            g = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+            assert not x.flags.c_contiguous and not g.flags.c_contiguous
+        want = np.where(x > 0, g, 0).astype(dtype, copy=False)
+        got = K.relu_backward(x, g)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
     def test_finite_differences_off_kink(self):
         rng = np.random.default_rng(13)

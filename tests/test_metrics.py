@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from fireseg.formats import SCORE_COLUMNS
 from fireseg.metrics import (
     ConfusionCounts,
+    Scores,
     confusion,
+    format_scores,
     sensitivity,
     shybrid,
     specificity,
@@ -161,3 +164,32 @@ class TestShybrid:
     def test_undefined_inputs_rejected(self):
         with pytest.raises(ValueError):
             shybrid(2, None, 0.5)
+
+
+class TestScores:
+    def test_of_is_none_without_fire_pixels(self):
+        assert Scores.of(ConfusionCounts(tn=5, fp=5)) is None
+
+    def test_of_is_none_without_no_fire_pixels(self):
+        assert Scores.of(ConfusionCounts(tp=5, fn=5)) is None
+
+    def test_of_pools_the_recalls(self):
+        c = ConfusionCounts(tp=3, fn=1, tn=7, fp=3)
+        assert Scores.of(c) == Scores(sensitivity(c), specificity(c))
+
+    def test_hybrids_are_bitwise_shybrid(self):
+        rng = np.random.default_rng(5)
+        for sens, spec in rng.random((50, 2)):
+            s = Scores(float(sens), float(spec))
+            assert s.sh1 == shybrid(1, s.sens, s.spec)
+            assert s.sh2 == shybrid(2, s.sens, s.spec)
+            assert (s.score("sh1"), s.score("sh2")) == (s.sh1, s.sh2)
+
+    def test_values_have_the_score_column_order(self):
+        s = Scores(0.8379, 0.7007)
+        assert dict(zip(SCORE_COLUMNS, s.values())) == {
+            "sensitivity": s.sens, "specificity": s.spec, "sh1": s.sh1, "sh2": s.sh2
+        }
+
+    def test_format_scores(self):
+        assert format_scores(Scores(1.0, 0.5).values()) == "sens=1.0000 spec=0.5000 sh1=1.5000 sh2=2.5000"
