@@ -122,6 +122,8 @@ def cmd_generate(cfg: dict) -> int:
     out = Path(cfg.get("out_dir", "."))
     n_train = _get(cfg, "days", S.SynthConfig.days)
     n_holdout = _get(cfg, "holdout_days", 10)
+    if n_train < 1 or n_holdout < 1:
+        raise CliError(f"need at least 1 train-val and 1 holdout day, got {n_train} and {n_holdout}")
     synth = _build(S.SynthConfig, cfg, days=n_train + n_holdout)
     days, schema, rule = S.generate_dataset(synth)
     raw = out / "raw"

@@ -31,6 +31,8 @@ WATER_TILE = "water"
 SAMPLED = "sampled"
 HOLDOUT = "holdout"
 
+GROUPINGS = ("by-tile", "by-day")  # kfold_split: one tile or one day per group
+
 
 @dataclass(frozen=True)
 class Channel:
@@ -341,7 +343,7 @@ def kfold_split(
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    if grouping not in ("by-tile", "by-day"):
+    if grouping not in GROUPINGS:
         raise ValueError(f"unknown grouping {grouping!r}")
 
     if grouping == "by-tile":

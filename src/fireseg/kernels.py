@@ -48,22 +48,6 @@ class ConfigError(ValueError):
     """Unsupported network configuration or input."""
 
 
-# Extra finite-ness assertions after every kernel; cheap insurance for tests,
-# off in production runs.
-_strict = False
-
-
-def set_strict_checks(enabled: bool) -> None:
-    global _strict
-    _strict = bool(enabled)
-
-
-def _checked(arr: np.ndarray) -> np.ndarray:
-    if _strict and not np.all(np.isfinite(arr)):
-        raise FloatingPointError("kernel produced non-finite values")
-    return arr
-
-
 @dataclass(frozen=True)
 class ConvKernel:
     """Learnable convolution parameters.
@@ -173,7 +157,7 @@ def conv2d_forward(x: np.ndarray, k: ConvKernel) -> np.ndarray:
     ph, pw = _same_padding(x, k.weights)
     out = _correlate(_pad_channel_major(x, ph, pw, np.result_type(x, k.weights)), k.weights)
     out += k.bias[:, None, None, None]
-    return _checked(out.transpose(1, 0, 2, 3))
+    return out.transpose(1, 0, 2, 3)
 
 
 def conv2d_backward(
@@ -200,12 +184,12 @@ def conv2d_backward(
     for lo, hi, col in _columns(_pad_channel_major(x, ph, pw, dtype), kh, kw):
         d_weights += g[:, lo:hi] @ col.T
     d_bias = grad_out.sum(axis=(0, 2, 3), dtype=np.float64).astype(x.dtype)
-    d_weights = _checked(np.ascontiguousarray(d_weights.reshape(co, kh, kw, ci).transpose(0, 3, 1, 2)))
+    d_weights = np.ascontiguousarray(d_weights.reshape(co, kh, kw, ci).transpose(0, 3, 1, 2))
     if not input_grad:
         return None, d_weights, d_bias
     gp = _pad_channel_major(grad_out, ph, pw, dtype)
     d_input = _correlate(gp, k.weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
-    return _checked(np.ascontiguousarray(d_input.transpose(1, 0, 2, 3))), d_weights, d_bias
+    return np.ascontiguousarray(d_input.transpose(1, 0, 2, 3)), d_weights, d_bias
 
 
 def conv_transpose2d_forward(x: np.ndarray, k: ConvKernel) -> np.ndarray:
@@ -219,7 +203,7 @@ def conv_transpose2d_forward(x: np.ndarray, k: ConvKernel) -> np.ndarray:
     # the reshape of the transposed t copies it (t is a temporary either way)
     out = t.transpose(0, 3, 1, 4, 2, 5).reshape(n, co, 2 * h, 2 * w)
     out += k.bias[None, :, None, None]
-    return _checked(out)
+    return out
 
 
 def conv_transpose2d_backward(
@@ -240,11 +224,7 @@ def conv_transpose2d_backward(
         g6, x, axes=([0, 1, 2], [0, 2, 3])
     ).transpose(0, 3, 1, 2)  # (Co,2,2,Ci) -> (Co,Ci,2,2)
     d_bias = grad_out.sum(axis=(0, 2, 3), dtype=np.float64).astype(x.dtype)
-    return (
-        _checked(np.ascontiguousarray(d_input)),
-        _checked(np.ascontiguousarray(d_weights)),
-        d_bias,
-    )
+    return np.ascontiguousarray(d_input), np.ascontiguousarray(d_weights), d_bias
 
 
 def maxpool2x2_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -273,7 +253,7 @@ def maxpool2x2_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         pending ^= first
         out |= bits[t] * first
         idx |= np.int8(t) * first
-    return _checked(out.view(q.dtype)), idx
+    return out.view(q.dtype), idx
 
 
 def maxpool2x2_backward(idx: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
@@ -374,7 +354,7 @@ def weighted_ce_loss(
     probs = e / esum[:, None]  # softmax2(logits), without a second exp
     onehot = cls[:, None] == np.arange(2).reshape(1, 2, 1, 1)
     grad = (wpix[:, None] * (probs - onehot) / counted).astype(logits.dtype)
-    return LossResult(loss, _checked(grad), counted)
+    return LossResult(loss, grad, counted)
 
 
 @dataclass
@@ -411,7 +391,7 @@ def adam_step(
         m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
         v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * np.square(g)
         update = (lr / c1) * m / (np.sqrt(v / c2) + ADAM_EPS)
-        new_params.append(_checked((p - update).astype(p.dtype, copy=False)))
+        new_params.append((p - update).astype(p.dtype, copy=False))
         new_m.append(m.astype(p.dtype, copy=False))
         new_v.append(v.astype(p.dtype, copy=False))
     return new_params, AdamState(new_m, new_v)

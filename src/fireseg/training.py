@@ -61,6 +61,8 @@ class TrainConfig:
             raise ValueError("invalid lr / batch_size / buffer_radius")
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError("threshold must be a probability")
+        if self.grouping not in D.GROUPINGS:
+            raise ValueError(f"unknown grouping {self.grouping!r}")
 
 
 @dataclass(frozen=True)
@@ -214,6 +216,10 @@ def train_fold(
             params = params.with_tensors(tensors)
             epoch_loss += res.loss
             batches += 1
+        if not all(np.isfinite(t).all() for t in params.tensors()):
+            raise ValueError(
+                f"fold {fold_index}: parameters not finite after epoch {epoch}; training diverged"
+            )
 
         scored = predict_tiles(params, val_specs, days, config.threshold, config.batch_size)
         counts = confusion(np.concatenate([pred for _, pred, _ in scored]), va_masks)

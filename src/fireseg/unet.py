@@ -20,6 +20,9 @@ refuses any other value. Parameter count is a closed form of (IF, in_channels):
 
 (9cf from the stem conv, 6809 f^2 from the remaining conv/transposed-conv
 weights, 92f + 2f head weights + biases; asserted in the test suite.)
+
+A training forward pass returns a cache keyed by layer name (see forward);
+backward walks the same names in reverse.
 """
 
 from __future__ import annotations
@@ -154,52 +157,44 @@ def forward(
 ) -> tuple[np.ndarray, dict | None]:
     """Run the network; returns (logits [N,2,H,W], activation cache).
 
-    The cache (only built when training=True) holds every intermediate the
-    backward pass needs; inference passes get None back.
+    The cache (only built when training=True) is keyed by layer name and
+    holds what the backward pass needs: each 3x3 conv maps to (its input,
+    its pre-activation), enc{i}_pool to the pool's argmax indices,
+    dec{i}_up to the transposed conv's input and head to the head's input.
+    Inference passes get None back.
     """
     if batch.ndim != 4 or batch.shape[1] != params.config.in_channels:
         raise ConfigError(
             f"batch shape {batch.shape} does not provide {params.config.in_channels} channels"
         )
     ks = params.kernels
-    cache: dict | None = {"enc": [], "dec": []} if training else None
+    cache: dict | None = {} if training else None
+
+    def conv_relu(name: str, x: np.ndarray) -> np.ndarray:
+        pre = conv2d_forward(x, ks[name])
+        if cache is not None:
+            cache[name] = (x, pre)
+        return relu_forward(pre)
 
     x = batch
     skips = []
     for i in range(1, 5):
-        k1, k2 = ks[f"enc{i}_conv1"], ks[f"enc{i}_conv2"]
-        a = conv2d_forward(x, k1)
-        r1 = relu_forward(a)
-        b = conv2d_forward(r1, k2)
-        r2 = relu_forward(b)
-        pooled, idx = maxpool2x2_forward(r2)
+        skip = conv_relu(f"enc{i}_conv2", conv_relu(f"enc{i}_conv1", x))
+        x, idx = maxpool2x2_forward(skip)
         if cache is not None:
-            cache["enc"].append((x, a, r1, b, idx))
-        skips.append(r2)
-        x = pooled
-
-    kb1, kb2 = ks["bottleneck_conv1"], ks["bottleneck_conv2"]
-    a = conv2d_forward(x, kb1)
-    r1 = relu_forward(a)
-    b = conv2d_forward(r1, kb2)
-    if cache is not None:
-        cache["bottleneck"] = (x, a, r1, b)
-    x = relu_forward(b)
+            cache[f"enc{i}_pool"] = idx
+        skips.append(skip)
+    x = conv_relu("bottleneck_conv2", conv_relu("bottleneck_conv1", x))
 
     for i in range(4, 0, -1):
-        ku, kc = ks[f"dec{i}_up"], ks[f"dec{i}_conv"]
-        up = conv_transpose2d_forward(x, ku)
-        skip = skips[i - 1]
-        cat = concat_channels(skip, up)
-        c = conv2d_forward(cat, kc)
         if cache is not None:
-            cache["dec"].append((x, skip.shape[1], cat, c))
-        x = relu_forward(c)
+            cache[f"dec{i}_up"] = x
+        up = conv_transpose2d_forward(x, ks[f"dec{i}_up"])
+        x = conv_relu(f"dec{i}_conv", concat_channels(skips.pop(), up))
 
     if cache is not None:
-        cache["head_in"] = x
-    logits = conv2d_forward(x, ks["head"])
-    return logits, cache
+        cache["head"] = x
+    return conv2d_forward(x, ks["head"]), cache
 
 
 def backward(params: UNetParams, cache: dict, grad_logits: np.ndarray) -> list[np.ndarray]:
@@ -210,47 +205,32 @@ def backward(params: UNetParams, cache: dict, grad_logits: np.ndarray) -> list[n
     with the one coming up through the pooled path.
     """
     ks = params.kernels
-    grads: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-
-    g, dw, db = conv2d_backward(cache["head_in"], ks["head"], grad_logits)
-    grads["head"] = (dw, db)
+    g, dw, db = conv2d_backward(cache["head"], ks["head"], grad_logits)
+    grads = {"head": (dw, db)}
 
     skip_grads: dict[int, np.ndarray] = {}
-    for j, i in enumerate(range(1, 5)):  # cache["dec"] holds blocks 4..1
-        up_in, ca, cat, pre = cache["dec"][3 - j]
+    for i in range(1, 5):
+        x, pre = cache[f"dec{i}_conv"]
         g = relu_backward(pre, g)
-        d_cat, dw, db = conv2d_backward(cat, ks[f"dec{i}_conv"], g)
+        g, dw, db = conv2d_backward(x, ks[f"dec{i}_conv"], g)
         grads[f"dec{i}_conv"] = (dw, db)
-        d_skip, d_up = split_channels(d_cat, ca)
-        skip_grads[i] = d_skip
-        g, dw, db = conv_transpose2d_backward(up_in, ks[f"dec{i}_up"], d_up)
+        up = ks[f"dec{i}_up"]
+        skip_grads[i], g = split_channels(g, up.out_channels)
+        g, dw, db = conv_transpose2d_backward(cache[f"dec{i}_up"], up, g)
         grads[f"dec{i}_up"] = (dw, db)
 
-    x_in, a, r1, b = cache["bottleneck"]
-    g = relu_backward(b, g)
-    g, dw, db = conv2d_backward(r1, ks["bottleneck_conv2"], g)
-    grads["bottleneck_conv2"] = (dw, db)
-    g = relu_backward(a, g)
-    g, dw, db = conv2d_backward(x_in, ks["bottleneck_conv1"], g)
-    grads["bottleneck_conv1"] = (dw, db)
+    for i in range(5, 0, -1):  # block 5 is the bottleneck, which has no pool
+        block = f"enc{i}" if i < 5 else "bottleneck"
+        if i < 5:
+            g = maxpool2x2_backward(cache[f"enc{i}_pool"], g) + skip_grads.pop(i)
+        for name in (f"{block}_conv2", f"{block}_conv1"):
+            x, pre = cache[name]
+            g = relu_backward(pre, g)
+            # the network input (enc1_conv1's input) needs no gradient
+            g, dw, db = conv2d_backward(x, ks[name], g, input_grad=name != "enc1_conv1")
+            grads[name] = (dw, db)
 
-    for i in range(4, 0, -1):
-        x_in, a, r1, b, idx = cache["enc"][i - 1]
-        g = maxpool2x2_backward(idx, g) + skip_grads[i]
-        g = relu_backward(b, g)
-        g, dw, db = conv2d_backward(r1, ks[f"enc{i}_conv2"], g)
-        grads[f"enc{i}_conv2"] = (dw, db)
-        g = relu_backward(a, g)
-        # the network input (block 1) needs no gradient
-        g, dw, db = conv2d_backward(x_in, ks[f"enc{i}_conv1"], g, input_grad=i > 1)
-        grads[f"enc{i}_conv1"] = (dw, db)
-
-    flat: list[np.ndarray] = []
-    for name in ks:
-        dw, db = grads[name]
-        flat.append(dw)
-        flat.append(db)
-    return flat
+    return [t for name in ks for t in grads[name]]
 
 
 def predict_mask(logits: np.ndarray, threshold: float) -> np.ndarray:

@@ -306,6 +306,44 @@ class TestErrorContract:
         errors = proc.stderr.strip().splitlines()
         assert len(errors) == 1 and errors[0].startswith(f"error: {bad}: ")
 
+    @pytest.mark.parametrize("days, holdout_days", [(6, -2), (6, 0), (-2, 6), (0, 2)])
+    def test_generate_refuses_an_empty_split(self, tmp_path, days, holdout_days):
+        proc = run_cli("generate", "--out", tmp_path, "--days", days, "--holdout-days",
+                       holdout_days, "--height", "64", "--width", "64")
+        assert proc.returncode == 1
+        errors = proc.stderr.strip().splitlines()
+        assert len(errors) == 1 and errors[0].startswith("error: ")
+        assert not (tmp_path / "raw").exists()
+
+    def test_evaluate_refuses_an_unknown_grouping(self, pipeline, tmp_path):
+        ds, run = pipeline
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("grouping=bogus\n")
+        proc = run_cli("evaluate", "--config", cfg, "--data", ds, "--out", tmp_path, run / "best.unc")
+        assert proc.returncode == 1
+        assert proc.stderr.strip().splitlines() == ["error: unknown grouping 'bogus'"]
+        assert not (tmp_path / "holdout.csv").exists()
+
+    def test_diverged_training_is_one_line_error(self, tmp_path):
+        ds, run = tmp_path / "ds", tmp_path / "run"
+        for step in (
+            ["generate", "--out", ds, "--days", "6", "--holdout-days", "2", "--height", "64",
+             "--width", "64", "--target-fire-rate", "0.006", "--seed", "3"],
+            ["prepare", "--data", ds, "--out", ds, "--tr", "2", "--seed", "3"],
+        ):
+            proc = run_cli(*step)
+            assert proc.returncode == 0, f"{step[0]} failed: {proc.stderr}"
+        proc = run_cli("train", "--data", ds, "--out", run, "--tr", "2", "--lr", "1e30",
+                       "--max-epochs", "3", "--patience", "1", "--folds", "2",
+                       "--init-features", "2", "--seed", "3")
+        assert proc.returncode == 1
+        # numpy's overflow warnings may precede it on stderr
+        errors = [line for line in proc.stderr.splitlines() if line.startswith("error: ")]
+        assert len(errors) == 1 and proc.stderr.strip().endswith(errors[0])
+        assert errors[0].startswith("error: fold 0: parameters not finite after epoch ")
+        assert errors[0].endswith("; training diverged")
+        assert not (run / "validation.csv").exists()
+
     def test_invalid_day_id(self, tmp_path):
         proc = run_cli("predict", "--data", tmp_path, "--out", tmp_path,
                        tmp_path / "x.unc", "not-a-date")

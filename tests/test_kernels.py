@@ -14,8 +14,6 @@ from oracles import (
     rel_err,
 )
 
-K.set_strict_checks(True)
-
 
 def rand(shape, rng, dtype=np.float64):
     return rng.standard_normal(shape).astype(dtype)

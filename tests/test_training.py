@@ -87,6 +87,8 @@ class TestStoppingRule:
             T.TrainConfig(folds=1)
         with pytest.raises(ValueError):
             T.TrainConfig(es_metric="auc")
+        with pytest.raises(ValueError, match="bogus"):
+            T.TrainConfig(grouping="bogus")
 
 
 @pytest.fixture(scope="module")
@@ -146,6 +148,13 @@ class TestTrainFold:
         train = [s for s in tileset.specs if s.tile_class == D.FIRE_TILE]
         with pytest.raises(ValueError, match="fold 7"):
             T.train_fold(train, no_fire_val, store, tiny_config(), fold_index=7)
+
+    def test_diverged_parameters_stop_the_fold(self, tiny_setup):
+        store, tileset, _ = tiny_setup
+        folds = D.kfold_split(tileset, 2, seed=5)
+        with np.errstate(all="ignore"), pytest.raises(ValueError) as info:
+            T.train_fold(folds[1], folds[0], store, tiny_config(lr=1e30), fold_index=1)
+        assert str(info.value) == "fold 1: parameters not finite after epoch 1; training diverged"
 
     def test_fire_buffer_train_and_val_changes_validation_labels(self, tiny_setup):
         store, tileset, _ = tiny_setup
