@@ -224,8 +224,7 @@ def cmd_train(cfg: dict) -> int:
         trace_rows = [[str(m.epoch), *map(repr, (m.train_loss, *m.values()))] for m in r.trace]
         F.write_csv(out / f"trace_fold_{r.fold_index}.csv",
                     ["epoch", "train_loss", *F.SCORE_COLUMNS], trace_rows)
-    means = (cv.mean_sens, cv.mean_spec, cv.mean_sh1, cv.mean_sh2)
-    rows.append(F.metric_row(prefix + ["mean", "-"], means))
+    rows.append(F.metric_row(prefix + ["mean", "-"], cv.means))
     F.write_csv(out / "validation.csv", F.VALIDATION_COLUMNS, rows)
 
     best = max(cv.folds, key=lambda r: r.best.score(config.es_metric))
@@ -233,7 +232,7 @@ def cmd_train(cfg: dict) -> int:
     for r in cv.folds:
         print(f"fold {r.fold_index}: epoch {r.best.epoch}/{r.stopped_epoch} "
               f"{format_scores(r.best.values())}")
-    print(f"mean: {format_scores(means)} (best fold {best.fold_index})")
+    print(f"mean: {format_scores(cv.means)} (best fold {best.fold_index})")
     return 0
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import re
 import struct
 import threading
 from contextlib import contextmanager
@@ -296,12 +297,9 @@ def read_rule(path: Path):
 
 
 def write_manifest(path: Path, tileset: TileSet) -> None:
-    lines = [",".join(MANIFEST_HEADER)]
-    for s in tileset.specs:
-        lines.append(
-            f"{s.day_id.isoformat()},{s.row_off},{s.col_off},{s.tile_class},{tileset.provenance}"
-        )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    rows = [[s.day_id.isoformat(), str(s.row_off), str(s.col_off), s.tile_class, tileset.provenance]
+            for s in tileset.specs]
+    write_csv(path, MANIFEST_HEADER, rows)
 
 
 def read_manifest(path: Path) -> TileSet:
@@ -351,8 +349,8 @@ def write_checkpoint(path: Path, params: UNetParams, metrics: dict[str, float] |
         parts.append(np.ascontiguousarray(t, dtype="<f4").tobytes())
     atomic_write_bytes(path, b"".join(parts))
     if metrics is not None:
-        rows = [",".join(metrics), ",".join(repr(float(v)) for v in metrics.values())]
-        atomic_write_text(checkpoint_metrics_path(path), "\n".join(rows) + "\n")
+        row = [repr(float(v)) for v in metrics.values()]
+        write_csv(checkpoint_metrics_path(path), list(metrics), [row])
 
 
 def checkpoint_metrics_path(path: Path) -> Path:
@@ -471,21 +469,15 @@ def write_ppm(path: Path, rgb: np.ndarray) -> None:
 
 def read_ppm(path: Path) -> np.ndarray:
     raw = Path(path).read_bytes()
-    if not raw.startswith(b"P6"):
-        raise FormatError(f"{path}: not a binary PPM")
-    fields, idx = [], 2
-    while len(fields) < 3:
-        while idx < len(raw) and raw[idx : idx + 1].isspace():
-            idx += 1
-        start = idx
-        while idx < len(raw) and not raw[idx : idx + 1].isspace():
-            idx += 1
-        fields.append(int(raw[start:idx]))
-    idx += 1  # single whitespace after maxval
-    w, h, maxval = fields
+    # magic, decimal width, height and maxval, then one whitespace byte; the
+    # digit bound keeps int() within its string-length limit
+    header = re.match(rb"P6\s+(\d{1,9})\s+(\d{1,9})\s+(\d{1,9})\s", raw)
+    if header is None:
+        raise FormatError(f"{path}: not a binary PPM (bad magic or header)")
+    w, h, maxval = map(int, header.groups())
     if maxval != 255:
         raise FormatError(f"{path}: unsupported max value {maxval}")
-    data = np.frombuffer(raw[idx:], np.uint8)
+    data = np.frombuffer(raw[header.end() :], np.uint8)
     if data.size != h * w * 3:
         raise FormatError(f"{path}: payload size mismatch")
     return data.reshape(h, w, 3).copy()

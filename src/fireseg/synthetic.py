@@ -67,6 +67,8 @@ class SynthConfig:
             raise ValueError("need >= 2 categories and >= 1 day")
         if not 0.0 <= self.water_fraction < 0.9:
             raise ValueError("water_fraction must lie in [0, 0.9)")
+        if self.blur_radius < 0:
+            raise ValueError("blur_radius must be >= 0")
 
 
 @dataclass(frozen=True)

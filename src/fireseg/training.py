@@ -8,7 +8,7 @@ averaged arithmetically across folds.
 
 Fire-buffer augmentation happens here, on materialized tile masks, per the
 configured mode; holdout evaluation never samples, never buffers, and
-insists on a holdout-provenance tile set.
+scores every land tile of the holdout days.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ class TrainConfig:
             raise ValueError(f"es_metric must be one of {sorted(ES_METRICS)}")
         if self.fire_buffer not in (BUFFER_OFF, BUFFER_TRAIN, BUFFER_TRAIN_VAL):
             raise ValueError(f"unknown fire_buffer mode {self.fire_buffer!r}")
-        if self.lr <= 0 or self.batch_size < 1 or self.buffer_radius < 0:
+        if not 0 < self.lr < np.inf or self.batch_size < 1 or self.buffer_radius < 0:
             raise ValueError("invalid lr / batch_size / buffer_radius")
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError("threshold must be a probability")
@@ -83,49 +83,34 @@ class FoldResult:
     fold_index: int
     best: Checkpoint
     trace: list[EpochMetrics]
-    stopped_epoch: int
+
+    @property
+    def stopped_epoch(self) -> int:
+        return self.trace[-1].epoch
 
 
-class EarlyStopping:
-    """Strict-improvement early stopping with best-epoch tracking.
+def stopping_point(scores: Sequence[float], patience: int) -> tuple[int, bool]:
+    """(best epoch, stop) for the monitored scores of the epochs run so far.
 
-    update() returns (improved, stop): whether the value strictly improved
-    on the best so far, and whether it has now not strictly improved for
-    `patience` consecutive epochs. The best epoch is the earliest one
-    attaining the running maximum.
+    The best epoch is the earliest maximum, 1-based, so a tie is no
+    improvement. Training stops once `patience` epochs have passed since it.
     """
-
-    def __init__(self, patience: int):
-        if patience < 1:
-            raise ValueError("patience must be >= 1")
-        self.patience = patience
-        self.best = float("-inf")
-        self.best_epoch = 0
-        self.stale = 0
-
-    def update(self, epoch: int, value: float) -> tuple[bool, bool]:
-        if value > self.best:
-            self.best = value
-            self.best_epoch = epoch
-            self.stale = 0
-            return True, False
-        self.stale += 1
-        return False, self.stale >= self.patience
+    best_epoch = 1 + int(np.argmax(scores))
+    return best_epoch, len(scores) - best_epoch >= patience
 
 
 def run_stopping_rule(trace: list[float], patience: int, max_epochs: int) -> tuple[int, int]:
-    """Drive EarlyStopping over a recorded metric trace.
+    """Replay stopping_point over a recorded metric trace, epoch by epoch.
 
-    Returns (epochs run, selected epoch), both 1-based. This is the exact
-    component train_fold consults each epoch.
+    Returns (epochs run, selected epoch), both 1-based: what train_fold
+    does with the same scores.
     """
-    stopper = EarlyStopping(patience)
-    run = 0
-    for epoch, value in enumerate(trace[:max_epochs], start=1):
-        run = epoch
-        if stopper.update(epoch, value)[1]:
+    run = best = 0
+    for run in range(1, min(len(trace), max_epochs) + 1):
+        best, stop = stopping_point(trace[:run], patience)
+        if stop:
             break
-    return run, stopper.best_epoch
+    return run, best
 
 
 def _derived_seed(*parts: int) -> int:
@@ -169,6 +154,7 @@ def predict_tiles(
         yield chunk, U.predict_mask(logits, threshold), masks
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train_fold(
     train_specs,
     val_specs,
@@ -176,16 +162,17 @@ def train_fold(
     config: TrainConfig,
     fold_index: int = 0,
 ) -> FoldResult:
-    """Train on one fold split and return its best checkpoint and trace."""
-    tr_feats, tr_masks = D.materialize_batch(list(train_specs), days)
+    """Train on one fold split and return its best checkpoint and trace.
+
+    numpy's overflow and invalid-value warnings are off here: the finite
+    check after each epoch is the one report of a diverged fold.
+    """
     val_specs = list(val_specs)
-    _, va_masks = D.materialize_batch(val_specs, days)
+    if not any(s.tile_class == D.FIRE_TILE for s in val_specs):
+        raise ValueError(f"fold {fold_index}: validation sensitivity undefined (no fire tiles)")
+    tr_feats, tr_masks = D.materialize_batch(list(train_specs), days)
     if config.fire_buffer in (BUFFER_TRAIN, BUFFER_TRAIN_VAL):
         tr_masks = _buffer_masks(tr_masks, config.buffer_radius)
-    if config.fire_buffer == BUFFER_TRAIN_VAL:
-        va_masks = _buffer_masks(va_masks, config.buffer_radius)
-    if not np.any(va_masks == D.FIRE):
-        raise ValueError(f"fold {fold_index}: validation sensitivity undefined (no fire pixels)")
 
     class_weights = compute_class_weights(tr_masks)
     net_config = U.UNetConfig(
@@ -195,9 +182,7 @@ def train_fold(
     )
     params = U.init_params(net_config)
     state = AdamState.zeros_like(params.tensors())
-    stopper = EarlyStopping(config.patience)
     trace: list[EpochMetrics] = []
-    best: Checkpoint | None = None
     n = tr_feats.shape[0]
     step = 0
 
@@ -221,30 +206,31 @@ def train_fold(
                 f"fold {fold_index}: parameters not finite after epoch {epoch}; training diverged"
             )
 
+        counts = ConfusionCounts()
         scored = predict_tiles(params, val_specs, days, config.threshold, config.batch_size)
-        counts = confusion(np.concatenate([pred for _, pred, _ in scored]), va_masks)
+        for _, pred, masks in scored:
+            if config.fire_buffer == BUFFER_TRAIN_VAL:
+                masks = _buffer_masks(masks, config.buffer_radius)
+            counts = counts + confusion(pred, masks)
         em = EpochMetrics.of(counts, epoch=epoch, train_loss=epoch_loss / max(batches, 1))
         if em is None:
             raise ValueError(f"fold {fold_index}: validation metrics undefined at epoch {epoch}")
         trace.append(em)
-        improved, stop = stopper.update(epoch, em.score(config.es_metric))
-        if improved:
-            snapshot = params.with_tensors([t.copy() for t in params.tensors()])
-            best = Checkpoint(**vars(em), params=snapshot)
+        scores = [m.score(config.es_metric) for m in trace]
+        best_epoch, stop = stopping_point(scores, config.patience)
+        if best_epoch == epoch:
+            best_params = params  # adam_step builds new arrays, so later steps leave it alone
         if stop:
             break
 
-    assert best is not None and best.epoch == stopper.best_epoch
-    return FoldResult(fold_index, best, trace, stopped_epoch=trace[-1].epoch)
+    best = Checkpoint(**vars(trace[best_epoch - 1]), params=best_params)
+    return FoldResult(fold_index, best, trace)
 
 
 @dataclass
 class CrossValResult:
     folds: list[FoldResult]
-    mean_sens: float
-    mean_spec: float
-    mean_sh1: float
-    mean_sh2: float
+    means: tuple[float, ...]  # Scores.values() of the best checkpoints, each averaged across folds
 
 
 def cross_validate(
@@ -260,7 +246,7 @@ def cross_validate(
     # each mean averages the folds' own values: 2*mean(sens) + mean(spec) is
     # not bitwise mean(2*sens + spec)
     per_score = zip(*(r.best.values() for r in results))
-    return CrossValResult(results, *(float(np.mean(column)) for column in per_score))
+    return CrossValResult(results, tuple(float(np.mean(column)) for column in per_score))
 
 
 @dataclass(frozen=True)
@@ -280,7 +266,6 @@ def evaluate_holdout(
     sampling and no fire buffer are applied here, ever.
     """
     tileset = D.holdout_tileset(holdout_days)
-    assert tileset.provenance == D.HOLDOUT
     store = {day.day_id: day for day in holdout_days}
     scored = predict_tiles(params, tileset.specs, store, config.threshold, config.batch_size)
     counts = sum((confusion(pred, masks) for _, pred, masks in scored), ConfusionCounts())

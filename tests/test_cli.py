@@ -337,11 +337,10 @@ class TestErrorContract:
                        "--max-epochs", "3", "--patience", "1", "--folds", "2",
                        "--init-features", "2", "--seed", "3")
         assert proc.returncode == 1
-        # numpy's overflow warnings may precede it on stderr
-        errors = [line for line in proc.stderr.splitlines() if line.startswith("error: ")]
-        assert len(errors) == 1 and proc.stderr.strip().endswith(errors[0])
-        assert errors[0].startswith("error: fold 0: parameters not finite after epoch ")
-        assert errors[0].endswith("; training diverged")
+        # the one stderr line: no numpy overflow warning precedes it
+        [error] = proc.stderr.splitlines()
+        assert error.startswith("error: fold 0: parameters not finite after epoch ")
+        assert error.endswith("; training diverged")
         assert not (run / "validation.csv").exists()
 
     def test_invalid_day_id(self, tmp_path):

@@ -84,6 +84,10 @@ def _write_rule(path):
     F.write_rule(path, rule)
 
 
+def _write_ppm(path):
+    F.write_ppm(path, np.random.default_rng(2).integers(0, 256, (3, 4, 3)).astype(np.uint8))
+
+
 JSON_SIDECARS = {
     "schema": (_write_schema, F.read_schema),
     "scaling": (_write_scaling, F.read_scaling),
@@ -96,6 +100,7 @@ READERS = {
     "msk1": (_write_msk, F.read_mask),
     "unc1": (_write_unc, F.read_checkpoint),
     "manifest": (_write_manifest, F.read_manifest),
+    "ppm": (_write_ppm, F.read_ppm),
     **JSON_SIDECARS,
 }
 
@@ -145,6 +150,23 @@ def test_every_checkpoint_header_byte_flip_fails_cleanly(tmp_path, offset):
         corrupt = bytearray(valid)
         corrupt[offset] ^= xor
         _read_corrupt((path, valid, F.read_checkpoint), bytes(corrupt))
+
+
+PPM_HEADERS = {
+    "magic-only": b"P6",
+    "non-numeric-width": b"P6\nx 4",
+    "cut-before-maxval": b"P6\n4 3\n",
+    "non-numeric-maxval": b"P6\n4 3\n2x5\n",
+    "overlong-width": b"P6\n" + b"9" * 5000 + b" 4\n255\n",  # past int()'s digit limit
+}
+
+
+@pytest.mark.parametrize("header", PPM_HEADERS.values(), ids=PPM_HEADERS)
+def test_cut_or_non_numeric_ppm_header_names_the_file(tmp_path, header):
+    path = tmp_path / "panel.ppm"
+    path.write_bytes(header)
+    with pytest.raises(F.FormatError, match="panel.ppm"):
+        F.read_ppm(path)
 
 
 # one value of each JSON type; a boolean, an integer and a float each count

@@ -142,6 +142,11 @@ class TestGeneration:
         with pytest.raises(ValueError):
             SC(numeric_channels=2)
 
+    def test_negative_blur_radius_is_refused(self):
+        # np.pad would otherwise fail deep inside generation, naming no setting
+        with pytest.raises(ValueError, match="blur_radius"):
+            SC(blur_radius=-2)
+
 
 class TestBayesReference:
     def test_noiseless_rule_is_a_perfect_predictor(self):

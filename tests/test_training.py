@@ -56,12 +56,11 @@ class TestStoppingRule:
     def test_tie_counts_as_no_improvement_and_keeps_earliest(self):
         assert T.run_stopping_rule([1.0, 1.0], patience=1, max_epochs=45) == (2, 1)
 
-    def test_update_reports_improvement_and_stop(self):
-        stopper = T.EarlyStopping(patience=2)
-        assert stopper.update(1, 1.0) == (True, False)
-        assert stopper.update(2, 1.0) == (False, False)  # a tie is no improvement
-        assert stopper.update(3, 0.5) == (False, True)
-        assert stopper.best_epoch == 1
+    def test_stopping_point_reports_best_epoch_and_stop(self):
+        assert T.stopping_point([1.0], patience=2) == (1, False)
+        assert T.stopping_point([1.0, 1.0], patience=2) == (1, False)  # a tie is no improvement
+        assert T.stopping_point([1.0, 1.0, 0.5], patience=2) == (1, True)
+        assert T.stopping_point([1.0, 1.0, 1.5], patience=2) == (3, False)
 
     def test_matches_direct_rule_on_random_traces(self):
         rng = np.random.default_rng(0)
@@ -89,6 +88,9 @@ class TestStoppingRule:
             T.TrainConfig(es_metric="auc")
         with pytest.raises(ValueError, match="bogus"):
             T.TrainConfig(grouping="bogus")
+        for lr in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="lr"):
+                T.TrainConfig(lr=lr)
 
 
 @pytest.fixture(scope="module")
@@ -171,8 +173,8 @@ class TestCrossValidate:
         config = tiny_config(folds=2)
         cv = T.cross_validate(tileset, store, config)
         assert len(cv.folds) == 2
-        assert cv.mean_sens == pytest.approx(np.mean([r.best.sens for r in cv.folds]))
-        assert cv.mean_sh2 == pytest.approx(np.mean([r.best.sh2 for r in cv.folds]))
+        assert cv.means[0] == pytest.approx(np.mean([r.best.sens for r in cv.folds]))
+        assert cv.means[3] == pytest.approx(np.mean([r.best.sh2 for r in cv.folds]))
 
     def test_bitwise_reproducible_under_fixed_seed(self, tiny_setup):
         store, tileset, _ = tiny_setup
