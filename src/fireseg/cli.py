@@ -254,7 +254,8 @@ def cmd_evaluate(cfg: dict, checkpoint: Path) -> int:
     config = train_config(cfg)
     result = T.evaluate_holdout(params, days, config)
     days_run = f"{day_ids[0].isoformat()}..{day_ids[-1].isoformat()}"
-    row = F.metric_row([checkpoint, days_run, result.tiles], result.values()[:2])
+    row = F.metric_row([checkpoint, days_run, result.tiles], result.values())
+    row += [str(getattr(result.counts, c)) for c in F.COUNT_COLUMNS]
     F.write_csv(out / "holdout.csv", F.HOLDOUT_COLUMNS, [row])
     print(f"holdout: tiles={result.tiles} {format_scores(result.values())}")
     return 0

@@ -324,11 +324,16 @@ def read_manifest(path: Path) -> TileSet:
                     )
                 )
                 provenances.add(row["provenance"])
-        except csv.Error as exc:
+        except FormatError:
+            raise
+        except (csv.Error, ValueError) as exc:  # a bad date, offset, class or encoding
             raise FormatError(f"{path}: line {reader.line_num}: {exc}") from None
     if len(provenances) != 1:
         raise FormatError(f"{path}: manifest mixes provenances {sorted(provenances)}")
-    return TileSet(tuple(specs), provenances.pop())
+    try:
+        return TileSet(tuple(specs), provenances.pop())
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -405,10 +410,11 @@ def read_checkpoint_metrics(path: Path) -> dict[str, float]:
 # the order of metrics.Scores.values(); each table has the rounded columns, then
 # the same at full precision, as metric_row writes them
 SCORE_COLUMNS = ["sensitivity", "specificity", "sh1", "sh2"]
+SCORE_CELLS = [*SCORE_COLUMNS, *[c + "_full" for c in SCORE_COLUMNS]]
+COUNT_COLUMNS = ["tp", "fn", "tn", "fp"]  # ConfusionCounts fields
 VALIDATION_COLUMNS = ["tr", "fire_buffer", "buffer_radius", "init_features", "es_metric",
-                      "fold", "epoch", *SCORE_COLUMNS, *[c + "_full" for c in SCORE_COLUMNS]]
-HOLDOUT_COLUMNS = ["checkpoint", "holdout_days", "tiles", *SCORE_COLUMNS[:2],
-                   *[c + "_full" for c in SCORE_COLUMNS[:2]]]
+                      "fold", "epoch", *SCORE_CELLS]
+HOLDOUT_COLUMNS = ["checkpoint", "holdout_days", "tiles", *SCORE_CELLS, *COUNT_COLUMNS]
 
 
 def metric_row(prefix: list, values: tuple[float, ...]) -> list[str]:

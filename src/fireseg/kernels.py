@@ -8,28 +8,25 @@ is hidden in layer objects. Reductions run through numpy's sequential
 loops / single-threaded BLAS in a fixed order, so identical inputs give
 bitwise-identical outputs.
 
-Convolution uses the cross-correlation convention (no kernel flip) and one
-routine, a valid-window im2col GEMM (Chellapilla et al. 2006). The input is
-copied once into a zero-padded channel-major buffer xp[C, N, H2, W2]. A
-column matrix holds one row per (a, b, c), in that order (row
-(a*kw + b)*C + c, tap-major like the weights reshaped from [Co, kh, kw, C]),
-and one column per valid output position (image, i, j); no padding
-position is ever a column. The batch is walked in blocks of whole images
-whose columns fit BLOCK_BYTES, about a core's L2 cache: each block is
-filled by one copy of a strided view of xp and read back by its GEMM while
-it is still cached (the blocking argument of Goto & van de Geijn 2008).
-Each block takes one GEMM with K = kh*kw*C, written straight into a
-channel-major output [Co, N, Ho, Wo].
+Activations keep the logical shape [N, C, H, W], but the kernels work in
+and return channels-last memory, [N, H, W, C] bytes behind that shape
+(PyTorch's channels_last): one layer's output feeds the next as it is.
 
-Every conv2d kernel has odd sides and pads by (kh // 2, kw // 2), so its
-output keeps the input's spatial shape: 3x3 convs pad by 1, the 1x1 head
-by 0. The backward rebuilds the same column blocks: d_weights accumulates
-grad_block @ col_block.T block by block, and d_input is the same routine
-applied to grad_out, padded by the same (kh // 2, kw // 2) and never
-cropped, with the spatially flipped, in/out-transposed kernel.
-
-Max pooling works on the four quarter views x[:, :, r::2, s::2] of the
-2x2 windows, with no per-window argmax.
+Convolution is cross-correlation as one valid-window im2col GEMM
+(Chellapilla et al. 2006) on the input copied into a zero-padded
+xp[N, H2, W2, C]. A column block has a row per output position (image,
+i, j) and a column per tap and channel, (a*kw + b)*C + c: kh runs of
+kw*C values of xp, each copied as one element. Blocks of whole images
+fit BLOCK_BYTES, about a core's L2 cache, and are read by their GEMM
+while still cached (Goto & van de Geijn 2008): col @ W[kh*kw*Ci, Co]
+writes straight into the rows of the [N, Ho, Wo, Co] output. Odd kernel
+sides pad by (kh // 2, kw // 2), so the output keeps the input's spatial
+shape. The backward rebuilds the blocks: d_weights sums col.T @ grad_rows,
+and d_input correlates grad_out with the flipped, in/out-transposed
+kernel. The 2x2 stride-2 transposed conv is one GEMM
+x[N*H*W, Ci] @ W[Ci, 4*Co] and an interleave in runs of 2*Co values. Max
+pooling works on the four quarter views x[:, r::2, s::2, :] of the 2x2
+windows.
 """
 
 from __future__ import annotations
@@ -37,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 
 class ShapeError(ValueError):
@@ -108,56 +104,74 @@ def _same_padding(x: np.ndarray, w: np.ndarray) -> tuple[int, int]:
     return kh // 2, kw // 2
 
 
-def _pad_channel_major(t: np.ndarray, ph: int, pw: int, dtype) -> np.ndarray:
-    """t[N, C, H, W] as a channel-major buffer [C, N, H + 2ph, W + 2pw],
-    zero-padded by ph rows and pw columns on each side."""
+def _nhwc(t: np.ndarray, ph: int = 0, pw: int = 0, dtype=None) -> np.ndarray:
+    """The C-contiguous [N, H + 2ph, W + 2pw, C] bytes of an NCHW-shaped t, zero-padded
+    on each side (no copy if t is channels-last and unpadded)."""
+    if ph == pw == 0:
+        return np.ascontiguousarray(t.transpose(0, 2, 3, 1), dtype)
     n, c, h, w = t.shape
-    out = np.zeros((c, n, h + 2 * ph, w + 2 * pw), dtype)
-    out[:, :, ph : ph + h, pw : pw + w] = t.transpose(1, 0, 2, 3)
+    out = np.zeros((n, h + 2 * ph, w + 2 * pw, c), dtype)
+    out[:, ph : ph + h, pw : pw + w] = t.transpose(0, 2, 3, 1)
     return out
+
+
+def _nchw(t: np.ndarray) -> np.ndarray:
+    return t.transpose(0, 3, 1, 2)  # an [N, H, W, C] buffer as NCHW
+
+
+def channels_last(t: np.ndarray) -> np.ndarray:
+    """t with its shape and values, stored [N, H, W, C] (no copy if it already is)."""
+    return _nchw(_nhwc(t))
 
 
 def _columns(xp: np.ndarray, kh: int, kw: int):
-    """Column blocks of a padded channel-major xp[C, N, H2, W2], whole images at a time.
-
-    Yields (lo, hi, col) with col[(a*kw + b)*C + c, q - lo] = xp[c, image, i + a, j + b]
-    for the valid output positions q = image*Ho*Wo + i*Wo + j in [lo, hi). All
-    blocks share one buffer of at most BLOCK_BYTES (or one image, if larger).
-    """
-    c, n, h2, w2 = xp.shape
+    """Column blocks of a padded xp[N, H2, W2, C], whole images at a time: yields
+    (lo, hi, col), col[q - lo, (a*kw + b)*C + c] = xp[image, i + a, j + b, c] for
+    the outputs q = image*Ho*Wo + i*Wo + j in [lo, hi), in one shared buffer."""
+    n, h2, w2, c = xp.shape
     ho, wo = h2 - kh + 1, w2 - kw + 1
-    per_image = kh * kw * c * ho * wo * xp.itemsize
+    if kh == kw == 1:
+        yield 0, n * ho * wo, xp.reshape(-1, c)
+        return
+    per_image = ho * wo * kh * kw * c * xp.itemsize
     nb = max(1, min(n, BLOCK_BYTES // per_image))
-    buf = np.empty((kh, kw, c, nb, ho, wo), xp.dtype)
-    sc, sn, sh, sw = xp.strides
+    buf = np.empty((nb, ho, wo, kh, kw * c), xp.dtype)
+    # a run of kw*C values, the taps b of one row a, copied as one element
+    run = np.dtype((np.void, kw * c * xp.itemsize))
+    sn, sh, sw, _ = xp.strides
+    runs = np.ndarray((n, ho, wo, kh), run, xp, 0, (sn, sh, sw, sh))  # runs[image, i, j, a]
     for s in range(0, n, nb):
         m = min(nb, n - s)
-        # one copy of the strided view [a, b, c, image, i, j] = xp[c, s + image, i + a, j + b]
-        buf[:, :, :, :m] = as_strided(xp[:, s:], (kh, kw, c, m, ho, wo), (sh, sw, sc, sn, sh, sw))
-        yield s * ho * wo, (s + m) * ho * wo, buf.reshape(-1, nb * ho * wo)[:, : m * ho * wo]
+        buf[:m].view(run)[..., 0] = runs[s : s + m]
+        yield s * ho * wo, (s + m) * ho * wo, buf[:m].reshape(m * ho * wo, -1)
 
 
 def _correlate(xp: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Valid-window cross-correlation of xp[Ci, N, H2, W2] with w[Co, Ci, kh, kw]:
-    out[Co, N, Ho, Wo], one GEMM per column block."""
+    """Valid-window cross-correlation of xp[N, H2, W2, Ci] with w[Co, Ci, kh, kw]:
+    out[N, Ho, Wo, Co], one GEMM per column block."""
     co, _, kh, kw = w.shape
-    _, n, h2, w2 = xp.shape
-    wm = np.ascontiguousarray(w.transpose(0, 2, 3, 1), dtype=xp.dtype).reshape(co, -1)
-    out = np.empty((co, n, h2 - kh + 1, w2 - kw + 1), xp.dtype)
-    flat = out.reshape(co, -1)
+    n, h2, w2, _ = xp.shape
+    wm = np.ascontiguousarray(w.transpose(2, 3, 1, 0), dtype=xp.dtype).reshape(-1, co)
+    out = np.empty((n, h2 - kh + 1, w2 - kw + 1, co), xp.dtype)
+    rows = out.reshape(-1, co)
     for lo, hi, col in _columns(xp, kh, kw):
-        np.matmul(wm, col, out=flat[:, lo:hi])
+        np.matmul(col, wm, out=rows[lo:hi])
     return out
 
 
+def _channel_sums(t: np.ndarray, n: int, c: int, dtype) -> np.ndarray:
+    """Float64 sums per channel of a channels-last t of n images, over the images first."""
+    per_image = t.reshape(max(n, 1), -1).sum(axis=0, dtype=np.float64)  # long contiguous passes
+    return per_image.reshape(-1, c).sum(axis=0).astype(dtype)
+
+
 def conv2d_forward(x: np.ndarray, k: ConvKernel) -> np.ndarray:
-    """Shape-preserving 2-d cross-correlation of an [N,Cin,H,W] batch with bias
-    (a strided NCHW view)."""
+    """Shape-preserving 2-d cross-correlation of an [N,Cin,H,W] batch with bias."""
     _require_conv_input(x, k)
     ph, pw = _same_padding(x, k.weights)
-    out = _correlate(_pad_channel_major(x, ph, pw, np.result_type(x, k.weights)), k.weights)
-    out += k.bias[:, None, None, None]
-    return out.transpose(1, 0, 2, 3)
+    out = _correlate(_nhwc(x, ph, pw, np.result_type(x, k.weights)), k.weights)
+    out += k.bias
+    return _nchw(out)
 
 
 def conv2d_backward(
@@ -177,33 +191,38 @@ def conv2d_backward(
             f"grad_output shape {grad_out.shape} does not match forward output {(n, co, h, w)}"
         )
     ph, pw = _same_padding(x, k.weights)
-
     dtype = np.result_type(x, k.weights)
-    g = _pad_channel_major(grad_out, 0, 0, dtype).reshape(co, -1)
-    d_weights = np.zeros((co, kh * kw * ci), dtype)
-    for lo, hi, col in _columns(_pad_channel_major(x, ph, pw, dtype), kh, kw):
-        d_weights += g[:, lo:hi] @ col.T
-    d_bias = grad_out.sum(axis=(0, 2, 3), dtype=np.float64).astype(x.dtype)
-    d_weights = np.ascontiguousarray(d_weights.reshape(co, kh, kw, ci).transpose(0, 3, 1, 2))
+    g = _nhwc(grad_out, dtype=dtype).reshape(-1, co)
+    d_weights = np.zeros((kh * kw * ci, co), dtype)
+    for lo, hi, col in _columns(_nhwc(x, ph, pw, dtype), kh, kw):
+        d_weights += col.T @ g[lo:hi]
+    d_bias = _channel_sums(g, n, co, x.dtype)
+    d_weights = np.ascontiguousarray(d_weights.reshape(kh, kw, ci, co).transpose(3, 2, 0, 1))
     if not input_grad:
         return None, d_weights, d_bias
-    gp = _pad_channel_major(grad_out, ph, pw, dtype)
-    d_input = _correlate(gp, k.weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
-    return np.ascontiguousarray(d_input.transpose(1, 0, 2, 3)), d_weights, d_bias
+    flipped = k.weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+    d_input = _correlate(_nhwc(grad_out, ph, pw, dtype), flipped)
+    return _nchw(d_input), d_weights, d_bias
+
+
+def _taps(k: ConvKernel, dtype) -> np.ndarray:
+    """2x2 kernel weights[o, i, a, b] as the matrix W[i, (a*2 + b)*Co + o]."""
+    return np.ascontiguousarray(k.weights.transpose(1, 2, 3, 0), dtype).reshape(k.in_channels, -1)
 
 
 def conv_transpose2d_forward(x: np.ndarray, k: ConvKernel) -> np.ndarray:
     """Stride-2 transposed convolution with a 2x2 kernel: exact 2x upsampling."""
     _require_2x2(k)
     _require_conv_input(x, k)
+    n, ci, h, w = x.shape
     co = k.out_channels
-    n, _, h, w = x.shape
-    # out[n,o,2y+a,2x+b] = bias[o] + sum_i x[n,i,y,x] * W[o,i,a,b]
-    t = np.tensordot(x, k.weights, axes=([1], [1]))  # (N,H,W,Co,2,2)
-    # the reshape of the transposed t copies it (t is a temporary either way)
-    out = t.transpose(0, 3, 1, 4, 2, 5).reshape(n, co, 2 * h, 2 * w)
-    out += k.bias[None, :, None, None]
-    return out
+    dtype = np.result_type(x, k.weights)
+    # t[(image, y, x), (a, b, o)] = sum_i x[image, i, y, x] * W[o, i, a, b]
+    t = (_nhwc(x, dtype=dtype).reshape(-1, ci) @ _taps(k, dtype)).reshape(n, h, w, 2, 2 * co)
+    out = np.empty((n, 2 * h, 2 * w, co), dtype)
+    # out[image, 2y + a, 2x + b, o] = t + bias[o], moved in runs of (b, o)
+    np.add(t.transpose(0, 1, 3, 2, 4), np.tile(k.bias, 2), out=out.reshape(n, h, 2, w, 2 * co))
+    return _nchw(out)
 
 
 def conv_transpose2d_backward(
@@ -212,19 +231,20 @@ def conv_transpose2d_backward(
     """Gradients (d_input, d_weights, d_bias) of the 2x2 stride-2 transposed conv."""
     _require_2x2(k)
     _require_conv_input(x, k)
+    n, ci, h, w = x.shape
     co = k.out_channels
-    n, _, h, w = x.shape
     if grad_out.shape != (n, co, 2 * h, 2 * w):
         raise ShapeError(
             f"grad_output shape {grad_out.shape} does not match forward output {(n, co, 2*h, 2*w)}"
         )
-    g6 = grad_out.reshape(n, co, h, 2, w, 2).transpose(0, 2, 4, 1, 3, 5)  # (N,H,W,Co,2,2)
-    d_input = np.tensordot(g6, k.weights, axes=([3, 4, 5], [0, 2, 3])).transpose(0, 3, 1, 2)
-    d_weights = np.tensordot(
-        g6, x, axes=([0, 1, 2], [0, 2, 3])
-    ).transpose(0, 3, 1, 2)  # (Co,2,2,Ci) -> (Co,Ci,2,2)
-    d_bias = grad_out.sum(axis=(0, 2, 3), dtype=np.float64).astype(x.dtype)
-    return np.ascontiguousarray(d_input), np.ascontiguousarray(d_weights), d_bias
+    dtype = np.result_type(x, k.weights)
+    # g[(image, y, x), (a, b, o)] = grad_out[image, o, 2y + a, 2x + b], the forward's t
+    g = _nhwc(grad_out, dtype=dtype).reshape(n, h, 2, w, 2 * co).transpose(0, 1, 3, 2, 4)
+    g = np.ascontiguousarray(g).reshape(-1, 4 * co)
+    d_input = (g @ _taps(k, dtype).T).reshape(n, h, w, ci)
+    d_weights = (_nhwc(x, dtype=dtype).reshape(-1, ci).T @ g).reshape(ci, 2, 2, co)
+    d_weights = np.ascontiguousarray(d_weights.transpose(3, 0, 1, 2))
+    return _nchw(d_input), d_weights, _channel_sums(g, n, co, x.dtype)
 
 
 def maxpool2x2_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -240,7 +260,8 @@ def maxpool2x2_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ShapeError(f"spatial axes must be even for 2x2 pooling, got {h}x{w}")
     # quarter t = 2r + s, copied once: the passes below run far faster on
     # contiguous data than on the strided views
-    q = np.stack([x[:, :, r::2, s::2] for r in (0, 1) for s in (0, 1)])
+    v = x.transpose(0, 2, 3, 1)
+    q = np.stack([v[:, r::2, s::2] for r in (0, 1) for s in (0, 1)])
     top = np.maximum(np.maximum(q[0], q[1]), np.maximum(q[2], q[3]))
     bits = q.view(f"u{q.itemsize}")
     out = np.zeros(top.shape, bits.dtype)
@@ -253,7 +274,7 @@ def maxpool2x2_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         pending ^= first
         out |= bits[t] * first
         idx |= np.int8(t) * first
-    return out.view(q.dtype), idx
+    return _nchw(out.view(q.dtype)), _nchw(idx)
 
 
 def maxpool2x2_backward(idx: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
@@ -261,18 +282,21 @@ def maxpool2x2_backward(idx: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     if idx.shape != grad_out.shape:
         raise ShapeError(f"argmax indices {idx.shape} do not match grad_output {grad_out.shape}")
     n, c, oh, ow = grad_out.shape
-    out = np.empty((n, c, 2 * oh, 2 * ow), grad_out.dtype)
+    out = np.empty((n, 2 * oh, 2 * ow, c), grad_out.dtype)
+    idx, grad_out = _nhwc(idx), _nhwc(grad_out)
     for t in range(4):
-        np.multiply(idx == t, grad_out, out=out[:, :, t // 2 :: 2, t % 2 :: 2])
-    return out
+        np.multiply(idx == t, grad_out, out=out[:, t // 2 :: 2, t % 2 :: 2])
+    return _nchw(out)
 
 
-def relu_forward(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0)
+def relu_forward(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """max(x, 0), into out if given (out=x runs in place)."""
+    return np.maximum(x, 0, out=out)
 
 
 def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    """Pass gradient where input > 0; subgradient 0 at exactly 0."""
+    """Pass gradient where x > 0, subgradient 0 at exactly 0. x may be the ReLU's
+    input or its output: x > 0 is the same mask on both, -0.0 and NaN included."""
     if x.shape != grad_out.shape:
         raise ShapeError(f"input {x.shape} and grad_output {grad_out.shape} differ")
     # a bit select, the bits of np.where(x > 0, grad_out, 0): AND with all ones or with 0
@@ -281,22 +305,22 @@ def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
 
 
 def concat_channels(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Concatenate two NCHW tensors along the channel axis."""
+    """Concatenate two NCHW tensors along the channel axis (into a channels-last buffer)."""
     _require_nchw(a, "first input")
     _require_nchw(b, "second input")
     if a.shape[0] != b.shape[0] or a.shape[2:] != b.shape[2:]:
         raise ShapeError(f"batch/spatial axes differ: {a.shape} vs {b.shape}")
-    return np.concatenate([a, b], axis=1)
+    n, ca, h, w = a.shape
+    out = np.empty((n, h, w, ca + b.shape[1]), np.result_type(a, b))
+    out[..., :ca], out[..., ca:] = a.transpose(0, 2, 3, 1), b.transpose(0, 2, 3, 1)
+    return _nchw(out)
 
 
 def split_channels(grad_out: np.ndarray, ca: int) -> tuple[np.ndarray, np.ndarray]:
-    """Backward of concat_channels: split grad at the first input's channel count."""
+    """Backward of concat_channels: two views of grad split at the first input's channels."""
     if not 0 <= ca <= grad_out.shape[1]:
         raise ShapeError(f"split point {ca} outside channel axis of size {grad_out.shape[1]}")
-    return (
-        np.ascontiguousarray(grad_out[:, :ca]),
-        np.ascontiguousarray(grad_out[:, ca:]),
-    )
+    return grad_out[:, :ca], grad_out[:, ca:]
 
 
 def softmax2(logits: np.ndarray) -> np.ndarray:

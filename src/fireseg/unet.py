@@ -21,7 +21,8 @@ refuses any other value. Parameter count is a closed form of (IF, in_channels):
 (9cf from the stem conv, 6809 f^2 from the remaining conv/transposed-conv
 weights, 92f + 2f head weights + biases; asserted in the test suite.)
 
-A training forward pass returns a cache keyed by layer name (see forward);
+Activations are channels-last behind their NCHW shapes (see kernels). A
+training forward pass returns a cache keyed by layer name (see forward);
 backward walks the same names in reverse.
 """
 
@@ -35,6 +36,7 @@ from .kernels import (
     ConfigError,
     ConvKernel,
     ShapeError,
+    channels_last,
     concat_channels,
     conv2d_backward,
     conv2d_forward,
@@ -115,11 +117,7 @@ class UNetParams:
 
     def tensors(self) -> list[np.ndarray]:
         """Flat [w1, b1, w2, b2, ...] view in topology order (Adam/checkpoint order)."""
-        out: list[np.ndarray] = []
-        for k in self.kernels.values():
-            out.append(k.weights)
-            out.append(k.bias)
-        return out
+        return [t for k in self.kernels.values() for t in (k.weights, k.bias)]
 
     @classmethod
     def from_tensors(cls, config: UNetConfig, tensors: list[np.ndarray]) -> "UNetParams":
@@ -157,11 +155,13 @@ def forward(
 ) -> tuple[np.ndarray, dict | None]:
     """Run the network; returns (logits [N,2,H,W], activation cache).
 
-    The cache (only built when training=True) is keyed by layer name and
-    holds what the backward pass needs: each 3x3 conv maps to (its input,
-    its pre-activation), enc{i}_pool to the pool's argmax indices,
-    dec{i}_up to the transposed conv's input and head to the head's input.
-    Inference passes get None back.
+    The batch is made channels-last once, here, like every activation after
+    it (see kernels); the logits come back C-contiguous. The cache (only
+    built when training=True) is keyed by layer name and holds what the
+    backward pass needs: each 3x3 conv maps to (its input, its post-ReLU
+    output), enc{i}_pool to the pool's argmax indices, dec{i}_up to the
+    transposed conv's input and head to the head's input. Inputs are earlier
+    layers' tensors, not copies. Inference passes get None back.
     """
     if batch.ndim != 4 or batch.shape[1] != params.config.in_channels:
         raise ConfigError(
@@ -171,12 +171,13 @@ def forward(
     cache: dict | None = {} if training else None
 
     def conv_relu(name: str, x: np.ndarray) -> np.ndarray:
-        pre = conv2d_forward(x, ks[name])
+        y = conv2d_forward(x, ks[name])
+        relu_forward(y, out=y)
         if cache is not None:
-            cache[name] = (x, pre)
-        return relu_forward(pre)
+            cache[name] = (x, y)
+        return y
 
-    x = batch
+    x = channels_last(batch)
     skips = []
     for i in range(1, 5):
         skip = conv_relu(f"enc{i}_conv2", conv_relu(f"enc{i}_conv1", x))
@@ -194,7 +195,7 @@ def forward(
 
     if cache is not None:
         cache["head"] = x
-    return conv2d_forward(x, ks["head"]), cache
+    return np.ascontiguousarray(conv2d_forward(x, ks["head"])), cache  # faster loss and mask
 
 
 def backward(params: UNetParams, cache: dict, grad_logits: np.ndarray) -> list[np.ndarray]:
@@ -210,8 +211,8 @@ def backward(params: UNetParams, cache: dict, grad_logits: np.ndarray) -> list[n
 
     skip_grads: dict[int, np.ndarray] = {}
     for i in range(1, 5):
-        x, pre = cache[f"dec{i}_conv"]
-        g = relu_backward(pre, g)
+        x, y = cache[f"dec{i}_conv"]
+        g = relu_backward(y, g)
         g, dw, db = conv2d_backward(x, ks[f"dec{i}_conv"], g)
         grads[f"dec{i}_conv"] = (dw, db)
         up = ks[f"dec{i}_up"]
@@ -224,8 +225,8 @@ def backward(params: UNetParams, cache: dict, grad_logits: np.ndarray) -> list[n
         if i < 5:
             g = maxpool2x2_backward(cache[f"enc{i}_pool"], g) + skip_grads.pop(i)
         for name in (f"{block}_conv2", f"{block}_conv1"):
-            x, pre = cache[name]
-            g = relu_backward(pre, g)
+            x, y = cache[name]
+            g = relu_backward(y, g)
             # the network input (enc1_conv1's input) needs no gradient
             g, dw, db = conv2d_backward(x, ks[name], g, input_grad=name != "enc1_conv1")
             grads[name] = (dw, db)

@@ -8,6 +8,7 @@ import pytest
 
 from fireseg import cli as C
 from fireseg import formats as F
+from fireseg import metrics as M
 from fireseg import synthetic as S
 from fireseg import training as T
 
@@ -181,8 +182,7 @@ class TestPipeline:
             "validation.csv": "tr,fire_buffer,buffer_radius,init_features,es_metric,fold,epoch,"
                               f"{scores},{full}",
             "trace_fold_0.csv": f"epoch,train_loss,{scores}",
-            "holdout.csv": "checkpoint,holdout_days,tiles,sensitivity,specificity,"
-                           "sensitivity_full,specificity_full",
+            "holdout.csv": f"checkpoint,holdout_days,tiles,{scores},{full},tp,fn,tn,fp",
         }
         metrics = F.read_checkpoint_metrics(run / "best.unc")
         assert list(metrics) == ["fold", "epoch", "sensitivity", "specificity", "sh1", "sh2"]
@@ -204,6 +204,9 @@ class TestPipeline:
         assert len(lines) == 2
         row = lines[1].split(",")
         assert row[1] == "2021-06-09..2021-06-12"
+        cells = dict(zip(F.HOLDOUT_COLUMNS, row))
+        counts = M.ConfusionCounts(*(int(cells[c]) for c in F.COUNT_COLUMNS))
+        assert M.Scores.of(counts).values() == tuple(float(cells[c + "_full"]) for c in F.SCORE_COLUMNS)
 
     def test_predictions_and_render(self, pipeline):
         ds, run = pipeline

@@ -195,6 +195,24 @@ class TestManifest:
         with pytest.raises(F.FormatError, match="line 3"):
             F.read_manifest(path)
 
+    @pytest.mark.parametrize(
+        "row",
+        ["2021-06-01,x,0,fire,sampled", "2021-06-01,0,3.5,fire,sampled", "2021-6-1,0,0,fire,sampled",
+         "2021-06-01,-32,0,fire,sampled", "2021-06-01,0,0,smoke,sampled"],
+    )
+    def test_bad_field_names_file_and_line(self, tmp_path, row):
+        path = tmp_path / "tiles.csv"
+        header = "day_id,row_off,col_off,tile_class,provenance"
+        path.write_text(f"{header}\n2021-06-01,0,32,no-fire,sampled\n{row}\n")
+        with pytest.raises(F.FormatError, match=r"tiles\.csv: line 3: "):
+            F.read_manifest(path)
+
+    def test_unknown_provenance_names_file(self, tmp_path):
+        path = tmp_path / "tiles.csv"
+        path.write_text("day_id,row_off,col_off,tile_class,provenance\n2021-06-01,0,0,fire,guessed\n")
+        with pytest.raises(F.FormatError, match=r"tiles\.csv: unknown provenance"):
+            F.read_manifest(path)
+
     def test_carriage_return_inside_a_field_rejected(self, tmp_path):
         path = tmp_path / "tiles.csv"
         path.write_bytes(

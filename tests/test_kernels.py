@@ -484,6 +484,95 @@ class TestReLU:
         fd = finite_diff_grad(lambda v: weighted_sum_loss(K.relu_forward(v), r), x)
         assert rel_err(gi, fd) <= 1e-3
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_output_gives_the_input_mask(self, dtype):
+        # the training cache keeps a conv's post-ReLU output, not its input
+        rng = np.random.default_rng(18)
+        tiny = np.finfo(dtype).smallest_subnormal
+        specials = np.array([0.0, -0.0, np.nan, -np.nan, tiny, -tiny, np.inf, -np.inf], dtype)
+        pre = rand((2, 3, 4, 5), rng, dtype)
+        pre.flat[: specials.size] = specials
+        pre.flat[specials.size :: 7] = -0.0
+        g = rand(pre.shape, rng, dtype)
+        g.flat[1::5] = -g.flat[1::5]
+        post = K.relu_forward(pre)
+        in_place = pre.copy()
+        assert K.relu_forward(in_place, out=in_place) is in_place
+        assert in_place.tobytes() == post.tobytes()
+        assert K.relu_backward(post, g).tobytes() == K.relu_backward(pre, g).tobytes()
+
+
+def is_channels_last(t):
+    return t.transpose(0, 2, 3, 1).flags.c_contiguous
+
+
+def layout_cases(rng):
+    """Kernel name -> (call, activation inputs); call returns (activations, parameter grads)."""
+    n, c, h, w = 3, 4, 6, 8
+    x = rand((n, c, h, w), rng, np.float32)
+    x.flat[::5] = -x.flat[::5] - 1  # some ReLU zeros, and pooling ties below
+    x.flat[::9] = 0.0
+    k3 = ConvKernel(rand((5, c, 3, 3), rng, np.float32), rand((5,), rng, np.float32))
+    k1 = ConvKernel(rand((2, c, 1, 1), rng, np.float32), rand((2,), rng, np.float32))
+    kt = ConvKernel(rand((5, c, 2, 2), rng, np.float32), rand((5,), rng, np.float32))
+    g = rand((n, 5, h, w), rng, np.float32)
+    g1 = rand((n, 2, h, w), rng, np.float32)
+    gt = rand((n, 5, 2 * h, 2 * w), rng, np.float32)
+    gp = rand((n, c, h // 2, w // 2), rng, np.float32)
+    gx = rand((n, c, h, w), rng, np.float32)
+    idx = np.ascontiguousarray(K.maxpool2x2_forward(x)[1])
+
+    def conv_backward(k, input_grad=True):
+        def call(x, g):
+            d_input, *d_params = K.conv2d_backward(x, k, g, input_grad=input_grad)
+            return (d_input,) if input_grad else (), d_params
+        return call
+
+    def transposed_backward(x, g):
+        d_input, *d_params = K.conv_transpose2d_backward(x, kt, g)
+        return (d_input,), d_params
+
+    return {
+        "conv2d_forward": (lambda x: ((K.conv2d_forward(x, k3),), ()), (x,)),
+        "conv2d_forward_1x1": (lambda x: ((K.conv2d_forward(x, k1),), ()), (x,)),
+        "conv2d_backward": (conv_backward(k3), (x, g)),
+        "conv2d_backward_1x1": (conv_backward(k1), (x, g1)),
+        "conv2d_backward_no_input_grad": (conv_backward(k3, False), (x, g)),
+        "conv_transpose2d_forward": (lambda x: ((K.conv_transpose2d_forward(x, kt),), ()), (x,)),
+        "conv_transpose2d_backward": (transposed_backward, (x, gt)),
+        "maxpool2x2_forward": (lambda x: (K.maxpool2x2_forward(x), ()), (x,)),
+        "maxpool2x2_backward": (lambda i, g: ((K.maxpool2x2_backward(i, g),), ()), (idx, gp)),
+        "relu_forward": (lambda x: ((K.relu_forward(x),), ()), (x,)),
+        "relu_backward": (lambda x, g: ((K.relu_backward(x, g),), ()), (x, gx)),
+    }
+
+
+class TestLayout:
+    """Every public activation kernel, forward and backward, gives the same bytes
+    for a C-contiguous NCHW input and for its channels-last copy, and returns
+    channels-last activations for channels-last inputs: no hidden copy back to
+    NCHW between layers."""
+
+    @pytest.mark.parametrize("name", sorted(layout_cases(np.random.default_rng(0))))
+    def test_same_bytes_and_channels_last_out(self, name):
+        call, inputs = layout_cases(np.random.default_rng(19))[name]
+        assert all(t.flags.c_contiguous and not is_channels_last(t) for t in inputs)
+        nchw = call(*inputs)
+        moved = [K.channels_last(t) for t in inputs]
+        assert all(is_channels_last(t) for t in moved)
+        nhwc = call(*moved)
+        for got, want in zip(nhwc, nchw):
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        activations, param_grads = nhwc
+        assert all(is_channels_last(t) for t in activations)
+        assert all(t.flags.c_contiguous for t in param_grads)
+
+    def test_channels_last_is_a_no_op_on_channels_last(self):
+        x = K.channels_last(rand((2, 3, 4, 5), np.random.default_rng(20), np.float32))
+        assert np.shares_memory(K.channels_last(x), x)
+
 
 class TestConcat:
     def test_round_trip_bitwise(self):

@@ -5,8 +5,9 @@ Every reader gets valid bytes from the matching writer, then each example
 cuts the file short or XORs one byte. The reader may accept the result (a
 flipped float is still a float) or raise one of cli.REPORTED_ERRORS, of
 which FormatError is one; MemoryError, IndexError, TypeError, struct.error
-and the like break the contract. Examples are derandomized, so the suite
-stays deterministic.
+and the like break the contract. The manifest reader is held to more: it
+may only raise a FormatError that names the file. Examples are
+derandomized, so the suite stays deterministic.
 
 The JSON sidecars also get every valid JSON document of the wrong shape
 that replacing one value by a value of another type makes: the reader
@@ -105,22 +106,29 @@ READERS = {
 }
 
 
+# readers whose every failure is a FormatError naming the file
+NAMING_READERS = {"manifest"}
+
+
 @pytest.fixture(params=sorted(READERS))
 def reader(request, tmp_path):
     write, read = READERS[request.param]
     path = tmp_path / f"valid.{request.param}"
     write(path)
     read(path)  # the unmodified file parses
-    return path, path.read_bytes(), read
+    return path, path.read_bytes(), read, request.param in NAMING_READERS
 
 
 def _read_corrupt(reader, payload):
-    path, _, read = reader
+    path, _, read, naming = reader
     path.write_bytes(payload)
     try:
         read(path)
+    except F.FormatError as exc:
+        assert not naming or str(path) in str(exc)
     except REPORTED_ERRORS:
-        pass
+        if naming:
+            raise
 
 
 @PROPERTY
@@ -149,7 +157,7 @@ def test_every_checkpoint_header_byte_flip_fails_cleanly(tmp_path, offset):
     for xor in (0x01, 0x80, 0xFF):
         corrupt = bytearray(valid)
         corrupt[offset] ^= xor
-        _read_corrupt((path, valid, F.read_checkpoint), bytes(corrupt))
+        _read_corrupt((path, valid, F.read_checkpoint, False), bytes(corrupt))
 
 
 PPM_HEADERS = {

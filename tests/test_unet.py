@@ -124,7 +124,7 @@ def region_signature(cache):
         if name.endswith("_pool"):
             sig.append(entry)
         elif "conv" in name:
-            sig.append(entry[1] > 0)  # (conv input, pre-activation)
+            sig.append(entry[1] > 0)  # (conv input, post-ReLU output): the pre-activation's signs
     return sig
 
 
