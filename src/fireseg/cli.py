@@ -114,6 +114,15 @@ def _require_file(path: Path, what: str) -> Path:
     return path
 
 
+def _data_and_out(cfg: dict, data_default: str = ".") -> tuple[Path, Path]:
+    """The data directory, which must exist, and the output directory
+    (default: the data directory), made here if missing."""
+    data = _require_dir(Path(cfg.get("data_dir", data_default)), "data")
+    out = Path(cfg.get("out_dir", data))
+    out.mkdir(parents=True, exist_ok=True)
+    return data, out
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -154,13 +163,11 @@ def _load_split_days(data: Path) -> tuple[list[D.GridDay], list[D.GridDay], D.Fe
 
 
 def cmd_prepare(cfg: dict) -> int:
-    data = _require_dir(Path(cfg.get("data_dir", cfg.get("out_dir", "."))), "data")
-    out = Path(cfg.get("out_dir", data))
+    data, out = _data_and_out(cfg, cfg.get("out_dir", "."))
     train_days, holdout_days, schema = _load_split_days(data)
     threads = _get(cfg, "threads", 1)
     seed = _get(cfg, "seed", T.TrainConfig.seed)
     tr = _get(cfg, "tr", T.TrainConfig.tile_ratio)
-    out.mkdir(parents=True, exist_ok=True)
 
     scaling = D.fit_scaling(train_days, schema)
     F.write_scaling(out / "scaling.json", scaling)
@@ -197,15 +204,20 @@ def _load_prepared_days(data: Path, ids: list[date]) -> dict[date, D.GridDay]:
     return {d: F.read_day(prepared, d)[0] for d in ids}
 
 
-def cmd_train(cfg: dict) -> int:
-    data = _require_dir(Path(cfg.get("data_dir", ".")), "data")
-    out = Path(cfg.get("out_dir", data))
-    out.mkdir(parents=True, exist_ok=True)
-    tileset = F.read_manifest(_require_file(data / "train_val_tiles.csv", "train manifest"))
-    if tileset.provenance != D.SAMPLED:
-        raise CliError("train manifest must carry sampled provenance")
+def _load_manifest(data: Path, name: str, provenance: str) -> tuple[D.TileSet, dict[date, D.GridDay]]:
+    """The manifest data/name, refused unless it carries provenance, and the
+    prepared days it names, in day order."""
+    path = _require_file(data / name, "manifest")
+    tileset = F.read_manifest(path)
+    if tileset.provenance != provenance:
+        raise CliError(f"{path}: manifest carries {tileset.provenance} provenance, not {provenance}")
     day_ids = sorted({s.day_id for s in tileset.specs})
-    store = _load_prepared_days(data, day_ids)
+    return tileset, _load_prepared_days(data, day_ids)
+
+
+def cmd_train(cfg: dict) -> int:
+    data, out = _data_and_out(cfg)
+    tileset, store = _load_manifest(data, "train_val_tiles.csv", D.SAMPLED)
     config = train_config(cfg)
 
     cv = T.cross_validate(tileset, store, config)
@@ -237,23 +249,17 @@ def cmd_train(cfg: dict) -> int:
 
 
 def cmd_evaluate(cfg: dict, checkpoint: Path) -> int:
-    data = _require_dir(Path(cfg.get("data_dir", ".")), "data")
-    out = Path(cfg.get("out_dir", data))
-    out.mkdir(parents=True, exist_ok=True)
+    data, out = _data_and_out(cfg)
     params = F.read_checkpoint(_require_file(checkpoint, "checkpoint"))
-    manifest = F.read_manifest(_require_file(data / "holdout_tiles.csv", "holdout manifest"))
-    if manifest.provenance != D.HOLDOUT:
-        raise CliError("holdout manifest does not carry holdout provenance")
-    day_ids = sorted({s.day_id for s in manifest.specs})
-    store = _load_prepared_days(data, day_ids)
-    days = [store[d] for d in day_ids]
+    manifest, store = _load_manifest(data, "holdout_tiles.csv", D.HOLDOUT)
+    days = list(store.values())
     # guard against stale prepare outputs: the manifest must be exactly the
     # land tiling of the holdout days
     if set(D.holdout_tileset(days).specs) != set(manifest.specs):
         raise CliError("holdout manifest does not match the prepared holdout days; re-run prepare")
     config = train_config(cfg)
     result = T.evaluate_holdout(params, days, config)
-    days_run = f"{day_ids[0].isoformat()}..{day_ids[-1].isoformat()}"
+    days_run = f"{days[0].day_id.isoformat()}..{days[-1].day_id.isoformat()}"
     row = F.metric_row([checkpoint, days_run, result.tiles], result.values())
     row += [str(getattr(result.counts, c)) for c in F.COUNT_COLUMNS]
     F.write_csv(out / "holdout.csv", F.HOLDOUT_COLUMNS, [row])
@@ -262,9 +268,7 @@ def cmd_evaluate(cfg: dict, checkpoint: Path) -> int:
 
 
 def cmd_predict(cfg: dict, checkpoint: Path, day_args: list[str], render: bool) -> int:
-    data = _require_dir(Path(cfg.get("data_dir", ".")), "data")
-    out = Path(cfg.get("out_dir", data))
-    out.mkdir(parents=True, exist_ok=True)
+    data, out = _data_and_out(cfg)
     params = F.read_checkpoint(_require_file(checkpoint, "checkpoint"))
     try:
         day_ids = [date.fromisoformat(s) for s in day_args]

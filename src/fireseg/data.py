@@ -77,6 +77,13 @@ class FeatureSchema:
     def encoded_count(self) -> int:
         return len(self.encoded_names())
 
+    def check_channels(self, day: GridDay) -> None:
+        """Raise ShapeError unless day holds one raster channel per schema channel."""
+        if day.features.shape[0] != self.raw_count:
+            raise ShapeError(
+                f"day {day.day_id} has {day.features.shape[0]} channels, schema declares {self.raw_count}"
+            )
+
 
 @dataclass(frozen=True)
 class GridDay:
@@ -142,10 +149,7 @@ def fit_scaling(days: list[GridDay], schema: FeatureSchema) -> ScalingParams:
     mins = np.full(len(idx), np.inf)
     maxs = np.full(len(idx), -np.inf)
     for day in days:
-        if day.features.shape[0] != schema.raw_count:
-            raise ShapeError(
-                f"day {day.day_id} has {day.features.shape[0]} channels, schema declares {schema.raw_count}"
-            )
+        schema.check_channels(day)
         land = day.mask != WATER
         if not land.any():
             continue
@@ -183,10 +187,7 @@ def one_hot_encode(day: GridDay, schema: FeatureSchema) -> tuple[GridDay, int]:
     codes outside that range (unseen at fit time) produce an all-zero row.
     Returns the encoded day and the number of unknown-category pixels.
     """
-    if day.features.shape[0] != schema.raw_count:
-        raise ShapeError(
-            f"day {day.day_id} has {day.features.shape[0]} channels, schema declares {schema.raw_count}"
-        )
+    schema.check_channels(day)
     out: list[np.ndarray] = []
     unknown = 0
     for i, ch in enumerate(schema.channels):
@@ -231,14 +232,10 @@ class TileSet:
 
     specs: tuple[TileSpec, ...]
     provenance: str
-    seed: int | None = None
-    tile_ratio: float | None = None
 
     def __post_init__(self):
         if self.provenance not in (SAMPLED, HOLDOUT):
             raise ValueError(f"unknown provenance {self.provenance!r}")
-        if self.provenance == HOLDOUT and (self.seed is not None or self.tile_ratio is not None):
-            raise ValueError("holdout tile sets carry no sampling seed or ratio")
 
     def fire_count(self) -> int:
         return sum(1 for s in self.specs if s.tile_class == FIRE_TILE)
@@ -296,7 +293,7 @@ def sample_tileset(tiles: list[TileSpec] | TileSet, tile_ratio: float, seed: int
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         picked = rng.choice(len(no_fire), size=want, replace=False)
         chosen = [no_fire[i] for i in sorted(picked)]
-    return TileSet(tuple(fire + chosen), SAMPLED, seed=seed, tile_ratio=tile_ratio)
+    return TileSet(tuple(fire + chosen), SAMPLED)
 
 
 def holdout_tileset(days: list[GridDay]) -> TileSet:
@@ -310,22 +307,23 @@ def holdout_tileset(days: list[GridDay]) -> TileSet:
 def apply_fire_buffer(mask: np.ndarray, radius: int) -> np.ndarray:
     """Dilate fire labels onto land neighbors within Chebyshev distance radius.
 
-    Water pixels are never relabeled. The input is the original mask, so the
-    operation is a pure function of it (re-running from the original with the
-    same radius gives the same result).
+    mask is one [H, W] mask or a [..., H, W] stack of them, each dilated on
+    its own. Water pixels are never relabeled. The input is the original mask,
+    so the operation is a pure function of it (re-running from the original
+    with the same radius gives the same result).
     """
     if radius < 0:
         raise ValueError(f"buffer radius must be non-negative, got {radius}")
-    if mask.ndim != 2:
-        raise ShapeError(f"mask must be 2-d, got shape {mask.shape}")
+    if mask.ndim < 2:
+        raise ShapeError(f"mask must be [..., H, W], got shape {mask.shape}")
     if radius == 0:
         return mask.copy()
-    fire = np.pad(mask == FIRE, radius)
+    fire = np.pad(mask == FIRE, [(0, 0)] * (mask.ndim - 2) + [(radius, radius)] * 2)
     reach = np.zeros(mask.shape, dtype=bool)
-    h, w = mask.shape
+    h, w = mask.shape[-2:]
     for dr in range(2 * radius + 1):
         for dc in range(2 * radius + 1):
-            reach |= fire[dr : dr + h, dc : dc + w]
+            reach |= fire[..., dr : dr + h, dc : dc + w]
     out = mask.copy()
     out[reach & (mask != WATER)] = FIRE
     return out

@@ -25,12 +25,14 @@ import re
 import struct
 import threading
 from contextlib import contextmanager
+from dataclasses import asdict
 from datetime import date
 from pathlib import Path
 
 import numpy as np
 
 from .data import (
+    FIRE,
     Channel,
     FeatureSchema,
     GridDay,
@@ -194,14 +196,12 @@ def _typed(value, *kinds):
     return value
 
 
-def write_schema(path: Path, schema: FeatureSchema) -> None:
-    doc = {
-        "channels": [
-            {"name": ch.name, "kind": ch.kind, "categories": list(ch.categories)}
-            for ch in schema.channels
-        ]
-    }
+def _write_json(path: Path, doc) -> None:
     atomic_write_text(path, json.dumps(doc, indent=2) + "\n")
+
+
+def write_schema(path: Path, schema: FeatureSchema) -> None:
+    _write_json(path, asdict(schema))
 
 
 def read_schema(path: Path) -> FeatureSchema:
@@ -221,7 +221,7 @@ def write_scaling(path: Path, params: ScalingParams) -> None:
             for i, n, lo, hi in zip(params.indices, params.names, params.mins, params.maxs)
         ]
     }
-    atomic_write_text(path, json.dumps(doc, indent=2) + "\n")
+    _write_json(path, doc)
 
 
 def read_scaling(path: Path) -> ScalingParams:
@@ -240,7 +240,7 @@ def write_splits(path: Path, train_val: list[date], holdout: list[date]) -> None
         "train_val": [d.isoformat() for d in train_val],
         "holdout": [d.isoformat() for d in holdout],
     }
-    atomic_write_text(path, json.dumps(doc, indent=2) + "\n")
+    _write_json(path, doc)
 
 
 def read_splits(path: Path) -> tuple[list[date], list[date]]:
@@ -253,22 +253,7 @@ def read_splits(path: Path) -> tuple[list[date], list[date]]:
 
 def write_rule(path: Path, rule) -> None:
     """Planted-rule ground truth (generator output, consumed by evaluation tools)."""
-    doc = {
-        "channel_a": rule.channel_a,
-        "channel_b": rule.channel_b,
-        "channel_c": rule.channel_c,
-        "coef_a": rule.coef_a,
-        "coef_b": rule.coef_b,
-        "coef_c": rule.coef_c,
-        "gain": rule.gain,
-        "bias": rule.bias,
-        "spread_p1": rule.spread_p1,
-        "spread_p2": rule.spread_p2,
-        "static_channels": list(rule.static_channels),
-        "dynamic_channels": list(rule.dynamic_channels),
-        "deterministic_level": rule.deterministic_level,
-    }
-    atomic_write_text(path, json.dumps(doc, indent=2) + "\n")
+    _write_json(path, asdict(rule))
 
 
 def read_rule(path: Path):
@@ -434,15 +419,6 @@ def write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
 # prediction rendering (binary PPM)
 
 
-def render_mask(mask: np.ndarray) -> np.ndarray:
-    """Ground-truth panel: black land, red fire, blue water."""
-    rgb = np.zeros(mask.shape + (3,), np.uint8)
-    rgb[mask == 0] = PALETTE["no_fire"]
-    rgb[mask == 1] = PALETTE["fire"]
-    rgb[mask == 2] = PALETTE["water"]
-    return rgb
-
-
 def render_prediction(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
     """Prediction panel with error overlay: orange FP, magenta FN."""
     rgb = np.zeros(truth.shape + (3,), np.uint8)
@@ -459,7 +435,7 @@ def render_prediction(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
 
 def render_panels(truth: np.ndarray, pred: np.ndarray) -> np.ndarray:
     """Side-by-side ground truth | prediction image, split by a 2-pixel gutter."""
-    left = render_mask(truth)
+    left = render_prediction(truth == FIRE, truth)  # a perfect prediction shows no overlay
     right = render_prediction(pred, truth)
     gap = np.full((truth.shape[0], 2, 3), PALETTE["gutter"], np.uint8)
     return np.concatenate([left, gap, right], axis=1)

@@ -13,9 +13,7 @@ independent, the exact per-pixel fire marginal is a closed-form product,
 which both the bias calibration and the reference (ceiling) predictor use.
 Calibration bisects the bias against the exact expected rate: it computes
 the bias-independent score once per day and stops the bisection at its
-fixed point (where a step no longer moves either bound). Neither shortcut
-changes a floating-point operation, so generated bytes are bit-identical
-to earlier versions.
+fixed point (where a step no longer moves either bound).
 
 The rule description is returned next to the dataset so tests can evaluate
 that ceiling; it is not part of the schema the model sees.

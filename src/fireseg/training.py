@@ -131,10 +131,6 @@ def compute_class_weights(masks: np.ndarray) -> tuple[float, float]:
     return total / (2.0 * n0), total / (2.0 * n1)
 
 
-def _buffer_masks(masks: np.ndarray, radius: int) -> np.ndarray:
-    return np.stack([D.apply_fire_buffer(m, radius) for m in masks])
-
-
 def predict_tiles(
     params: U.UNetParams,
     specs: Sequence[D.TileSpec],
@@ -172,7 +168,7 @@ def train_fold(
         raise ValueError(f"fold {fold_index}: validation sensitivity undefined (no fire tiles)")
     tr_feats, tr_masks = D.materialize_batch(list(train_specs), days)
     if config.fire_buffer in (BUFFER_TRAIN, BUFFER_TRAIN_VAL):
-        tr_masks = _buffer_masks(tr_masks, config.buffer_radius)
+        tr_masks = D.apply_fire_buffer(tr_masks, config.buffer_radius)
 
     class_weights = compute_class_weights(tr_masks)
     net_config = U.UNetConfig(
@@ -210,7 +206,7 @@ def train_fold(
         scored = predict_tiles(params, val_specs, days, config.threshold, config.batch_size)
         for _, pred, masks in scored:
             if config.fire_buffer == BUFFER_TRAIN_VAL:
-                masks = _buffer_masks(masks, config.buffer_radius)
+                masks = D.apply_fire_buffer(masks, config.buffer_radius)
             counts = counts + confusion(pred, masks)
         em = EpochMetrics.of(counts, epoch=epoch, train_loss=epoch_loss / max(batches, 1))
         if em is None:

@@ -13,7 +13,7 @@ Architecture (IF = init_features, widths mirror across the bottleneck):
 Each conv pads by half its kernel side, (kh // 2, kw // 2), which follows
 from the kernel shape: the 3x3 convs pad by 1 so a 32x32 tile maps to a
 32x32 mask, and the 1x1 head pads by 0. Depth (4) and class count (2) are
-constants, not settings; UNC1 checkpoints still record both and the reader
+constants, not settings; UNC1 checkpoints record both and the reader
 refuses any other value. Parameter count is a closed form of (IF, in_channels):
 
   params(f, c) = 6809*f^2 + 9*c*f + 94*f + 2

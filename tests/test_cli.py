@@ -346,6 +346,22 @@ class TestErrorContract:
         assert error.endswith("; training diverged")
         assert not (run / "validation.csv").exists()
 
+    @pytest.mark.parametrize("command, manifest, other", [
+        ("train", "train_val_tiles.csv", "holdout_tiles.csv"),
+        ("evaluate", "holdout_tiles.csv", "train_val_tiles.csv"),
+    ])
+    def test_manifest_of_the_wrong_provenance_names_the_file(self, pipeline, tmp_path, command,
+                                                             manifest, other):
+        ds, run = pipeline
+        data = tmp_path / "ds"
+        data.mkdir()
+        (data / manifest).write_bytes((ds / other).read_bytes())
+        checkpoint = [run / "best.unc"] if command == "evaluate" else []
+        proc = run_cli(command, "--data", data, "--out", tmp_path / "run", *checkpoint)
+        assert proc.returncode == 1
+        [error] = proc.stderr.splitlines()
+        assert error.startswith(f"error: {data / manifest}: ")
+
     def test_invalid_day_id(self, tmp_path):
         proc = run_cli("predict", "--data", tmp_path, "--out", tmp_path,
                        tmp_path / "x.unc", "not-a-date")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fireseg import data as D
+from fireseg.kernels import ShapeError
 
 from oracles import classify_tiles_naive, dilate_naive
 
@@ -249,6 +250,20 @@ class TestFireBuffer:
                 assert np.array_equal(got, dilate_naive(mask, radius))
                 assert (got == D.FIRE).sum() >= (mask == D.FIRE).sum()
 
+    def test_stack_equals_per_mask_calls(self):
+        rng = np.random.default_rng(8)
+        stack = rng.choice([0, 1, 2], size=(6, 12, 12), p=[0.8, 0.05, 0.15]).astype(np.uint8)
+        for radius in (0, 1, 2):
+            want = np.stack([D.apply_fire_buffer(m, radius) for m in stack])
+            got = D.apply_fire_buffer(stack, radius)
+            assert got.dtype == stack.dtype and np.array_equal(got, want), radius
+            nested = D.apply_fire_buffer(stack.reshape(2, 3, 12, 12), radius)
+            assert np.array_equal(nested.reshape(stack.shape), want), radius
+
+    def test_one_dimensional_mask_refused(self):
+        with pytest.raises(ShapeError):
+            D.apply_fire_buffer(np.array([0, 1, 0], np.uint8), 1)
+
 
 class TestKFold:
     def specs_for_days(self, tiles_per_day, n_days, fire_rows=(0,)):
@@ -257,7 +272,7 @@ class TestKFold:
             for t in range(tiles_per_day):
                 cls = D.FIRE_TILE if t in fire_rows else D.NO_FIRE_TILE
                 specs.append(D.TileSpec(date(2021, 6, 1 + d), 32 * t, 0, cls))
-        return D.TileSet(tuple(specs), D.SAMPLED, seed=0, tile_ratio=1.0)
+        return D.TileSet(tuple(specs), D.SAMPLED)
 
     def test_nine_tiles_three_folds(self):
         ts = self.specs_for_days(3, 3, fire_rows=(0, 1, 2))

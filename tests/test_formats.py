@@ -1,3 +1,4 @@
+import hashlib
 import json
 import threading
 from datetime import date
@@ -7,7 +8,7 @@ import pytest
 
 from fireseg import data as D
 from fireseg import formats as F
-from fireseg.synthetic import PlantedRule
+from fireseg.synthetic import PlantedRule, SynthConfig, generate_dataset
 from fireseg.unet import UNetConfig, init_params
 
 
@@ -162,12 +163,10 @@ class TestManifest:
             D.TileSpec(date(2021, 6, 1), 0, 32, D.NO_FIRE_TILE),
             D.TileSpec(date(2021, 6, 2), 32, 0, D.NO_FIRE_TILE),
         )
-        ts = D.TileSet(specs, D.SAMPLED, seed=4, tile_ratio=2.0)
+        ts = D.TileSet(specs, D.SAMPLED)
         path = tmp_path / "tiles.csv"
         F.write_manifest(path, ts)
-        back = F.read_manifest(path)
-        assert back.specs == specs
-        assert back.provenance == D.SAMPLED
+        assert F.read_manifest(path) == ts
 
     def test_header_checked(self, tmp_path):
         path = tmp_path / "tiles.csv"
@@ -313,6 +312,18 @@ class TestJsonSidecars:
         path = tmp_path / "rule.json"
         F.write_rule(path, rule)
         assert F.read_rule(path) == rule
+
+    def test_generated_sidecar_bytes_are_pinned(self, tmp_path):
+        # the digests of the manifests and prepared days do not cover these two files
+        _, schema, rule = generate_dataset(SynthConfig(height=64, width=64, days=2, seed=5))
+        F.write_schema(tmp_path / "schema.json", schema)
+        F.write_rule(tmp_path / "rule.json", rule)
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in ("schema.json", "rule.json")}
+        assert digests == {
+            "schema.json": "d40bf0bbce0cdc29cce7e0acf00835d3db4082b1ff3e4f86040a6793458d70c5",
+            "rule.json": "b8cf3bf2898a254de516cc91f4fc8afb19ab29d3a9417afb350eda0f9274fe7f",
+        }
 
     def test_rule_refuses_a_number_of_the_wrong_kind(self, tmp_path):
         # int() would turn 2.7 into channel 2 and true into a gain of 1.0

@@ -56,7 +56,7 @@ def _write_manifest(path):
         D.TileSpec(date(2021, 6, 1), 0, 32, D.NO_FIRE_TILE),
         D.TileSpec(date(2021, 6, 2), 32, 64, D.NO_FIRE_TILE),
     )
-    F.write_manifest(path, D.TileSet(specs, D.SAMPLED, seed=4, tile_ratio=2.0))
+    F.write_manifest(path, D.TileSet(specs, D.SAMPLED))
 
 
 def _write_schema(path):
