@@ -383,9 +383,11 @@ def read_checkpoint(path: Path) -> UNetParams:
 
 
 def read_checkpoint_metrics(path: Path) -> dict[str, float]:
-    with open(checkpoint_metrics_path(path), newline="") as f:
-        reader = csv.DictReader(f)
-        row = next(reader)
+    sidecar = checkpoint_metrics_path(path)
+    with open(sidecar, newline="") as f:
+        row = next(csv.DictReader(f), None)
+    if row is None:
+        raise FormatError(f"{sidecar}: no metrics row under the header")
     return {k: float(v) for k, v in row.items()}
 
 

@@ -10,10 +10,22 @@ channels: per-pixel seed ignition with probability sigmoid(gain * (score -
 bias)), then independent contagion to Chebyshev-1 and -2 neighbors with
 decaying probabilities. Because every ignition/contagion event is
 independent, the exact per-pixel fire marginal is a closed-form product,
-which both the bias calibration and the reference (ceiling) predictor use.
-Calibration bisects the bias against the exact expected rate: it computes
-the bias-independent score once per day and stops the bisection at its
-fixed point (where a step no longer moves either bound).
+1 - (1 - q) * prod over neighbors (1 - p * q[neighbor]), which both the bias
+calibration and the reference (ceiling) predictor use.
+
+The product is only computed where it can be nonzero. If a pixel's seed
+probability q is at most 2**-55, its factors 1 - q and 1 - p * q round to
+exactly 1.0 for every 0 <= p <= 1. A pixel is cold when its score lies more
+than 40 / gain below the bias: then q <= exp(-40) ~ 2**-57.7, far enough
+under 2**-55 that exp's rounding cannot cross it. So a land pixel with no
+hot pixel within Chebyshev distance 2 gets the marginal 0.0 that the full
+product gives it, and the product runs, with the same factors in the same
+order, only at the others; they are found by comparing each land pixel's
+highest land score within distance 2 with the cutoff. Calibration bisects
+the bias against the exact expected rate. It computes those highest scores
+once per day, sums each day over all its land pixels (so numpy's pairwise
+summation sees the array the full product gives) and stops the bisection
+at its fixed point (where a step no longer moves either bound).
 
 The rule description is returned next to the dataset so tests can evaluate
 that ceiling; it is not part of the schema the model sees.
@@ -23,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from datetime import date, timedelta
+from functools import reduce
 
 import numpy as np
 
@@ -94,41 +107,97 @@ class PlantedRule:
         return self.coef_a * fa + self.coef_b * fb * fc + self.coef_c * fc * fc
 
     def seed_probability(self, features: np.ndarray, land: np.ndarray) -> np.ndarray:
-        return self._seed_from_score(self.score(features), land)
+        return np.where(land, self._seed(self.score(features)), 0.0)
 
-    def _seed_from_score(self, score: np.ndarray, land: np.ndarray) -> np.ndarray:
-        q = 1.0 / (1.0 + np.exp(-self.gain * (score - self.bias)))
-        return np.where(land, q, 0.0)
+    def _seed(self, score: np.ndarray) -> np.ndarray:
+        return 1.0 / (1.0 + np.exp(-self.gain * (score - self.bias)))
 
     def fire_marginal(self, features: np.ndarray, land: np.ndarray) -> np.ndarray:
         """Exact P(pixel burns): independent seed + contagion events."""
-        return self._spread(self.seed_probability(features, land), land)
+        raster = _Raster(land)
+        self._burn(raster, features.reshape(len(features), -1), _reach(self.score(features), land))
+        out = np.zeros(land.shape)
+        out[land] = raster.burn
+        return out
 
-    def _spread(self, q: np.ndarray, land: np.ndarray) -> np.ndarray:
-        """1 - P(no seed) * prod over neighbors (1 - p * q[neighbor]), q zero off-grid.
+    def _cutoff(self) -> float:
+        """Score below which a pixel is cold (see the module docstring).
 
-        The products run on a flat row-major copy of q with a 2-wide zero
-        border (and a spare row), where neighbor (dr, dc) is a contiguous
-        slice; the garbage columns past the raster width are cut at the end.
+        Without a positive gain, a numeric bias and spread probabilities in
+        [0, 1] it is -inf: every pixel counts as hot.
         """
-        h, w = q.shape
-        row, span = w + 4, h * (w + 4)
-        qp = _pad2(q).ravel()
-        no_fire = 1.0 - qp[2 * row + 2 : 2 * row + 2 + span]
-        f1 = 1.0 - self.spread_p1 * qp
-        f2 = 1.0 - self.spread_p2 * qp
-        for (dr, dc), f in [(o, f1) for o in _NEIGH1] + [(o, f2) for o in _NEIGH2]:
-            off = (dr + 2) * row + dc + 2
-            no_fire *= f[off : off + span]
-        return np.where(land, 1.0 - no_fire.reshape(h, row)[:, :w], 0.0)
+        probabilities = all(0 <= p <= 1 for p in (self.spread_p1, self.spread_p2))
+        if self.gain > 0 and not np.isnan(self.bias) and probabilities:
+            return self.bias - _COLD / self.gain
+        return -np.inf
+
+    def _burn(self, raster: _Raster, features: np.ndarray, reach: np.ndarray) -> np.ndarray:
+        """P(burn) = 1 - (1 - q) * prod over neighbors (1 - p * q[neighbor]) into raster.burn.
+
+        features is the day's stack with flat pixels, [C, H * W]; reach holds
+        each land pixel's highest land score within Chebyshev distance 2.
+        Only land pixels that a hot pixel reaches get the product, and their
+        scores are only computed there; every other entry of raster.burn
+        stays 0.0. Returns the land indices written, so the caller can reset
+        them.
+        """
+        cut = self._cutoff()
+        act = np.flatnonzero(reach >= cut)
+        score = self.score(np.take(features, raster.flat[act], axis=1))
+        hot = ~(score < cut)  # NaN is hot; hot pixels are active, reach counts their own score
+        at_hot = raster.pos[act[hot]]
+        q = self._seed(score[hot])
+        own, near, far = raster.factors
+        own[at_hot] = 1.0 - q
+        near[at_hot] = 1.0 - self.spread_p1 * q
+        far[at_hot] = 1.0 - self.spread_p2 * q
+        for lo in range(0, act.size, _BLOCK):
+            block = act[lo : lo + _BLOCK]
+            factors = raster.factors.ravel()[raster.pos[block] + raster.offsets]
+            # numpy reduces a leading axis row by row: ((f0 * f1) * f2) ..., the full order
+            raster.burn[block] = 1.0 - np.multiply.reduce(factors, axis=0)
+        own[at_hot] = near[at_hot] = far[at_hot] = 1.0
+        return act
 
 
-def _pad2(a: np.ndarray) -> np.ndarray:
-    """a on a 2-wide zero border plus one spare bottom row: shape (h + 5, w + 4)."""
-    h, w = a.shape
-    out = np.zeros((h + 5, w + 4), a.dtype)
-    out[2 : h + 2, 2 : w + 2] = a
-    return out
+_COLD = 40.0  # gain * (bias - score) beyond which a pixel is cold
+_BLOCK = 1024  # active pixels per gather: bounds the [25, block] temporaries
+
+
+class _Raster:
+    """Flat bordered grids of one land mask, for the marginal product.
+
+    flat[k] is the row-major pixel index of the k-th land pixel and pos[k]
+    its index on a grid with a 2-wide border, where neighbor (dr, dc) is
+    dr * (w + 4) + dc away. factors holds three such grids, of 1 - q,
+    1 - spread_p1 * q and 1 - spread_p2 * q: 1.0 outside the hot pixels an
+    evaluation sets. offsets picks, from the flattened factors, the pixel's
+    own factor and then its neighbors' in _NEIGH1 + _NEIGH2 order. burn
+    holds P(burn) per land pixel.
+    """
+
+    def __init__(self, land: np.ndarray):
+        h, w = land.shape
+        row, size = w + 4, (h + 4) * (w + 4)
+        self.flat = np.flatnonzero(land)
+        self.pos = ((np.arange(2, h + 2)[:, None] * row) + np.arange(2, w + 2))[land]
+        self.factors = np.ones((3, size))
+        self.burn = np.zeros(self.flat.size)
+        self.offsets = np.array(
+            [0]
+            + [size + dr * row + dc for dr, dc in _NEIGH1]
+            + [2 * size + dr * row + dc for dr, dc in _NEIGH2]
+        )[:, None]
+
+
+def _reach(score: np.ndarray, land: np.ndarray) -> np.ndarray:
+    """Each land pixel's highest land score within Chebyshev distance 2 (NaN counts as inf)."""
+    h, w = land.shape
+    grid = np.full((h + 4, w + 4), -np.inf)
+    grid[2 : h + 2, 2 : w + 2] = np.where(land, score, -np.inf)
+    grid[np.isnan(grid)] = np.inf  # a NaN score spreads NaN to every pixel it reaches
+    rows = reduce(np.maximum, [grid[:, c : c + w] for c in range(5)])
+    return reduce(np.maximum, [rows[r : r + h] for r in range(5)])[land]
 
 
 def _box1d(a: np.ndarray, radius: int, axis: int) -> np.ndarray:
@@ -165,7 +234,7 @@ def _draw_labels(
     q = rule.seed_probability(features, land)
     seeds = land & (rng.random(q.shape) < q)
     h, w = q.shape
-    sp = _pad2(seeds)  # seeds[r + dr, c + dc] is sp[2 + dr + r, 2 + dc + c]
+    sp = np.pad(seeds, 2)  # seeds[r + dr, c + dc] is sp[2 + dr + r, 2 + dc + c]
     fire = seeds.copy()
     for (dr, dc), p in [(o, rule.spread_p1) for o in _NEIGH1] + [
         (o, rule.spread_p2) for o in _NEIGH2
@@ -279,17 +348,29 @@ def generate_dataset(
     return days, schema, rule
 
 
+def _expected_rate(rule: PlantedRule, stacks: list[np.ndarray], land: np.ndarray):
+    """expected_rate(bias): the exact fire marginal's mean over every land pixel of every day."""
+    raster = _Raster(land)
+    # per day: flat pixels and the bias-independent reach of each land pixel
+    days = [(s.reshape(len(s), -1), _reach(rule.score(s), land)) for s in stacks]
+
+    def expected_rate(bias: float) -> float:
+        r = replace(rule, bias=bias)
+        total = 0
+        for features, reach in days:
+            written = r._burn(raster, features, reach)
+            total += float(raster.burn.sum())  # all land pixels, in raster order
+            raster.burn[written] = 0.0
+        return total / (len(stacks) * int(land.sum()))
+
+    return expected_rate
+
+
 def _calibrate_bias(
     rule: PlantedRule, stacks: list[np.ndarray], land: np.ndarray, target: float
 ) -> float:
     """Bisect the rule bias so the exact expected fire rate hits the target."""
-    scores = [rule.score(s) for s in stacks]  # independent of the bias
-
-    def expected_rate(bias: float) -> float:
-        r = replace(rule, bias=bias)
-        marginals = (r._spread(r._seed_from_score(sc, land), land) for sc in scores)
-        return sum(float(m[land].sum()) for m in marginals) / (len(stacks) * int(land.sum()))
-
+    expected_rate = _expected_rate(rule, stacks, land)
     lo, hi = -30.0, 60.0
     if not expected_rate(lo) >= target >= expected_rate(hi):
         raise RuntimeError("fire-rate target outside the calibratable range")

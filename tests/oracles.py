@@ -6,6 +6,8 @@ finite differences) and shares no code with the library kernels.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 
@@ -201,3 +203,64 @@ def early_stop_naive(trace, patience, max_epochs):
             if stale >= patience:
                 break
     return run, best_epoch
+
+
+# contagion neighborhoods of the planted fire rule, in its factor order:
+# every offset at Chebyshev distance 1, then every one at distance 2
+FIRE_NEIGH1 = [(dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1) if (dr, dc) != (0, 0)]
+FIRE_NEIGH2 = [
+    (dr, dc) for dr in range(-2, 3) for dc in range(-2, 3) if max(abs(dr), abs(dc)) == 2
+]
+
+
+def fire_marginal_dense(rule, features, land):
+    """The planted rule's exact fire marginal as one full product over every pixel.
+
+    q = sigmoid(gain * (score - bias)) on land, 0 on water and off the raster;
+    P(burn) = 1 - (1 - q) * prod over neighbors (1 - p * q[neighbor]). The
+    products run on a flat row-major copy of q with a 2-wide zero border and
+    a spare row, where neighbor (dr, dc) is a contiguous slice; the columns
+    past the raster width are cut at the end.
+    """
+    fa = features[rule.channel_a].astype(np.float64)
+    fb = features[rule.channel_b].astype(np.float64)
+    fc = features[rule.channel_c].astype(np.float64)
+    score = rule.coef_a * fa + rule.coef_b * fb * fc + rule.coef_c * fc * fc
+    q = np.where(land, 1.0 / (1.0 + np.exp(-rule.gain * (score - rule.bias))), 0.0)
+    h, w = q.shape
+    row, span = w + 4, h * (w + 4)
+    qp = np.zeros((h + 5, row))
+    qp[2 : h + 2, 2 : w + 2] = q
+    qp = qp.ravel()
+    no_fire = 1.0 - qp[2 * row + 2 : 2 * row + 2 + span]
+    f1 = 1.0 - rule.spread_p1 * qp
+    f2 = 1.0 - rule.spread_p2 * qp
+    for (dr, dc), f in [(o, f1) for o in FIRE_NEIGH1] + [(o, f2) for o in FIRE_NEIGH2]:
+        off = (dr + 2) * row + dc + 2
+        no_fire *= f[off : off + span]
+    return np.where(land, 1.0 - no_fire.reshape(h, row)[:, :w], 0.0)
+
+
+def expected_rate_dense(rule, stacks, land, bias):
+    """The dense marginal's mean over every land pixel of every day, summed day by day."""
+    r = replace(rule, bias=bias)
+    total = sum(float(fire_marginal_dense(r, s, land)[land].sum()) for s in stacks)
+    return total / (len(stacks) * int(land.sum()))
+
+
+def calibrate_bias_dense(rule, stacks, land, target):
+    """Bisect the bias on expected_rate_dense from [-30, 60].
+
+    Stops once a step would leave both bounds where they are.
+    """
+    def rate(bias):
+        return expected_rate_dense(rule, stacks, land, bias)
+
+    lo, hi = -30.0, 60.0
+    assert rate(lo) >= target >= rate(hi)
+    while True:
+        mid = 0.5 * (lo + hi)
+        step = (mid, hi) if rate(mid) >= target else (lo, mid)
+        if step == (lo, hi):
+            return 0.5 * (lo + hi)
+        lo, hi = step

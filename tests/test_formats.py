@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import threading
 from datetime import date
 
@@ -234,6 +235,15 @@ class TestCheckpoint:
         for a, b in zip(back.tensors(), params.tensors()):
             assert np.array_equal(a, b)
         assert F.read_checkpoint_metrics(path) == metrics
+
+    def test_header_only_metrics_sidecar_names_the_file(self, tmp_path):
+        path = tmp_path / "net.unc"
+        F.write_checkpoint(path, init_params(UNetConfig(in_channels=3, init_features=2, seed=0)),
+                           {"fold": 0, "epoch": 1})
+        sidecar = F.checkpoint_metrics_path(path)
+        sidecar.write_text("fold,epoch\n")
+        with pytest.raises(F.FormatError, match=re.escape(str(sidecar))):
+            F.read_checkpoint_metrics(path)
 
     def test_corrupt_tensor_shapes_rejected(self, tmp_path):
         params = init_params(UNetConfig(in_channels=3, init_features=2, seed=0))

@@ -1,13 +1,18 @@
 import hashlib
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracles import calibrate_bias_dense, expected_rate_dense, fire_marginal_dense
 
 from fireseg import data as D
 from fireseg.synthetic import (
     PlantedRule,
     SynthConfig,
     SynthConfig as SC,
+    _calibrate_bias,
+    _expected_rate,
     bayes_reference,
     best_reference,
     generate_dataset,
@@ -51,12 +56,24 @@ class TestGeneration:
                 0.3660280407358429,
                 "0897a519984e249e094e55e3498565503675251201711f84d6e090a0313f0c4e",
             ),
+            (  # no water: the pixels that can burn reach the raster edge
+                dict(days=3, seed=8, water_fraction=0.0),
+                "0x1.b50ee6fa30176p+3",
+                None,
+                "5aaa958669846ffbe4b9926fdd8759d782b6082c035d74771b663648c4f305cb",
+            ),
+            (  # non-square: a row/column stride mix-up shows here
+                dict(days=3, seed=9, width=96),
+                "0x1.96b57f9423952p+3",
+                None,
+                "e497616a54e5cc51f00f960329ca9565a0bcde9aac7d3e077daf45364f9ddfa1",
+            ),
         ],
     )
     def test_generated_bytes_are_pinned(self, extra, bias_hex, level, digest):
         # golden values: any change to a generated bit (calibration, marginal,
         # label draws) must show here, not only in a downstream benchmark
-        cfg = SynthConfig(height=64, width=64, target_fire_rate=5e-3, **extra)
+        cfg = SynthConfig(**{"height": 64, "width": 64, "target_fire_rate": 5e-3, **extra})
         days, _, rule = generate_dataset(cfg)
         sha = hashlib.sha256()
         for day in days:
@@ -223,3 +240,112 @@ class TestBayesReference:
         freq = hits / n
         # standard error is ~0.009 at p=0.5; allow 5 sigma
         assert np.max(np.abs(freq - marg)) < 0.05
+
+
+RULE = PlantedRule(
+    channel_a=0, channel_b=2, channel_c=1, coef_a=1.2, coef_b=0.9, coef_c=0.6,
+    gain=4.0, bias=0.0, spread_p1=0.35, spread_p2=0.08,
+    static_channels=(1,), dynamic_channels=(0, 2),
+)
+
+
+def random_day(seed, h=40, w=56, water=0.2):
+    """Three standard-normal channels and a land mask with scattered water and a lake."""
+    rng = np.random.default_rng(seed)
+    features = rng.standard_normal((3, h, w)).astype(np.float32)
+    land = rng.random((h, w)) >= water
+    land[h // 3 : h // 2, w // 4 : w // 2] = False
+    return features, land
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestSparseMarginal:
+    """fire_marginal computes only pixels that can burn; the bits must be the full product's."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("bias, hot", [(-30.0, "all"), (14.0, "some"), (60.0, "none")])
+    def test_equals_dense_product(self, seed, bias, hot):
+        features, land = random_day(seed)
+        rule = replace(RULE, bias=bias)
+        got = rule.fire_marginal(features, land)
+        want = fire_marginal_dense(rule, features, land)
+        assert same_bits(got, want)
+        q = rule.seed_probability(features, land)[land]
+        n_hot = int((q > 2.0**-55).sum())
+        assert {"all": n_hot == q.size, "some": 0 < n_hot < q.size, "none": n_hot == 0}[hot]
+
+    def test_gain_spread_and_shape_variants(self):
+        features, land = random_day(3, h=33, w=70, water=0.0)
+        for rule in (replace(RULE, gain=2.5, spread_p1=0.5, bias=12.0),
+                     replace(RULE, gain=50.0, spread_p2=0.0, bias=8.0),
+                     replace(RULE, gain=-4.0, bias=3.0)):  # no cutoff: every pixel is hot
+            want = fire_marginal_dense(rule, features, land)
+            assert same_bits(rule.fire_marginal(features, land), want)
+
+    def test_nan_feature_reaches_the_same_pixels(self):
+        features, land = random_day(4)
+        land[20, 30] = True
+        features[RULE.channel_a, 20, 30] = np.nan
+        rule = replace(RULE, bias=14.0)
+        got = rule.fire_marginal(features, land)
+        want = fire_marginal_dense(rule, features, land)
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert np.isnan(got).sum() == land[18:23, 28:33].sum()  # its land within distance 2
+        assert same_bits(np.nan_to_num(got), np.nan_to_num(want))
+
+    @pytest.mark.parametrize("case", ["generated", "non-square dry", "gain 2.5, p1 0.5"])
+    def test_calibrated_bias_equals_dense_bisection(self, case):
+        if case == "gain 2.5, p1 0.5":
+            rule = replace(RULE, gain=2.5, spread_p1=0.5)
+            days = [random_day(10 + d, h=48, w=64) for d in range(3)]
+            stacks, land, target = [f for f, _ in days], days[0][1], 2e-3
+        else:
+            cfg = (SynthConfig(height=64, width=64, days=3, seed=4, target_fire_rate=5e-3)
+                   if case == "generated" else
+                   SynthConfig(height=64, width=96, days=2, seed=9, water_fraction=0.0))
+            generated, _, rule = generate_dataset(cfg)
+            stacks = [d.features for d in generated]
+            land, target = generated[0].mask != D.WATER, cfg.target_fire_rate
+        got = _calibrate_bias(rule, stacks, land, target)
+        assert got.hex() == calibrate_bias_dense(rule, stacks, land, target).hex()
+
+    def test_expected_rate_equals_dense_mean(self):
+        # each day's sum runs over every land pixel, zeros included, so numpy's
+        # pairwise summation sees the array the dense marginal gives
+        days = [random_day(20 + d, h=64, w=80) for d in range(3)]
+        stacks, land = [f for f, _ in days], days[0][1]
+        rate = _expected_rate(RULE, stacks, land)
+        for bias in np.linspace(-30.0, 60.0, 46):
+            assert rate(bias).hex() == expected_rate_dense(RULE, stacks, land, bias).hex()
+
+    @pytest.mark.parametrize("p", [0.0, RULE.spread_p2, RULE.spread_p1, 1.0])
+    def test_cold_pixels_leave_every_factor_exactly_one(self, p):
+        # the premise the sparse product rests on, at the bound and one ulp under it
+        for q in (2.0**-55, np.nextafter(2.0**-55, 0.0)):
+            assert 1.0 - p * q == 1.0
+            assert 1.0 - q == 1.0
+        # and the cutoff keeps q six times under that bound
+        rule = replace(RULE, bias=3.0)
+        below = np.nextafter(rule._cutoff(), -np.inf)
+        assert rule._seed(np.array([below]))[0] * 6 <= 2.0**-55
+
+    def test_calibration_memory_grows_by_a_day_at_a_time(self):
+        # per day the calibration may keep a few rasters, never all days at once
+        h = w = 64
+        rng = np.random.default_rng(5)
+        stacks = [rng.standard_normal((3, h, w)).astype(np.float32) for _ in range(24)]
+        land = np.ones((h, w), bool)
+        land[10:20, 5:40] = False
+
+        def peak(days):
+            tracemalloc.start()
+            try:
+                _calibrate_bias(RULE, stacks[:days], land, 2e-3)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(24) - peak(8) <= 16 * 3 * h * w * 8
