@@ -36,14 +36,25 @@ def _field_keys(cls) -> dict[str, Field]:
     return {_KEY_FOR_FIELD.get(f.name, f.name): f for f in fields(cls) if f.name not in _NOT_KEYS}
 
 
-# every key a config file may define: the TrainConfig and SynthConfig fields
-# (`days` counts train days only) plus the CLI's own; values are cast on use
-KNOWN_KEYS = {"data_dir", "out_dir", "threads", "holdout_days"}
-KNOWN_KEYS |= _field_keys(T.TrainConfig).keys() | _field_keys(S.SynthConfig).keys()
+# the default of every key but the two directories: the TrainConfig and
+# SynthConfig field defaults (`days` counts train days only) plus the CLI's
+# own; a key's value, from a file or a flag, is cast to its default's type
+DEFAULTS = {key: f.default for cls in (T.TrainConfig, S.SynthConfig)
+            for key, f in _field_keys(cls).items()}
+DEFAULTS |= {"threads": 1, "holdout_days": 10}
+# every key a config file may define
+KNOWN_KEYS = DEFAULTS.keys() | {"data_dir", "out_dir"}
 
 
 class CliError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as CliError, so they keep the one-line contract."""
+
+    def error(self, message):
+        raise CliError(message)
 
 
 def parse_config_file(path: Path) -> dict[str, str]:
@@ -75,8 +86,9 @@ def resolve(args: argparse.Namespace) -> dict[str, str]:
     return merged
 
 
-def _get(cfg: dict, key: str, default):
-    """cfg[key] cast to the type of default, or default when key is unset."""
+def _get(cfg: dict, key: str):
+    """cfg[key] cast to the type of the key's default, or that default when unset."""
+    default = DEFAULTS[key]
     if key not in cfg:
         return default
     try:
@@ -87,7 +99,7 @@ def _get(cfg: dict, key: str, default):
 
 def _build(cls, cfg: dict, **fixed):
     """cls from its field defaults, overridden by cfg's keys, then by fixed."""
-    values = {f.name: _get(cfg, key, f.default) for key, f in _field_keys(cls).items()}
+    values = {f.name: _get(cfg, key) for key, f in _field_keys(cls).items()}
     return cls(**{**values, **fixed})
 
 
@@ -129,8 +141,8 @@ def _data_and_out(cfg: dict, data_default: str = ".") -> tuple[Path, Path]:
 
 def cmd_generate(cfg: dict) -> int:
     out = Path(cfg.get("out_dir", "."))
-    n_train = _get(cfg, "days", S.SynthConfig.days)
-    n_holdout = _get(cfg, "holdout_days", 10)
+    n_train = _get(cfg, "days")
+    n_holdout = _get(cfg, "holdout_days")
     if n_train < 1 or n_holdout < 1:
         raise CliError(f"need at least 1 train-val and 1 holdout day, got {n_train} and {n_holdout}")
     synth = _build(S.SynthConfig, cfg, days=n_train + n_holdout)
@@ -138,8 +150,7 @@ def cmd_generate(cfg: dict) -> int:
     raw = out / "raw"
     raw.mkdir(parents=True, exist_ok=True)
     names = [ch.name for ch in schema.channels]
-    threads = _get(cfg, "threads", 1)
-    _map_days(lambda day: F.write_day(raw, day, names), days, threads)
+    _map_days(lambda day: F.write_day(raw, day, names), days, _get(cfg, "threads"))
     F.write_schema(out / "schema.json", schema)
     F.write_rule(out / "rule.json", rule)
     train_ids = [day.day_id for day in days[:n_train]]
@@ -165,9 +176,7 @@ def _load_split_days(data: Path) -> tuple[list[D.GridDay], list[D.GridDay], D.Fe
 def cmd_prepare(cfg: dict) -> int:
     data, out = _data_and_out(cfg, cfg.get("out_dir", "."))
     train_days, holdout_days, schema = _load_split_days(data)
-    threads = _get(cfg, "threads", 1)
-    seed = _get(cfg, "seed", T.TrainConfig.seed)
-    tr = _get(cfg, "tr", T.TrainConfig.tile_ratio)
+    tr = _get(cfg, "tr")
 
     scaling = D.fit_scaling(train_days, schema)
     F.write_scaling(out / "scaling.json", scaling)
@@ -176,23 +185,21 @@ def cmd_prepare(cfg: dict) -> int:
     prepared.mkdir(parents=True, exist_ok=True)
     encoded_names = schema.encoded_names()
 
-    def encode(day: D.GridDay) -> D.GridDay:
+    # each encoded day is written and dropped: encoding keeps the day's mask,
+    # so the tiles below come from the raw days
+    def encode(day: D.GridDay) -> None:
         enc, _ = D.one_hot_encode(D.apply_scaling(day, scaling), schema)
         F.write_day(prepared, enc, encoded_names)
-        return enc
 
-    train_enc = _map_days(encode, train_days, threads)
-    _map_days(encode, holdout_days, threads)
+    _map_days(encode, train_days + holdout_days, _get(cfg, "threads"))
 
-    tiles: list[D.TileSpec] = []
-    for day in train_enc:
-        tiles.extend(D.extract_tiles(day))
-    sampled = D.sample_tileset(tiles, tr, seed)
+    tiles = [spec for day in train_days for spec in D.extract_tiles(day)]
+    sampled = D.sample_tileset(tiles, tr, _get(cfg, "seed"))
     F.write_manifest(out / "train_val_tiles.csv", sampled)
     holdout_set = D.holdout_tileset(holdout_days)
     F.write_manifest(out / "holdout_tiles.csv", holdout_set)
     print(
-        f"prepared {len(train_enc)} train-val + {len(holdout_days)} holdout days; "
+        f"prepared {len(train_days)} train-val + {len(holdout_days)} holdout days; "
         f"sampled {len(sampled.specs)} tiles ({sampled.fire_count()} fire, tr={tr}), "
         f"holdout keeps {len(holdout_set.specs)} land tiles"
     )
@@ -216,9 +223,9 @@ def _load_manifest(data: Path, name: str, provenance: str) -> tuple[D.TileSet, d
 
 
 def cmd_train(cfg: dict) -> int:
+    config = train_config(cfg)
     data, out = _data_and_out(cfg)
     tileset, store = _load_manifest(data, "train_val_tiles.csv", D.SAMPLED)
-    config = train_config(cfg)
 
     cv = T.cross_validate(tileset, store, config)
 
@@ -249,6 +256,7 @@ def cmd_train(cfg: dict) -> int:
 
 
 def cmd_evaluate(cfg: dict, checkpoint: Path) -> int:
+    config = train_config(cfg)
     data, out = _data_and_out(cfg)
     params = F.read_checkpoint(_require_file(checkpoint, "checkpoint"))
     manifest, store = _load_manifest(data, "holdout_tiles.csv", D.HOLDOUT)
@@ -257,7 +265,6 @@ def cmd_evaluate(cfg: dict, checkpoint: Path) -> int:
     # land tiling of the holdout days
     if set(D.holdout_tileset(days).specs) != set(manifest.specs):
         raise CliError("holdout manifest does not match the prepared holdout days; re-run prepare")
-    config = train_config(cfg)
     result = T.evaluate_holdout(params, days, config)
     days_run = f"{days[0].day_id.isoformat()}..{days[-1].day_id.isoformat()}"
     row = F.metric_row([checkpoint, days_run, result.tiles], result.values())
@@ -275,8 +282,7 @@ def cmd_predict(cfg: dict, checkpoint: Path, day_args: list[str], render: bool) 
     except ValueError as exc:
         raise CliError(f"invalid day id: {exc}") from exc
     store = _load_prepared_days(data, day_ids)
-    threshold = _get(cfg, "threshold", T.TrainConfig.threshold)
-    threads = _get(cfg, "threads", 1)
+    threshold = _get(cfg, "threshold")
 
     def predict_one(day_id: date) -> None:
         day = store[day_id]
@@ -285,7 +291,7 @@ def cmd_predict(cfg: dict, checkpoint: Path, day_args: list[str], render: bool) 
         if render:
             F.write_ppm(out / f"render_{day_id.isoformat()}.ppm", F.render_panels(day.mask, pred))
 
-    _map_days(predict_one, day_ids, threads)
+    _map_days(predict_one, day_ids, _get(cfg, "threads"))
     print(f"predicted {len(day_ids)} day(s) into {out}" + (" (rendered)" if render else ""))
     return 0
 
@@ -294,59 +300,43 @@ def cmd_predict(cfg: dict, checkpoint: Path, day_args: list[str], render: bool) 
 # argument wiring
 
 
+# command -> (help, the keys it takes as flags); `--out`/`--data` set the two
+# directories, and every other key has the flag of its name, `--tr` style
+COMMANDS = {
+    "generate": ("write a synthetic dataset",
+                 ("days", "holdout_days", "height", "width", "numeric_channels", "categories",
+                  "target_fire_rate", "water_fraction")),
+    "prepare": ("normalize, encode, tile and sample", ("tr",)),
+    "train": ("k-fold cross-validated training",
+              ("tr", "fire_buffer", "buffer_radius", "init_features", "es_metric", "folds",
+               "patience", "max_epochs", "lr", "batch_size")),
+    "evaluate": ("pixel metrics on the untouched holdout", ()),
+    "predict": ("predict day masks, optionally rendered", ("threshold",)),
+}
+SHARED_KEYS = ("seed", "threads", "out_dir", "data_dir")
+_DIR_FLAGS = {"out_dir": "--out", "data_dir": "--data"}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fireseg",
         description="next-day fire prediction pipeline over tiled raster stacks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def shared(p):
+    for command, (help_text, keys) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", type=Path, help="key=value config file")
-        p.add_argument("--seed", type=int, help="master RNG seed")
-        p.add_argument("--threads", type=int, help="worker threads for per-day work (default 1)")
-        p.add_argument("--out", dest="out_dir", help="output directory")
-        p.add_argument("--data", dest="data_dir", help="dataset directory")
-
-    g = sub.add_parser("generate", help="write a synthetic dataset")
-    shared(g)
-    g.add_argument("--days", type=int, help="train-validation day count")
-    g.add_argument("--holdout-days", dest="holdout_days", type=int, help="holdout day count")
-    g.add_argument("--height", type=int)
-    g.add_argument("--width", type=int)
-    g.add_argument("--numeric-channels", dest="numeric_channels", type=int)
-    g.add_argument("--categories", type=int)
-    g.add_argument("--target-fire-rate", dest="target_fire_rate", type=float)
-    g.add_argument("--water-fraction", dest="water_fraction", type=float)
-
-    p = sub.add_parser("prepare", help="normalize, encode, tile and sample")
-    shared(p)
-    p.add_argument("--tr", type=float, help="no-fire to fire tile ratio")
-
-    t = sub.add_parser("train", help="k-fold cross-validated training")
-    shared(t)
-    t.add_argument("--tr", type=float)
-    t.add_argument("--fire-buffer", dest="fire_buffer", choices=["off", "train", "train+val"])
-    t.add_argument("--buffer-radius", dest="buffer_radius", type=int)
-    t.add_argument("--init-features", dest="init_features", type=int)
-    t.add_argument("--es-metric", dest="es_metric", choices=T.ES_METRICS)
-    t.add_argument("--folds", type=int)
-    t.add_argument("--patience", type=int)
-    t.add_argument("--max-epochs", dest="max_epochs", type=int)
-    t.add_argument("--lr", type=float)
-    t.add_argument("--batch-size", dest="batch_size", type=int)
-
-    e = sub.add_parser("evaluate", help="pixel metrics on the untouched holdout")
-    shared(e)
-    e.add_argument("checkpoint", type=Path)
-
-    pr = sub.add_parser("predict", help="predict day masks, optionally rendered")
-    shared(pr)
-    pr.add_argument("checkpoint", type=Path)
-    pr.add_argument("days", nargs="+", help="day ids (ISO dates)")
-    pr.add_argument("--render", action="store_true", help="write truth|prediction panels")
-    pr.add_argument("--threshold", type=float)
-
+        for key in SHARED_KEYS + keys:
+            if key in _DIR_FLAGS:
+                p.add_argument(_DIR_FLAGS[key], dest=key, help=f"config key {key}")
+            else:
+                p.add_argument("--" + key.replace("_", "-"), dest=key, type=type(DEFAULTS[key]),
+                               help=f"config key {key} (default {DEFAULTS[key]})")
+        if command in ("evaluate", "predict"):
+            p.add_argument("checkpoint", type=Path)
+    predict = sub.choices["predict"]
+    predict.add_argument("day_ids", nargs="+", metavar="days", help="day ids (ISO dates)")
+    predict.add_argument("--render", action="store_true", help="write truth|prediction panels")
     return parser
 
 
@@ -355,9 +345,8 @@ REPORTED_ERRORS = (CliError, ValueError, KeyError, OSError, RuntimeError)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = resolve(args)
         if args.command == "generate":
             return cmd_generate(cfg)
@@ -367,9 +356,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_train(cfg)
         if args.command == "evaluate":
             return cmd_evaluate(cfg, args.checkpoint)
-        if args.command == "predict":
-            return cmd_predict(cfg, args.checkpoint, args.days, args.render)
-        raise CliError(f"unknown command {args.command!r}")
+        return cmd_predict(cfg, args.checkpoint, args.day_ids, args.render)
     except REPORTED_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -373,6 +373,8 @@ def read_checkpoint(path: Path) -> UNetParams:
                 shape = struct.unpack(f"<{ndim}I", _read_exact(f, 4 * ndim, "tensor shape"))
                 size = int(np.prod(shape))
                 data = np.frombuffer(_read_exact(f, 4 * size, f"tensor {i} payload"), dtype="<f4")
+                if not np.all(np.isfinite(data)):
+                    raise FormatError(f"{path}: tensor {i} contains non-finite values")
                 tensors.append(data.reshape(shape).astype(np.float32))
             if f.read(1):
                 raise FormatError(f"{path}: trailing bytes after payload")

@@ -312,39 +312,35 @@ def generate_dataset(
     )
     rule = replace(rule, bias=_calibrate_bias(rule, stacks, land, config.target_fire_rate))
 
-    level = None
+    def as_mask(fire: np.ndarray) -> np.ndarray:
+        mask = np.full((h, w), NO_FIRE, dtype=np.uint8)
+        mask[water] = WATER
+        mask[fire] = FIRE
+        return mask
+
     if config.deterministic_labels:
-        marginals = np.concatenate(
-            [rule.fire_marginal(s, land)[land] for s in stacks]
-        )
-        level = float(np.quantile(marginals, 1.0 - config.target_fire_rate))
+        marginals = [rule.fire_marginal(s, land) for s in stacks]
+        level = float(np.quantile(np.concatenate([m[land] for m in marginals]),
+                                  1.0 - config.target_fire_rate))
         rule = replace(rule, deterministic_level=level)
-
-    days: list[GridDay] = []
-    lo = 0.8 * config.target_fire_rate
-    hi = 1.2 * config.target_fire_rate
-    for attempt in range(8):
-        masks = []
-        for d, stack in enumerate(stacks):
-            if config.deterministic_labels:
-                fire = land & (rule.fire_marginal(stack, land) >= level)
-            else:
-                fire = _draw_labels(rule, stack, land, _child_rng(seed, _TAG_LABELS, d, attempt))
-            mask = np.full((h, w), NO_FIRE, dtype=np.uint8)
-            mask[water] = WATER
-            mask[fire] = FIRE
-            masks.append(mask)
-        achieved = sum(int((m == FIRE).sum()) for m in masks) / (config.days * int(land.sum()))
-        if config.deterministic_labels or lo <= achieved <= hi:
-            break
+        masks = [as_mask(land & (m >= level)) for m in marginals]
     else:
-        raise RuntimeError(
-            f"fire-rate calibration failed: achieved {achieved:.2e}, "
-            f"target {config.target_fire_rate:.2e} +-20%"
-        )
+        lo = 0.8 * config.target_fire_rate
+        hi = 1.2 * config.target_fire_rate
+        for attempt in range(8):
+            masks = [as_mask(_draw_labels(rule, s, land, _child_rng(seed, _TAG_LABELS, d, attempt)))
+                     for d, s in enumerate(stacks)]
+            achieved = sum(int((m == FIRE).sum()) for m in masks) / (config.days * int(land.sum()))
+            if lo <= achieved <= hi:
+                break
+        else:
+            raise RuntimeError(
+                f"fire-rate calibration failed: achieved {achieved:.2e}, "
+                f"target {config.target_fire_rate:.2e} +-20%"
+            )
 
-    for d, (stack, mask) in enumerate(zip(stacks, masks)):
-        days.append(GridDay(BASE_DAY + timedelta(days=d), stack, mask))
+    days = [GridDay(BASE_DAY + timedelta(days=d), stack, mask)
+            for d, (stack, mask) in enumerate(zip(stacks, masks))]
     return days, schema, rule
 
 

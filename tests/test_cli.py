@@ -1,6 +1,8 @@
 import dataclasses
+import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +66,11 @@ class TestConfigSurface:
             "lr", "max_epochs", "patience", "folds", "es_metric", "tr", "fire_buffer",
             "buffer_radius", "init_features", "batch_size", "threshold", "grouping",
         }
+
+    def test_every_flag_sets_a_known_key(self):
+        for _, keys in C.COMMANDS.values():
+            assert set(keys) <= C.KNOWN_KEYS, keys
+        assert set(C.SHARED_KEYS) <= C.KNOWN_KEYS
 
     def test_train_config_defaults_are_the_dataclass_defaults(self):
         assert C.train_config({}) == T.TrainConfig()
@@ -262,7 +269,44 @@ class TestDeterminism:
             assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t2" / name).read_bytes(), name
 
 
+class TestPrepareMemory:
+    def test_peak_grows_by_one_raw_day_per_train_day(self, tmp_path):
+        # prepare holds every raw day but only one encoded day at a time
+        def peak(train_days):
+            ds = tmp_path / f"ds{train_days}"
+            gen = ["generate", "--out", ds, "--days", train_days, "--holdout-days", 2,
+                   "--height", 96, "--width", 96, "--seed", 5, "--target-fire-rate", 0.01]
+            assert C.main([str(a) for a in gen]) == 0
+            tracemalloc.start()
+            try:
+                assert C.cmd_prepare({"data_dir": str(ds), "tr": "1", "seed": "5"}) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        growth = peak(12) - peak(4)
+        _, holdout_ids = F.read_splits(tmp_path / "ds4" / "splits.json")
+        day, _ = F.read_day(tmp_path / "ds4" / "raw", holdout_ids[0])
+        raw_day = day.features.nbytes + day.mask.nbytes
+        assert growth <= 1.25 * raw_day * (12 - 4)
+
+
 class TestErrorContract:
+    @pytest.mark.parametrize("args, message", [
+        (["train", "--folds", "x"], "argument --folds: invalid int value: 'x'"),
+        (["train", "--grouping", "by-day"], "unrecognized arguments: --grouping by-day"),
+        ([], "the following arguments are required: command"),
+        (["train", "--fire-buffer", "bogus"], "unknown fire_buffer mode 'bogus'"),
+    ], ids=["bad-value", "unknown-flag", "no-command", "bad-choice"])
+    def test_usage_error_is_one_line(self, pipeline, tmp_path, args, message):
+        ds, _ = pipeline
+        dirs = ["--data", ds, "--out", tmp_path / "run"] if args else []
+        proc = run_cli(*args, *dirs)
+        assert proc.returncode == 1
+        [error] = proc.stderr.splitlines()
+        assert error.startswith("error: ") and message in error
+        assert not (tmp_path / "run").exists()
+
     def test_missing_data_dir_is_one_line_error(self, tmp_path):
         proc = run_cli("prepare", "--data", tmp_path / "nope", "--out", tmp_path)
         assert proc.returncode == 1
@@ -308,6 +352,18 @@ class TestErrorContract:
         assert proc.returncode == 1
         errors = proc.stderr.strip().splitlines()
         assert len(errors) == 1 and errors[0].startswith(f"error: {bad}: ")
+
+    def test_non_finite_checkpoint_names_the_file(self, pipeline, tmp_path):
+        ds, run = pipeline
+        bad = tmp_path / "nan.unc"
+        raw = bytearray((run / "best.unc").read_bytes())
+        raw[-4:] = struct.pack("<f", float("nan"))  # the last value of the last tensor
+        bad.write_bytes(bytes(raw))
+        proc = run_cli("evaluate", "--data", ds, "--out", tmp_path, bad)
+        assert proc.returncode == 1
+        [error] = proc.stderr.splitlines()
+        assert error.startswith(f"error: {bad}: tensor ") and "non-finite" in error
+        assert not (tmp_path / "holdout.csv").exists()
 
     @pytest.mark.parametrize("days, holdout_days", [(6, -2), (6, 0), (-2, 6), (0, 2)])
     def test_generate_refuses_an_empty_split(self, tmp_path, days, holdout_days):

@@ -144,6 +144,20 @@ class TestGeneration:
         assert len(clustered) >= 5
         assert np.mean(clustered) < np.mean(uniform)
 
+    def test_deterministic_labels_compute_each_marginal_once(self, monkeypatch):
+        calls = []
+        marginal = PlantedRule.fire_marginal
+
+        def counted(rule, features, land):
+            calls.append(features)
+            return marginal(rule, features, land)
+
+        monkeypatch.setattr(PlantedRule, "fire_marginal", counted)
+        cfg = SynthConfig(height=64, width=64, days=4, seed=6, target_fire_rate=5e-3,
+                          deterministic_labels=True)
+        days, _, _ = generate_dataset(cfg)
+        assert len(calls) == len(days) == 4
+
     def test_calibration_failure_reports_achieved_rate(self):
         cfg = SynthConfig(
             height=64, width=64, days=1, seed=2, target_fire_rate=1e-7, water_fraction=0.0
