@@ -13,6 +13,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import Field, fields
@@ -174,9 +175,11 @@ def _load_split_days(data: Path) -> tuple[list[D.GridDay], list[D.GridDay], D.Fe
 
 
 def cmd_prepare(cfg: dict) -> int:
+    tr = _get(cfg, "tr")
+    if not 0 <= tr < math.inf:
+        raise CliError(f"config key tr={tr}: the tile ratio must be finite and non-negative")
     data, out = _data_and_out(cfg, cfg.get("out_dir", "."))
     train_days, holdout_days, schema = _load_split_days(data)
-    tr = _get(cfg, "tr")
 
     scaling = D.fit_scaling(train_days, schema)
     F.write_scaling(out / "scaling.json", scaling)

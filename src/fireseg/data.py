@@ -10,6 +10,7 @@ TileSet enforces that downstream.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from datetime import date
@@ -276,8 +277,8 @@ def sample_tileset(tiles: list[TileSpec] | TileSet, tile_ratio: float, seed: int
         if tiles.provenance == HOLDOUT:
             raise ValueError("refusing to sample a holdout tile set")
         tiles = list(tiles.specs)
-    if tile_ratio < 0:
-        raise ValueError(f"tile ratio must be non-negative, got {tile_ratio}")
+    if not 0 <= tile_ratio < math.inf:
+        raise ValueError(f"tile ratio must be finite and non-negative, got {tile_ratio}")
     fire = [t for t in tiles if t.tile_class == FIRE_TILE]
     no_fire = [t for t in tiles if t.tile_class == NO_FIRE_TILE]
     if not fire:

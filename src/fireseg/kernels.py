@@ -21,9 +21,16 @@ fit BLOCK_BYTES, about a core's L2 cache, and are read by their GEMM
 while still cached (Goto & van de Geijn 2008): col @ W[kh*kw*Ci, Co]
 writes straight into the rows of the [N, Ho, Wo, Co] output. Odd kernel
 sides pad by (kh // 2, kw // 2), so the output keeps the input's spatial
-shape. The backward rebuilds the blocks: d_weights sums col.T @ grad_rows,
-and d_input correlates grad_out with the flipped, in/out-transposed
-kernel. The 2x2 stride-2 transposed conv is one GEMM
+shape. A narrow conv (Co <= 16, kw > 1, even Wo) puts two output pixels in
+a row (image, i, j/2): kh runs of (kw+1)*C values at column step 2, times
+W'[kh*(kw+1)*Ci, 2*Co], zero where a pixel's taps end. Its N = 2*Co fills
+more of a BLAS register tile and the fill copies 2/3 of the bytes; from
+Co = 32 on, N is wide enough and the zero taps cost more than they save.
+The backward fills the padded grad_out's columns once per block for two
+GEMMs: d_input = col @ W_flip (the flipped, in/out-transposed kernel), and
+d_weights, taps flipped, sums x_rows.T @ col over the unpadded input rows
+(2*ph = kh - 1, so grad_out's windows are the forward's seen from x).
+The 2x2 stride-2 transposed conv is one GEMM
 x[N*H*W, Ci] @ W[Ci, 4*Co] and an interleave in runs of 2*Co values. Max
 pooling works on the four quarter views x[:, r::2, s::2, :] of the 2x2
 windows.
@@ -124,22 +131,22 @@ def channels_last(t: np.ndarray) -> np.ndarray:
     return _nchw(_nhwc(t))
 
 
-def _columns(xp: np.ndarray, kh: int, kw: int):
+def _columns(xp: np.ndarray, kh: int, taps: int, step: int = 1):
     """Column blocks of a padded xp[N, H2, W2, C], whole images at a time: yields
-    (lo, hi, col), col[q - lo, (a*kw + b)*C + c] = xp[image, i + a, j + b, c] for
-    the outputs q = image*Ho*Wo + i*Wo + j in [lo, hi), in one shared buffer."""
+    (lo, hi, col), col[r - lo, (a*taps + b)*C + c] = xp[image, i + a, step*j + b, c]
+    for the rows r = image*Ho*Wo + i*Wo + j in [lo, hi), in one shared buffer."""
     n, h2, w2, c = xp.shape
-    ho, wo = h2 - kh + 1, w2 - kw + 1
-    if kh == kw == 1:
+    ho, wo = h2 - kh + 1, (w2 - taps) // step + 1
+    if kh == taps == 1:
         yield 0, n * ho * wo, xp.reshape(-1, c)
         return
-    per_image = ho * wo * kh * kw * c * xp.itemsize
+    per_image = ho * wo * kh * taps * c * xp.itemsize
     nb = max(1, min(n, BLOCK_BYTES // per_image))
-    buf = np.empty((nb, ho, wo, kh, kw * c), xp.dtype)
-    # a run of kw*C values, the taps b of one row a, copied as one element
-    run = np.dtype((np.void, kw * c * xp.itemsize))
+    buf = np.empty((nb, ho, wo, kh, taps * c), xp.dtype)
+    # a run of taps*C values, the taps b of one row a, copied as one element
+    run = np.dtype((np.void, taps * c * xp.itemsize))
     sn, sh, sw, _ = xp.strides
-    runs = np.ndarray((n, ho, wo, kh), run, xp, 0, (sn, sh, sw, sh))  # runs[image, i, j, a]
+    runs = np.ndarray((n, ho, wo, kh), run, xp, 0, (sn, sh, step * sw, sh))  # runs[image, i, j, a]
     for s in range(0, n, nb):
         m = min(nb, n - s)
         buf[:m].view(run)[..., 0] = runs[s : s + m]
@@ -148,13 +155,19 @@ def _columns(xp: np.ndarray, kh: int, kw: int):
 
 def _correlate(xp: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Valid-window cross-correlation of xp[N, H2, W2, Ci] with w[Co, Ci, kh, kw]:
-    out[N, Ho, Wo, Co], one GEMM per column block."""
-    co, _, kh, kw = w.shape
+    out[N, Ho, Wo, Co], one GEMM per column block, p output pixels per row."""
+    co, ci, kh, kw = w.shape
     n, h2, w2, _ = xp.shape
-    wm = np.ascontiguousarray(w.transpose(2, 3, 1, 0), dtype=xp.dtype).reshape(-1, co)
-    out = np.empty((n, h2 - kh + 1, w2 - kw + 1, co), xp.dtype)
-    rows = out.reshape(-1, co)
-    for lo, hi, col in _columns(xp, kh, kw):
+    ho, wo = h2 - kh + 1, w2 - kw + 1
+    p = 2 if co <= 16 and kw > 1 and wo % 2 == 0 else 1
+    # wm[(a, b', c), (q, o)] = w[o, c, a, b' - q]: pixel q of a row reads taps q..q+kw-1
+    wm = np.zeros((kh, kw + p - 1, ci, p, co), xp.dtype)
+    for q in range(p):
+        wm[:, q : q + kw, :, q] = w.transpose(2, 3, 1, 0)
+    wm = wm.reshape(-1, p * co)
+    out = np.empty((n, ho, wo, co), xp.dtype)
+    rows = out.reshape(-1, p * co)  # rows[(image, i, j/p), (q, o)] = out[image, i, j + q, o]
+    for lo, hi, col in _columns(xp, kh, kw + p - 1, p):
         np.matmul(col, wm, out=rows[lo:hi])
     return out
 
@@ -192,17 +205,18 @@ def conv2d_backward(
         )
     ph, pw = _same_padding(x, k.weights)
     dtype = np.result_type(x, k.weights)
-    g = _nhwc(grad_out, dtype=dtype).reshape(-1, co)
-    d_weights = np.zeros((kh * kw * ci, co), dtype)
-    for lo, hi, col in _columns(_nhwc(x, ph, pw, dtype), kh, kw):
-        d_weights += col.T @ g[lo:hi]
-    d_bias = _channel_sums(g, n, co, x.dtype)
-    d_weights = np.ascontiguousarray(d_weights.reshape(kh, kw, ci, co).transpose(3, 2, 0, 1))
-    if not input_grad:
-        return None, d_weights, d_bias
-    flipped = k.weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-    d_input = _correlate(_nhwc(grad_out, ph, pw, dtype), flipped)
-    return _nchw(d_input), d_weights, d_bias
+    x_rows = _nhwc(x, dtype=dtype).reshape(-1, ci)
+    # w_flip[(a', b', o), c] = w[o, c, kh-1-a', kw-1-b']; d_flip[c, (a', b', o)] is its gradient
+    w_flip = np.asarray(k.weights[:, :, ::-1, ::-1].transpose(2, 3, 0, 1), dtype).reshape(-1, ci)
+    d_input = np.empty((n, h, w, ci), dtype) if input_grad else None
+    d_flip = np.zeros((ci, kh * kw * co), dtype)
+    for lo, hi, col in _columns(_nhwc(grad_out, ph, pw, dtype), kh, kw):
+        if input_grad:
+            np.matmul(col, w_flip, out=d_input.reshape(-1, ci)[lo:hi])
+        d_flip += x_rows[lo:hi].T @ col
+    d_weights = d_flip.reshape(ci, kh, kw, co)[:, ::-1, ::-1].transpose(3, 0, 1, 2).copy()
+    d_bias = _channel_sums(_nhwc(grad_out, dtype=dtype), n, co, x.dtype)
+    return (None if d_input is None else _nchw(d_input)), d_weights, d_bias
 
 
 def _taps(k: ConvKernel, dtype) -> np.ndarray:

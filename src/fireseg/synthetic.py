@@ -368,14 +368,20 @@ def _calibrate_bias(
     """Bisect the rule bias so the exact expected fire rate hits the target."""
     expected_rate = _expected_rate(rule, stacks, land)
     lo, hi = -30.0, 60.0
-    if not expected_rate(lo) >= target >= expected_rate(hi):
-        raise RuntimeError("fire-rate target outside the calibratable range")
+    outside = "fire-rate target outside the calibratable range"
+    if not target >= expected_rate(hi):
+        raise RuntimeError(outside)
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         step = (mid, hi) if expected_rate(mid) >= target else (lo, mid)
         if step == (lo, hi):
             break  # fixed point: every later step would repeat this one
         lo, hi = step
+    # the rate does not increase with the bias, so a step that raised lo found
+    # a rate >= target above -30; only an unmoved lo needs the (costly, every
+    # land pixel active) evaluation at -30
+    if lo == -30.0 and not expected_rate(lo) >= target:
+        raise RuntimeError(outside)
     return 0.5 * (lo + hi)
 
 

@@ -307,6 +307,16 @@ class TestErrorContract:
         assert error.startswith("error: ") and message in error
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("tr", ["inf", "nan", "-1"])
+    def test_prepare_refuses_a_bad_tile_ratio_before_writing(self, pipeline, tmp_path, tr):
+        ds, _ = pipeline
+        out = tmp_path / "prepared_ds"
+        proc = run_cli("prepare", "--data", ds, "--out", out, "--tr", tr)
+        assert proc.returncode == 1
+        [error] = proc.stderr.splitlines()
+        assert error.startswith(f"error: config key tr={float(tr)}: ")
+        assert not (out / "scaling.json").exists() and not (out / "prepared").exists()
+
     def test_missing_data_dir_is_one_line_error(self, tmp_path):
         proc = run_cli("prepare", "--data", tmp_path / "nope", "--out", tmp_path)
         assert proc.returncode == 1

@@ -216,6 +216,11 @@ class TestSampleTileset:
         with pytest.raises(ValueError, match="degenerate"):
             D.sample_tileset(self.make_specs(0, 10), tile_ratio=1, seed=0)
 
+    @pytest.mark.parametrize("ratio", [-1.0, float("inf"), float("nan")])
+    def test_refuses_a_negative_or_non_finite_ratio(self, ratio):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            D.sample_tileset(self.make_specs(3, 50), tile_ratio=ratio, seed=1)
+
     def test_refuses_holdout_input(self):
         holdout = D.TileSet(tuple(self.make_specs(2, 2, 0)), D.HOLDOUT)
         with pytest.raises(ValueError, match="holdout"):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fireseg import kernels as K
+from fireseg import unet as U
 from fireseg.kernels import AdamState, ConvKernel
 
 from oracles import (
@@ -410,16 +411,36 @@ class TestConvColumnBlocks:
     blocks, the last one partial."""
 
     @staticmethod
-    def two_image_blocks(monkeypatch, wshape, xshape):
-        co, ci, kh, kw = wshape
-        # forward columns of two float64 images, so 5 images make blocks of 2, 2 and 1
-        monkeypatch.setattr(K, "BLOCK_BYTES", 2 * kh * kw * ci * xshape[2] * xshape[3] * 8 + 7)
+    def two_image_blocks(monkeypatch, values_per_image):
+        # float64 columns of two images per block, so 5 images make blocks of 2, 2 and 1
+        monkeypatch.setattr(K, "BLOCK_BYTES", 2 * values_per_image * 8 + 7)
+
+    @staticmethod
+    def record_blocks(monkeypatch):
+        """Every _columns call as (step, images per block), from the rows it yields."""
+        calls, columns = [], K._columns
+
+        def recording(xp, kh, taps, step=1):
+            rows_per_image = (xp.shape[1] - kh + 1) * ((xp.shape[2] - taps) // step + 1)
+            images = []
+            calls.append((step, images))
+            for lo, hi, col in columns(xp, kh, taps, step):
+                images.append((hi - lo) // rows_per_image)
+                yield lo, hi, col
+
+        monkeypatch.setattr(K, "_columns", recording)
+        return calls
 
     @pytest.mark.parametrize("wshape", [(3, 2, 3, 3), (2, 2, 1, 3), (2, 3, 1, 1)])
     def test_forward_matches_naive(self, monkeypatch, wshape):
         rng = np.random.default_rng(42)
-        xshape = (5, wshape[1], 5, 6)
-        self.two_image_blocks(monkeypatch, wshape, xshape)
+        co, ci, kh, kw = wshape
+        xshape = (5, ci, 5, 6)
+        # an even output width and Co <= 16: two output pixels per row, runs of kw + 1 taps
+        packed = kw > 1
+        taps = kw + 1 if packed else kw
+        self.two_image_blocks(monkeypatch, 5 * 6 // (1 + packed) * kh * taps * ci)
+        calls = self.record_blocks(monkeypatch)
         x = rand(xshape, rng)
         w = rand(wshape, rng)
         b = rand(wshape[:1], rng)
@@ -427,18 +448,23 @@ class TestConvColumnBlocks:
         ref = conv2d_naive(same_padded(x, wshape), w, b)
         assert out.shape == ref.shape
         assert np.max(np.abs(out - ref)) < 1e-12
+        assert calls == [(1 + packed, [5] if kh == kw == 1 else [2, 2, 1])]
 
     @pytest.mark.parametrize("wshape", [(3, 2, 3, 3), (2, 2, 1, 3), (2, 3, 1, 1)])
     def test_backward_finite_differences(self, monkeypatch, wshape):
         rng = np.random.default_rng(43)
-        xshape = (5, wshape[1], 4, 5)
-        self.two_image_blocks(monkeypatch, wshape, xshape)
+        co, ci, kh, kw = wshape
+        xshape = (5, ci, 4, 5)
         x = rand(xshape, rng)
         w = rand(wshape, rng)
         b = rand(wshape[:1], rng)
         k = ConvKernel(w, b)
         r = rand(K.conv2d_forward(x, k).shape, rng)
+        # the backward's columns are grad_out's: kh*kw taps of Co values per output
+        self.two_image_blocks(monkeypatch, 4 * 5 * kh * kw * co)
+        calls = self.record_blocks(monkeypatch)
         gi, gw, gb = K.conv2d_backward(x, k, r)
+        assert calls == [(1, [5] if kh == kw == 1 else [2, 2, 1])]
         fd_x = finite_diff_grad(lambda v: weighted_sum_loss(K.conv2d_forward(v, k), r), x)
         fd_w = finite_diff_grad(
             lambda v: weighted_sum_loss(K.conv2d_forward(x, ConvKernel(v, b)), r), w
@@ -446,6 +472,60 @@ class TestConvColumnBlocks:
         assert rel_err(gi, fd_x) <= 1e-3
         assert rel_err(gw, fd_w) <= 1e-3
         assert rel_err(gb, r.sum(axis=(0, 2, 3))) <= 1e-12
+
+    @pytest.mark.parametrize("wshape, width, step", [
+        ((16, 3, 3, 3), 6, 2),  # Co <= 16, even width: two output pixels per GEMM row
+        ((1, 2, 1, 3), 8, 2),
+        ((17, 3, 3, 3), 6, 1),  # Co = 17
+        ((16, 3, 3, 3), 7, 1),  # odd width
+        ((4, 2, 3, 1), 6, 1),  # kw = 1
+    ])
+    def test_packing_rule(self, monkeypatch, wshape, width, step):
+        rng = np.random.default_rng(44)
+        calls = self.record_blocks(monkeypatch)
+        x = rand((3, wshape[1], 5, width), rng)
+        w = rand(wshape, rng)
+        b = rand(wshape[:1], rng)
+        out = K.conv2d_forward(x, ConvKernel(w, b))
+        assert np.max(np.abs(out - conv2d_naive(same_padded(x, wshape), w, b))) < 1e-12
+        assert [s for s, _ in calls] == [step]
+
+
+def padded_windows(t, kh, kw):
+    """t[N, C, H, W] zero-padded by (kh // 2, kw // 2), as windows [N, C, H, W, kh, kw]."""
+    padded = same_padded(t, (0, 0, kh, kw))
+    return np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(2, 3))
+
+
+class TestConvAcceptanceShapes:
+    """Float64 forward and backward at every (Ci, Co) pair of the acceptance net's
+    3x3 layers, at an even and at an odd output width."""
+
+    # the acceptance net: 12 encoded input channels, 8 initial features
+    SHAPES = [wshape for _, wshape, _ in U.layer_shapes(U.UNetConfig(in_channels=12))]
+    PAIRS = sorted({(ci, co) for co, ci, kh, _ in SHAPES if kh == 3})
+
+    @pytest.mark.parametrize("hw", [(6, 8), (5, 7)])
+    @pytest.mark.parametrize("ci, co", PAIRS)
+    def test_forward_and_backward(self, ci, co, hw):
+        rng = np.random.default_rng(ci * 1000 + co)
+        x = rand((2, ci, *hw), rng)
+        w = rand((co, ci, 3, 3), rng)
+        b = rand((co,), rng)
+        g = rand((2, co, *hw), rng)
+        k = ConvKernel(w, b)
+        out = K.conv2d_forward(x, k)
+        # the loop oracle takes seconds per call at 128 -> 128 channels, so past 16
+        # output channels it checks the first and last two
+        picked = np.arange(co) if co <= 16 else np.r_[:2, co - 2 : co]
+        ref = conv2d_naive(same_padded(x, w.shape), w[picked], b[picked])
+        assert np.max(np.abs(out[:, picked] - ref)) <= 1e-12
+        gi, gw, gb = K.conv2d_backward(x, k, g)
+        want_w = np.einsum("ncyxab,noyx->ocab", padded_windows(x, 3, 3), g)
+        want_i = np.einsum("noyxab,ocab->ncyx", padded_windows(g, 3, 3), w[:, :, ::-1, ::-1])
+        assert np.max(np.abs(gw - want_w)) <= 1e-12
+        assert np.max(np.abs(gi - want_i)) <= 1e-12
+        assert np.max(np.abs(gb - g.sum(axis=(0, 2, 3)))) <= 1e-12
 
 
 class TestReLU:

@@ -7,6 +7,7 @@ import pytest
 from oracles import calibrate_bias_dense, expected_rate_dense, fire_marginal_dense
 
 from fireseg import data as D
+from fireseg import synthetic
 from fireseg.synthetic import (
     PlantedRule,
     SynthConfig,
@@ -325,6 +326,25 @@ class TestSparseMarginal:
             land, target = generated[0].mask != D.WATER, cfg.target_fire_rate
         got = _calibrate_bias(rule, stacks, land, target)
         assert got.hex() == calibrate_bias_dense(rule, stacks, land, target).hex()
+
+    def test_calibration_never_evaluates_the_lowest_bias(self, monkeypatch):
+        # at bias -30 every land pixel is active: the costliest evaluation, and
+        # a bisection step that raised the lower bound already shows the range holds
+        biases = []
+
+        def recording(*args):
+            rate = _expected_rate(*args)
+            return lambda bias: biases.append(bias) or rate(bias)
+
+        monkeypatch.setattr(synthetic, "_expected_rate", recording)
+        generate_dataset(SynthConfig(height=64, width=64, days=3, seed=4, target_fire_rate=5e-3))
+        assert len(biases) > 10 and -30.0 not in biases
+
+    def test_target_above_the_rate_at_the_lowest_bias_refused(self):
+        days = [random_day(30 + d) for d in range(2)]
+        stacks, land = [f for f, _ in days], days[0][1]
+        with pytest.raises(RuntimeError, match="outside the calibratable range"):
+            _calibrate_bias(RULE, stacks, land, 1.5)
 
     def test_expected_rate_equals_dense_mean(self):
         # each day's sum runs over every land pixel, zeros included, so numpy's
