@@ -209,26 +209,23 @@ def cmd_prepare(cfg: dict) -> int:
     return 0
 
 
-def _load_prepared_days(data: Path, ids: list[date]) -> dict[date, D.GridDay]:
-    prepared = _require_dir(data / "prepared", "prepared data")
-    return {d: F.read_day(prepared, d)[0] for d in ids}
-
-
-def _load_manifest(data: Path, name: str, provenance: str) -> tuple[D.TileSet, dict[date, D.GridDay]]:
-    """The manifest data/name, refused unless it carries provenance, and the
-    prepared days it names, in day order."""
-    path = _require_file(data / name, "manifest")
-    tileset = F.read_manifest(path)
+def _load_manifest(path: Path, provenance: str) -> tuple[D.TileSet, list[date]]:
+    """The manifest at path, refused unless it carries provenance, and its days in order."""
+    tileset = F.read_manifest(_require_file(path, "manifest"))
     if tileset.provenance != provenance:
         raise CliError(f"{path}: manifest carries {tileset.provenance} provenance, not {provenance}")
-    day_ids = sorted({s.day_id for s in tileset.specs})
-    return tileset, _load_prepared_days(data, day_ids)
+    return tileset, sorted({s.day_id for s in tileset.specs})
+
+
+def _read_prepared(data: Path, day_id: date) -> D.GridDay:
+    return F.read_day(_require_dir(data / "prepared", "prepared data"), day_id)[0]
 
 
 def cmd_train(cfg: dict) -> int:
     config = train_config(cfg)
     data, out = _data_and_out(cfg)
-    tileset, store = _load_manifest(data, "train_val_tiles.csv", D.SAMPLED)
+    tileset, day_ids = _load_manifest(data / "train_val_tiles.csv", D.SAMPLED)
+    store = {d: _read_prepared(data, d) for d in day_ids}
 
     cv = T.cross_validate(tileset, store, config)
 
@@ -259,17 +256,22 @@ def cmd_train(cfg: dict) -> int:
 
 
 def cmd_evaluate(cfg: dict, checkpoint: Path) -> int:
+    """Score the checkpoint on the holdout days. Memory: one prepared day per worker, one worker."""
     config = train_config(cfg)
     data, out = _data_and_out(cfg)
     params = F.read_checkpoint(_require_file(checkpoint, "checkpoint"))
-    manifest, store = _load_manifest(data, "holdout_tiles.csv", D.HOLDOUT)
-    days = list(store.values())
-    # guard against stale prepare outputs: the manifest must be exactly the
-    # land tiling of the holdout days
-    if set(D.holdout_tileset(days).specs) != set(manifest.specs):
-        raise CliError("holdout manifest does not match the prepared holdout days; re-run prepare")
-    result = T.evaluate_holdout(params, days, config)
-    days_run = f"{days[0].day_id.isoformat()}..{days[-1].day_id.isoformat()}"
+    path = data / "holdout_tiles.csv"
+    manifest, day_ids = _load_manifest(path, D.HOLDOUT)
+
+    # a stale manifest is refused: a day's land tiling must be its manifest tiles
+    def checked(day_id: date) -> D.GridDay:
+        day = _read_prepared(data, day_id)
+        if set(D.holdout_tileset([day]).specs) != {s for s in manifest.specs if s.day_id == day_id}:
+            raise CliError(f"{path}: does not match prepared holdout day {day_id}; re-run prepare")
+        return day
+
+    result = T.evaluate_holdout(params, map(checked, day_ids), config)
+    days_run = f"{day_ids[0].isoformat()}..{day_ids[-1].isoformat()}"
     row = F.metric_row([checkpoint, days_run, result.tiles], result.values())
     row += [str(getattr(result.counts, c)) for c in F.COUNT_COLUMNS]
     F.write_csv(out / "holdout.csv", F.HOLDOUT_COLUMNS, [row])
@@ -278,17 +280,20 @@ def cmd_evaluate(cfg: dict, checkpoint: Path) -> int:
 
 
 def cmd_predict(cfg: dict, checkpoint: Path, day_args: list[str], render: bool) -> int:
+    """Predict the named days. Memory: one prepared day per worker (`threads` workers)."""
     data, out = _data_and_out(cfg)
     params = F.read_checkpoint(_require_file(checkpoint, "checkpoint"))
     try:
         day_ids = [date.fromisoformat(s) for s in day_args]
     except ValueError as exc:
         raise CliError(f"invalid day id: {exc}") from exc
-    store = _load_prepared_days(data, day_ids)
+    for day_id in day_ids:  # a missing day fails before any prediction is written
+        for path in F.day_paths(data / "prepared", day_id):
+            _require_file(path, "prepared day")
     threshold = _get(cfg, "threshold")
 
     def predict_one(day_id: date) -> None:
-        day = store[day_id]
+        day = _read_prepared(data, day_id)
         pred = T.predict_day(params, day, threshold)
         F.write_mask(out / f"pred_{day_id.isoformat()}.msk", pred)
         if render:
@@ -351,6 +356,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         cfg = resolve(args)
+        for key, low in (("seed", 0), ("threads", 1)):  # before any command reads or writes
+            if _get(cfg, key) < low:
+                raise CliError(f"config key {key}={cfg[key]}: must be at least {low}")
         if args.command == "generate":
             return cmd_generate(cfg)
         if args.command == "prepare":

@@ -13,7 +13,7 @@ scores every land tile of the holdout days.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from datetime import date
 
@@ -140,8 +140,8 @@ def predict_tiles(
 ) -> Iterator[tuple[Sequence[D.TileSpec], np.ndarray, np.ndarray]]:
     """Predict tile masks in batches of at most batch_size tiles, in spec order.
 
-    Yields (batch specs, predicted masks, true masks) per batch. Validation,
-    holdout scoring and day prediction all run this one loop.
+    Yields (batch specs, predicted masks, true masks) per batch. Validation
+    and day prediction run this one loop; holdout scoring predicts whole days.
     """
     for lo in range(0, len(specs), batch_size):
         chunk = specs[lo : lo + batch_size]
@@ -253,19 +253,19 @@ class HoldoutResult(Scores):
 
 def evaluate_holdout(
     params: U.UNetParams,
-    holdout_days: list[D.GridDay],
+    holdout_days: Iterable[D.GridDay],
     config: TrainConfig,
 ) -> HoldoutResult:
-    """Pixel metrics over every land tile of the holdout days.
+    """Pixel metrics of predict_day's masks, summed over the holdout days in order.
 
-    The days must already carry the training-time scaling/encoding. No
-    sampling and no fire buffer are applied here, ever.
+    The days carry the training-time scaling/encoding. Each is read once, so
+    a generator is held one day at a time. No sampling, no fire buffer, ever.
     """
-    tileset = D.holdout_tileset(holdout_days)
-    store = {day.day_id: day for day in holdout_days}
-    scored = predict_tiles(params, tileset.specs, store, config.threshold, config.batch_size)
-    counts = sum((confusion(pred, masks) for _, pred, masks in scored), ConfusionCounts())
-    result = HoldoutResult.of(counts, counts=counts, tiles=len(tileset.specs))
+    counts, tiles = ConfusionCounts(), 0
+    for day in holdout_days:
+        counts = counts + confusion(predict_day(params, day, config.threshold), day.mask)
+        tiles += len(D.holdout_tileset([day]).specs)
+    result = HoldoutResult.of(counts, counts=counts, tiles=tiles)
     if result is None:
         raise ValueError("holdout metrics undefined (a class is absent from the holdout days)")
     return result

@@ -1,8 +1,11 @@
 import dataclasses
+import hashlib
+import shutil
 import struct
 import subprocess
 import sys
 import tracemalloc
+from datetime import date
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +16,7 @@ from fireseg import formats as F
 from fireseg import metrics as M
 from fireseg import synthetic as S
 from fireseg import training as T
+from fireseg import unet as U
 
 
 def run_cli(*args, cwd=None):
@@ -111,6 +115,9 @@ class TestConfigSurface:
                     assert table[key] == str(f.default), key
 
 
+HOLDOUT_DAYS = ["2021-06-09", "2021-06-10", "2021-06-11", "2021-06-12"]
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """One small end-to-end run shared by the assertions below."""
@@ -125,7 +132,7 @@ def pipeline(tmp_path_factory):
          "--max-epochs", "4", "--patience", "2", "--folds", "2", "--fire-buffer", "train",
          *common],
         ["evaluate", "--data", ds, "--out", run, run / "best.unc", *common],
-        ["predict", "--data", ds, "--out", run, run / "best.unc", "2021-06-09", "--render",
+        ["predict", "--data", ds, "--out", run, run / "best.unc", *HOLDOUT_DAYS, "--render",
          *common],
     ]
     for step in steps:
@@ -229,6 +236,52 @@ class TestPipeline:
         assert leftovers == []
 
 
+def _blas_identity() -> tuple[str, str, str]:
+    """The BLAS build and the CPU, read as perfbench/run.py's environment() reads them.
+
+    The CPU is part of the identity because a DYNAMIC_ARCH OpenBLAS picks
+    its kernels from the CPU at run time, and other kernels round differently.
+    """
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    cpu = "unknown"
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                cpu = line.split(":", 1)[1].strip()
+                break
+    except OSError:
+        pass
+    return f"{blas.get('name')} {blas.get('version')}", blas.get("openblas configuration", ""), cpu
+
+
+# sha256 of what the pipeline fixture computes, per BLAS identity: a change
+# meant to keep outputs must keep this digest, and one that moves bits
+# records its new digest here
+PIPELINE_DIGESTS = {
+    ("scipy-openblas 0.3.31.188.0",
+     "OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINITY Haswell MAX_THREADS=64",
+     "Intel(R) Xeon(R) Processor"):
+        "d59cebb653ccced9b268867747fc349c914e01612230d453abe2ca83f1ef0308",
+}
+
+
+class TestPipelinePin:
+    def test_outputs_match_the_recorded_digest(self, pipeline):
+        _, run = pipeline
+        files = ["best.unc", "trace_fold_0.csv", "trace_fold_1.csv", "validation.csv",
+                 *(f"pred_{day}.msk" for day in HOLDOUT_DAYS)]
+        digest = hashlib.sha256()
+        for name in files:
+            digest.update(name.encode() + b"\0" + (run / name).read_bytes())
+        # holdout.csv less its first column, the checkpoint path
+        rows = (run / "holdout.csv").read_text().splitlines()
+        digest.update(b"holdout.csv\0" + "\n".join(r.split(",", 1)[1] for r in rows).encode())
+        identity = _blas_identity()
+        if identity not in PIPELINE_DIGESTS:
+            pytest.skip(f"no pipeline digest recorded for BLAS identity {identity}")
+        assert digest.hexdigest() == PIPELINE_DIGESTS[identity]
+
+
 class TestDeterminism:
     def test_generate_twice_bitwise_identical(self, tmp_path):
         args = ["--days", "2", "--holdout-days", "1", "--height", "64", "--width", "64",
@@ -258,7 +311,7 @@ class TestDeterminism:
     def test_threads_do_not_change_predict_output(self, pipeline, tmp_path):
         # predict is where conv kernels run concurrently, one thread per day
         ds, run = pipeline
-        days = ["2021-06-09", "2021-06-10", "2021-06-11", "2021-06-12"]
+        days = HOLDOUT_DAYS
         for out, threads in [("t1", "1"), ("t2", "2")]:
             proc = run_cli("predict", "--data", ds, "--out", tmp_path / out, run / "best.unc",
                            *days, "--seed", "3", "--threads", threads)
@@ -291,6 +344,42 @@ class TestPrepareMemory:
         assert growth <= 1.25 * raw_day * (12 - 4)
 
 
+class TestEvaluatePredictMemory:
+    def test_peak_holds_one_prepared_day_per_worker(self, tmp_path):
+        # evaluate and predict read each prepared day when they reach it, so
+        # more holdout days leave their peaks where they were
+        def peaks(holdout_days):
+            ds, run = tmp_path / f"ds{holdout_days}", tmp_path / f"run{holdout_days}"
+            for args in (
+                ["generate", "--out", ds, "--days", 2, "--holdout-days", holdout_days,
+                 "--height", 96, "--width", 96, "--seed", 5, "--target-fire-rate", 0.01],
+                ["prepare", "--data", ds, "--out", ds, "--tr", 1, "--seed", 5],
+            ):
+                assert C.main([str(a) for a in args]) == 0
+            channels = F.read_schema(ds / "schema.json").encoded_count
+            checkpoint = ds / "net.unc"
+            net = U.UNetConfig(in_channels=channels, init_features=2)
+            F.write_checkpoint(checkpoint, U.init_params(net))
+            day_ids = [d.isoformat() for d in F.read_splits(ds / "splits.json")[1]]
+            cfg = {"data_dir": str(ds), "out_dir": str(run)}
+            commands = {"evaluate": lambda: C.cmd_evaluate(cfg, checkpoint),
+                        "predict": lambda: C.cmd_predict(cfg, checkpoint, day_ids, render=True)}
+            result = {}
+            for name, command in commands.items():
+                tracemalloc.start()
+                try:
+                    assert command() == 0
+                    result[name] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            day, _ = F.read_day(ds / "prepared", date.fromisoformat(day_ids[0]))
+            return result, day.features.nbytes + day.mask.nbytes
+
+        (few, prepared_day), (many, _) = peaks(2), peaks(6)
+        for name in ("evaluate", "predict"):
+            assert many[name] - few[name] <= 0.25 * prepared_day, (name, few, many, prepared_day)
+
+
 class TestErrorContract:
     @pytest.mark.parametrize("args, message", [
         (["train", "--folds", "x"], "argument --folds: invalid int value: 'x'"),
@@ -316,6 +405,41 @@ class TestErrorContract:
         [error] = proc.stderr.splitlines()
         assert error.startswith(f"error: config key tr={float(tr)}: ")
         assert not (out / "scaling.json").exists() and not (out / "prepared").exists()
+
+    def test_negative_seed_is_refused_before_writing(self, pipeline, tmp_path):
+        ds, _ = pipeline
+        out = tmp_path / "prepared_ds"
+        proc = run_cli("prepare", "--data", ds, "--out", out, "--seed", "-2")
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == ["error: config key seed=-2: must be at least 0"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-4"])
+    def test_thread_count_below_one_is_refused_before_writing(self, tmp_path, threads):
+        out = tmp_path / "ds"
+        proc = run_cli("generate", "--out", out, "--days", "2", "--holdout-days", "1",
+                       "--height", "64", "--width", "64", "--threads", threads)
+        assert proc.returncode == 1
+        [error] = proc.stderr.splitlines()
+        assert error == f"error: config key threads={threads}: must be at least 1"
+        assert not out.exists()
+
+    def test_stale_holdout_manifest_names_the_file_and_the_first_day(self, pipeline, tmp_path):
+        ds, run = pipeline
+        data = tmp_path / "ds"
+        shutil.copytree(ds, data)
+        manifest = data / "holdout_tiles.csv"
+        lines = manifest.read_text().splitlines()
+        # drop one tile of the second and of the third holdout day
+        for day in HOLDOUT_DAYS[1:3]:
+            lines.remove(next(line for line in lines if line.startswith(day)))
+        manifest.write_text("\n".join(lines) + "\n")
+        proc = run_cli("evaluate", "--data", data, "--out", tmp_path / "run", run / "best.unc")
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            f"error: {manifest}: does not match prepared holdout day 2021-06-10; re-run prepare"
+        ]
+        assert not (tmp_path / "run" / "holdout.csv").exists()
 
     def test_missing_data_dir_is_one_line_error(self, tmp_path):
         proc = run_cli("prepare", "--data", tmp_path / "nope", "--out", tmp_path)
@@ -427,6 +551,15 @@ class TestErrorContract:
         assert proc.returncode == 1
         [error] = proc.stderr.splitlines()
         assert error.startswith(f"error: {data / manifest}: ")
+
+    def test_predict_refuses_a_missing_day_before_writing(self, pipeline, tmp_path):
+        ds, run = pipeline
+        proc = run_cli("predict", "--data", ds, "--out", tmp_path, run / "best.unc",
+                       HOLDOUT_DAYS[0], "2030-01-01")
+        assert proc.returncode == 1
+        [error] = proc.stderr.splitlines()
+        assert error == f"error: prepared day {ds / 'prepared' / '2030-01-01.fsk'} does not exist"
+        assert list(tmp_path.glob("pred_*")) == []
 
     def test_invalid_day_id(self, tmp_path):
         proc = run_cli("predict", "--data", tmp_path, "--out", tmp_path,

@@ -237,6 +237,36 @@ class TestEvaluateHoldout:
             stitched = stitched + confusion(pred, day.mask)
         assert stitched == tiled.counts
 
+    def test_counts_are_predict_days_masks_whatever_the_batch(self, monkeypatch):
+        # a 160x160 day has 25 tiles, 21 of them land: no day's tile count is
+        # a multiple of 32, and the stub's fire logit flips sign between a batch
+        # of 32 tiles (fire) and one of 25 or 31 (no fire)
+        rng = np.random.default_rng(8)
+        days = []
+        for i in range(3):
+            mask = rng.integers(0, 2, (160, 160)).astype(np.uint8)
+            mask[:64, :64] = D.WATER
+            feats = rng.standard_normal((3, 160, 160)).astype(np.float32)
+            days.append(D.GridDay(date(2021, 7, 1 + i), feats, mask))
+        assert [len(D.holdout_tileset([day]).specs) for day in days] == [21, 21, 21]
+
+        def batch_dependent_forward(params, batch, training=False):
+            logits = np.zeros((batch.shape[0], 2) + batch.shape[2:], np.float32)
+            logits[:, 1] = 1e-6 * (batch.shape[0] - 28)
+            return logits, None
+
+        monkeypatch.setattr(T.U, "forward", batch_dependent_forward)
+        params = U.init_params(U.UNetConfig(in_channels=3, init_features=2))
+        config = T.TrainConfig()
+        stitched = ConfusionCounts()
+        for day in days:
+            stitched = stitched + confusion(T.predict_day(params, day, config.threshold), day.mask)
+        result = T.evaluate_holdout(params, days, config)
+        assert result.counts == stitched
+        assert result.tiles == 63
+        # any iterable of days will do: each day is read once
+        assert T.evaluate_holdout(params, iter(days), config) == result
+
     def test_refuses_sampled_manifest_semantics(self, tiny_setup):
         store, tileset, _ = tiny_setup
         with pytest.raises(ValueError, match="holdout"):
