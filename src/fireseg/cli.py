@@ -256,8 +256,11 @@ def cmd_train(cfg: dict) -> int:
 
 
 def cmd_evaluate(cfg: dict, checkpoint: Path) -> int:
-    """Score the checkpoint on the holdout days. Memory: one prepared day per worker, one worker."""
-    config = train_config(cfg)
+    """Score the checkpoint on the holdout days. Memory: one prepared day per worker, one worker.
+
+    Of the training keys it reads only threshold.
+    """
+    config = T.TrainConfig(threshold=_get(cfg, "threshold"))
     data, out = _data_and_out(cfg)
     params = F.read_checkpoint(_require_file(checkpoint, "checkpoint"))
     path = data / "holdout_tiles.csv"
@@ -287,9 +290,10 @@ def cmd_predict(cfg: dict, checkpoint: Path, day_args: list[str], render: bool) 
         day_ids = [date.fromisoformat(s) for s in day_args]
     except ValueError as exc:
         raise CliError(f"invalid day id: {exc}") from exc
-    for day_id in day_ids:  # a missing day fails before any prediction is written
+    for day_id in day_ids:  # a missing or misshapen day fails before any prediction is written
         for path in F.day_paths(data / "prepared", day_id):
             _require_file(path, "prepared day")
+        F.check_day(data / "prepared", day_id)
     threshold = _get(cfg, "threshold")
 
     def predict_one(day_id: date) -> None:

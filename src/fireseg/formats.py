@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import re
 import struct
@@ -113,17 +114,23 @@ def write_stack(path: Path, names: list[str], features: np.ndarray) -> None:
     atomic_write_bytes(path, b"".join(parts))
 
 
+def _stack_header(f) -> tuple[list[str], tuple[int, int, int]]:
+    """Channel names and (C, H, W) of the open stack file f, left at its payload."""
+    if _read_exact(f, 4, "magic") != MAGIC_STACK:
+        raise FormatError(f"{f.name}: not a feature stack (bad magic)")
+    c, h, w = struct.unpack("<III", _read_exact(f, 12, "dimensions"))
+    if c == 0:
+        raise FormatError(f"{f.name}: feature stack declares zero channels")
+    names = []
+    for _ in range(c):
+        (n,) = struct.unpack("<I", _read_exact(f, 4, "name length"))
+        names.append(_read_exact(f, n, "channel name").decode("utf-8"))
+    return names, (c, h, w)
+
+
 def read_stack(path: Path) -> tuple[list[str], np.ndarray]:
     with open(path, "rb") as f:
-        if _read_exact(f, 4, "magic") != MAGIC_STACK:
-            raise FormatError(f"{path}: not a feature stack (bad magic)")
-        c, h, w = struct.unpack("<III", _read_exact(f, 12, "dimensions"))
-        if c == 0:
-            raise FormatError(f"{path}: feature stack declares zero channels")
-        names = []
-        for _ in range(c):
-            (n,) = struct.unpack("<I", _read_exact(f, 4, "name length"))
-            names.append(_read_exact(f, n, "channel name").decode("utf-8"))
+        names, (c, h, w) = _stack_header(f)
         data = np.frombuffer(_read_exact(f, 4 * c * h * w, "float payload"), dtype="<f4")
         if f.read(1):
             raise FormatError(f"{path}: trailing bytes after payload")
@@ -143,11 +150,16 @@ def write_mask(path: Path, mask: np.ndarray) -> None:
     atomic_write_bytes(path, payload)
 
 
+def _mask_header(f) -> tuple[int, int]:
+    """(H, W) of the open mask file f, left at its payload."""
+    if _read_exact(f, 4, "magic") != MAGIC_MASK:
+        raise FormatError(f"{f.name}: not a mask file (bad magic)")
+    return struct.unpack("<II", _read_exact(f, 8, "dimensions"))
+
+
 def read_mask(path: Path) -> np.ndarray:
     with open(path, "rb") as f:
-        if _read_exact(f, 4, "magic") != MAGIC_MASK:
-            raise FormatError(f"{path}: not a mask file (bad magic)")
-        h, w = struct.unpack("<II", _read_exact(f, 8, "dimensions"))
+        h, w = _mask_header(f)
         data = np.frombuffer(_read_exact(f, h * w, "mask payload"), dtype=np.uint8)
         if f.read(1):
             raise FormatError(f"{path}: trailing bytes after payload")
@@ -166,6 +178,28 @@ def write_day(directory: Path, day: GridDay, names: list[str]) -> None:
     stack_path, mask_path = day_paths(directory, day.day_id)
     write_stack(stack_path, names, day.features)
     write_mask(mask_path, day.mask)
+
+
+def check_day(directory: Path, day_id: date) -> None:
+    """Parse the headers of a day's stack and mask and check each file's size against them.
+
+    Reads no payload, so a truncated or overlong file fails before a caller
+    writes anything; a non-finite value only fails in read_day.
+    """
+    stack_path, mask_path = day_paths(directory, day_id)
+    with open(stack_path, "rb") as f:
+        _check_payload(f, 4 * math.prod(_stack_header(f)[1]), "float payload")
+    with open(mask_path, "rb") as f:
+        _check_payload(f, math.prod(_mask_header(f)), "mask payload")
+
+
+def _check_payload(f, n: int, what: str) -> None:
+    """Refuse the open file f unless exactly n bytes follow its position."""
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if left < n:
+        raise FormatError(f"{f.name}: truncated file while reading {what}")
+    if left > n:
+        raise FormatError(f"{f.name}: trailing bytes after payload")
 
 
 def read_day(directory: Path, day_id: date) -> tuple[GridDay, list[str]]:

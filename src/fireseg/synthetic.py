@@ -25,7 +25,15 @@ highest land score within distance 2 with the cutoff. Calibration bisects
 the bias against the exact expected rate. It computes those highest scores
 once per day, sums each day over all its land pixels (so numpy's pairwise
 summation sees the array the full product gives) and stops the bisection
-at its fixed point (where a step no longer moves either bound).
+at its fixed point (where a step no longer moves either bound). A day keeps
+the active set of the last pass that scanned all its land pixels (the
+pixels whose highest score reaches the cutoff, ascending, with their
+scores) while that set holds at most an eighth of its land. A later pass
+whose cutoff is no lower filters the kept set by highest score instead of
+scanning: the same pixels in the same order with the same scores, since a
+score does not depend on the bias. The bisection steps the cutoff down
+until a step first raises the lower bound; every later cutoff lies above
+that one, so a day whose set was kept there scans no more.
 
 The rule description is returned next to the dataset so tests can evaluate
 that ceiling; it is not part of the schema the model sees.
@@ -115,7 +123,8 @@ class PlantedRule:
     def fire_marginal(self, features: np.ndarray, land: np.ndarray) -> np.ndarray:
         """Exact P(pixel burns): independent seed + contagion events."""
         raster = _Raster(land)
-        self._burn(raster, features.reshape(len(features), -1), _reach(self.score(features), land))
+        reach = _reach(self.score(features), land)
+        self._burn(raster, *_scan(self, raster, features.reshape(len(features), -1), reach))
         out = np.zeros(land.shape)
         out[land] = raster.burn
         return out
@@ -131,19 +140,14 @@ class PlantedRule:
             return self.bias - _COLD / self.gain
         return -np.inf
 
-    def _burn(self, raster: _Raster, features: np.ndarray, reach: np.ndarray) -> np.ndarray:
+    def _burn(self, raster: _Raster, act: np.ndarray, score: np.ndarray) -> None:
         """P(burn) = 1 - (1 - q) * prod over neighbors (1 - p * q[neighbor]) into raster.burn.
 
-        features is the day's stack with flat pixels, [C, H * W]; reach holds
-        each land pixel's highest land score within Chebyshev distance 2.
-        Only land pixels that a hot pixel reaches get the product, and their
-        scores are only computed there; every other entry of raster.burn
-        stays 0.0. Returns the land indices written, so the caller can reset
-        them.
+        act holds, ascending, the land indices that a hot pixel reaches (see
+        _scan) and score the rule's score at each. Only they get the product;
+        every other entry of raster.burn stays 0.0, and the caller resets act's.
         """
         cut = self._cutoff()
-        act = np.flatnonzero(reach >= cut)
-        score = self.score(np.take(features, raster.flat[act], axis=1))
         hot = ~(score < cut)  # NaN is hot; hot pixels are active, reach counts their own score
         at_hot = raster.pos[act[hot]]
         q = self._seed(score[hot])
@@ -157,7 +161,6 @@ class PlantedRule:
             # numpy reduces a leading axis row by row: ((f0 * f1) * f2) ..., the full order
             raster.burn[block] = 1.0 - np.multiply.reduce(factors, axis=0)
         own[at_hot] = near[at_hot] = far[at_hot] = 1.0
-        return act
 
 
 _COLD = 40.0  # gain * (bias - score) beyond which a pixel is cold
@@ -200,24 +203,46 @@ def _reach(score: np.ndarray, land: np.ndarray) -> np.ndarray:
     return reduce(np.maximum, [rows[r : r + h] for r in range(5)])[land]
 
 
-def _box1d(a: np.ndarray, radius: int, axis: int) -> np.ndarray:
-    pad = [(0, 0)] * a.ndim
-    pad[axis] = (radius + 1, radius)
-    p = np.pad(a, pad, mode="edge")
-    c = np.cumsum(p, axis=axis, dtype=np.float64)
-    hi = [slice(None)] * a.ndim
-    lo = [slice(None)] * a.ndim
-    hi[axis] = slice(2 * radius + 1, None)
-    lo[axis] = slice(0, a.shape[axis])
-    return (c[tuple(hi)] - c[tuple(lo)]) / (2 * radius + 1)
+def _scan(rule: PlantedRule, raster: _Raster, features: np.ndarray, reach: np.ndarray):
+    """The land indices whose reach is at least rule's cutoff, ascending, and the rule's score at each.
+
+    features is the day's stack with flat pixels, [C, H * W]; reach holds
+    each land pixel's highest land score within Chebyshev distance 2.
+    """
+    act = np.flatnonzero(reach >= rule._cutoff())
+    return act, rule.score(np.take(features, raster.flat[act], axis=1))
 
 
-def _smooth_field(rng: np.random.Generator, h: int, w: int, radius: int) -> np.ndarray:
-    """Standardized separable box-blur (applied twice) of white noise."""
-    field = rng.standard_normal((h, w))
-    for _ in range(2):
-        field = _box1d(_box1d(field, radius, 0), radius, 1)
-    return (field - field.mean()) / field.std()
+class _Smoother:
+    """Standardized separable box blurs (applied twice) of white noise, h x w.
+
+    One instance holds the float64 buffers all fields of a dataset reuse: an
+    edge-padded copy per axis and the field. Each blur pass pads the field's
+    edges, takes a cumulative sum along the axis and divides the window
+    differences by 2r + 1, the operations of np.pad(mode="edge") and
+    np.cumsum in the same order.
+    """
+
+    def __init__(self, h: int, w: int, radius: int):
+        self.radius = radius
+        self.rows = np.empty((h + 2 * radius + 1, w))
+        self.cols = np.empty((h, w + 2 * radius + 1))
+        self.field = np.empty((h, w))
+
+    def __call__(self, rng: np.random.Generator) -> np.ndarray:
+        r, field = self.radius, self.field
+        rng.standard_normal(out=field)
+        for _ in range(2):
+            # a column pass is a row pass on the transposed views
+            for pad, a in ((self.rows, field), (self.cols.T, field.T)):
+                n = len(a)
+                pad[: r + 1] = a[0]
+                pad[r + 1 : r + 1 + n] = a
+                pad[r + 1 + n :] = a[-1]
+                np.cumsum(pad, axis=0, out=pad)
+                np.subtract(pad[2 * r + 1 :], pad[:n], out=a)
+                a /= 2 * r + 1
+        return (field - field.mean()) / field.std()
 
 
 def _child_rng(seed: int, *tags: int) -> np.random.Generator:
@@ -256,18 +281,16 @@ def generate_dataset(
     dynamic = tuple(i for i in range(config.numeric_channels) if i % 2 == 0)
     static = tuple(i for i in range(config.numeric_channels) if i % 2 == 1)
 
-    static_fields = {
-        i: _smooth_field(_child_rng(seed, _TAG_STATIC, i), h, w, config.blur_radius)
-        for i in static
-    }
-    water_field = _smooth_field(_child_rng(seed, _TAG_WATER), h, w, config.blur_radius)
+    smooth = _Smoother(h, w, config.blur_radius)
+    static_fields = {i: smooth(_child_rng(seed, _TAG_STATIC, i)).astype(np.float32) for i in static}
+    water_field = smooth(_child_rng(seed, _TAG_WATER))
     if config.water_fraction > 0:
         water = water_field < np.quantile(water_field, config.water_fraction)
     else:
         water = np.zeros((h, w), dtype=bool)
     land = ~water
 
-    lc_field = _smooth_field(_child_rng(seed, _TAG_LANDCOVER), h, w, config.blur_radius)
+    lc_field = smooth(_child_rng(seed, _TAG_LANDCOVER))
     edges = np.quantile(lc_field, np.linspace(0, 1, config.categories + 1)[1:-1])
     landcover = np.searchsorted(edges, lc_field.reshape(-1)).reshape(h, w).astype(np.float32)
 
@@ -288,13 +311,12 @@ def generate_dataset(
         stack = np.zeros((config.numeric_channels + 1, h, w), dtype=np.float32)
         for i in range(config.numeric_channels):
             if i in static:
-                stack[i] = static_fields[i].astype(np.float32)
-            else:
-                stack[i] = _smooth_field(
-                    _child_rng(seed, _TAG_DYNAMIC, d, i), h, w, config.blur_radius
-                ).astype(np.float32)
+                stack[i] = static_fields[i]
+            else:  # the assignment rounds to float32 as astype does
+                stack[i] = smooth(_child_rng(seed, _TAG_DYNAMIC, d, i))
         stack[-1] = landcover
         stacks.append(stack)
+    del smooth, static_fields  # the calibration below sets generation's memory peak
 
     rule = PlantedRule(
         channel_a=dynamic[0],
@@ -345,18 +367,32 @@ def generate_dataset(
 
 
 def _expected_rate(rule: PlantedRule, stacks: list[np.ndarray], land: np.ndarray):
-    """expected_rate(bias): the exact fire marginal's mean over every land pixel of every day."""
+    """expected_rate(bias): the exact fire marginal's mean over every land pixel of every day.
+
+    Each day keeps a small active set of its last full scan (see the module docstring).
+    """
     raster = _Raster(land)
-    # per day: flat pixels and the bias-independent reach of each land pixel
-    days = [(s.reshape(len(s), -1), _reach(rule.score(s), land)) for s in stacks]
+    small = raster.flat.size // 8
+    # per day: flat pixels, the bias-independent reach of each land pixel and
+    # the kept (cutoff, land indices, scores), if any
+    days = [[s.reshape(len(s), -1), _reach(rule.score(s), land), None] for s in stacks]
 
     def expected_rate(bias: float) -> float:
         r = replace(rule, bias=bias)
+        cut = r._cutoff()
         total = 0
-        for features, reach in days:
-            written = r._burn(raster, features, reach)
+        for day in days:
+            features, reach, kept = day
+            if kept is not None and cut >= kept[0]:
+                _, act, score = kept
+                inside = reach[act] >= cut
+                act, score = act[inside], score[inside]
+            else:
+                act, score = _scan(r, raster, features, reach)
+                day[2] = (cut, act, score) if act.size <= small else None
+            r._burn(raster, act, score)
             total += float(raster.burn.sum())  # all land pixels, in raster order
-            raster.burn[written] = 0.0
+            raster.burn[act] = 0.0
         return total / (len(stacks) * int(land.sum()))
 
     return expected_rate

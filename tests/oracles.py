@@ -264,3 +264,24 @@ def calibrate_bias_dense(rule, stacks, land, target):
         if step == (lo, hi):
             return 0.5 * (lo + hi)
         lo, hi = step
+
+
+def box1d_padded(a, radius, axis):
+    """Running mean of width 2r + 1 along axis, edges repeated: np.pad, then a cumsum difference."""
+    pad = [(0, 0)] * a.ndim
+    pad[axis] = (radius + 1, radius)
+    p = np.pad(a, pad, mode="edge")
+    c = np.cumsum(p, axis=axis, dtype=np.float64)
+    hi = [slice(None)] * a.ndim
+    lo = [slice(None)] * a.ndim
+    hi[axis] = slice(2 * radius + 1, None)
+    lo[axis] = slice(0, a.shape[axis])
+    return (c[tuple(hi)] - c[tuple(lo)]) / (2 * radius + 1)
+
+
+def smooth_field_padded(rng, h, w, radius):
+    """Standardized separable box blur (applied twice) of white noise, one fresh array per step."""
+    field = rng.standard_normal((h, w))
+    for _ in range(2):
+        field = box1d_padded(box1d_padded(field, radius, 0), radius, 1)
+    return (field - field.mean()) / field.std()

@@ -230,6 +230,25 @@ class TestPipeline:
         img = F.read_ppm(run / "render_2021-06-09.ppm")
         assert img.shape == (64, 64 * 2 + 2, 3)
 
+    def test_evaluate_reads_only_the_threshold(self, pipeline, tmp_path):
+        # training keys that TrainConfig would refuse do not reach evaluate
+        ds, run = pipeline
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("lr=-1\npatience=0\ngrouping=bogus\nes_metric=bogus\n")
+        proc = run_cli("evaluate", "--config", cfg, "--data", ds, "--out", tmp_path,
+                       run / "best.unc", "--seed", "3")
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "holdout.csv").read_bytes() == (run / "holdout.csv").read_bytes()
+
+    def test_evaluate_refuses_a_threshold_outside_zero_to_one(self, pipeline, tmp_path):
+        ds, run = pipeline
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("threshold=1.5\n")
+        proc = run_cli("evaluate", "--config", cfg, "--data", ds, "--out", tmp_path, run / "best.unc")
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == ["error: threshold must be a probability"]
+        assert not (tmp_path / "holdout.csv").exists()
+
     def test_no_temp_droppings(self, pipeline):
         ds, run = pipeline
         leftovers = list(ds.rglob("*.tmp")) + list(run.rglob("*.tmp"))
@@ -508,15 +527,6 @@ class TestErrorContract:
         assert len(errors) == 1 and errors[0].startswith("error: ")
         assert not (tmp_path / "raw").exists()
 
-    def test_evaluate_refuses_an_unknown_grouping(self, pipeline, tmp_path):
-        ds, run = pipeline
-        cfg = tmp_path / "c.cfg"
-        cfg.write_text("grouping=bogus\n")
-        proc = run_cli("evaluate", "--config", cfg, "--data", ds, "--out", tmp_path, run / "best.unc")
-        assert proc.returncode == 1
-        assert proc.stderr.strip().splitlines() == ["error: unknown grouping 'bogus'"]
-        assert not (tmp_path / "holdout.csv").exists()
-
     def test_diverged_training_is_one_line_error(self, tmp_path):
         ds, run = tmp_path / "ds", tmp_path / "run"
         for step in (
@@ -560,6 +570,23 @@ class TestErrorContract:
         [error] = proc.stderr.splitlines()
         assert error == f"error: prepared day {ds / 'prepared' / '2030-01-01.fsk'} does not exist"
         assert list(tmp_path.glob("pred_*")) == []
+
+    @pytest.mark.parametrize("suffix, edit, message", [
+        (".fsk", lambda raw: raw[:-1], "truncated file while reading float payload"),
+        (".msk", lambda raw: raw + b"z", "trailing bytes after payload"),
+    ], ids=["truncated-stack", "overlong-mask"])
+    def test_predict_refuses_a_corrupt_later_day_before_writing(self, pipeline, tmp_path,
+                                                                 suffix, edit, message):
+        ds, run = pipeline
+        data = tmp_path / "ds"
+        shutil.copytree(ds / "prepared", data / "prepared")
+        bad = data / "prepared" / (HOLDOUT_DAYS[1] + suffix)
+        bad.write_bytes(edit(bad.read_bytes()))
+        out = tmp_path / "run"
+        proc = run_cli("predict", "--data", data, "--out", out, run / "best.unc", *HOLDOUT_DAYS[:2])
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [f"error: {bad}: {message}"]
+        assert list(out.glob("pred_*")) == []
 
     def test_invalid_day_id(self, tmp_path):
         proc = run_cli("predict", "--data", tmp_path, "--out", tmp_path,

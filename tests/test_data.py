@@ -78,6 +78,16 @@ class TestScaling:
             assert params.mins[c] == min(vals)
             assert params.maxs[c] == max(vals)
 
+    def test_water_only_day_leaves_the_bounds_alone(self):
+        schema = D.FeatureSchema((D.Channel("a"),))
+        dry = D.GridDay(date(2021, 6, 1), np.array([[[1.0, 3.0]]], np.float32), np.zeros((1, 2), np.uint8))
+        wet = D.GridDay(date(2021, 6, 2), np.array([[[-9.0, 9.0]]], np.float32),
+                        np.full((1, 2), D.WATER, np.uint8))
+        params = D.fit_scaling([wet, dry], schema)
+        assert (params.mins, params.maxs) == ((1.0,), (3.0,))
+        with pytest.raises(ValueError, match="no land pixels"):
+            D.fit_scaling([wet], schema)
+
     def test_empty_fitting_set_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             D.fit_scaling([], D.FeatureSchema((D.Channel("a"),)))
@@ -164,6 +174,16 @@ class TestExtractTiles:
             day = make_day(mask, channels=1, rng=rng)
             got = {(s.row_off, s.col_off): s.tile_class for s in D.extract_tiles(day)}
             assert got == classify_tiles_naive(mask), f"trial {trial}"
+
+    @pytest.mark.parametrize("shape", [(96, 96), (70, 100), (31, 33), (0, 40)])
+    def test_specs_in_raster_order_match_naive_oracle(self, shape):
+        rng = np.random.default_rng(shape[1])
+        mask = rng.choice([D.NO_FIRE, D.FIRE, D.WATER], size=shape, p=[0.5, 0.005, 0.495])
+        day = make_day(mask, channels=1, rng=rng)
+        got = [(s.day_id, (s.row_off, s.col_off), s.tile_class) for s in D.extract_tiles(day)]
+        want = [(day.day_id, *item) for item in classify_tiles_naive(mask).items()]
+        assert got == want
+        assert all(type(s.tile_class) is str for s in D.extract_tiles(day))
 
     def test_partition_covers_every_land_pixel_once(self):
         rng = np.random.default_rng(4)

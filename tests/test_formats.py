@@ -157,6 +157,36 @@ class TestMaskFormat:
             F.read_mask(path)
 
 
+class TestCheckDay:
+    def write(self, tmp_path):
+        day = D.GridDay(date(2021, 6, 1), np.zeros((2, 3, 4), np.float32), np.zeros((3, 4), np.uint8))
+        F.write_day(tmp_path, day, ["a", "b"])
+        return F.day_paths(tmp_path, day.day_id)
+
+    def test_whole_day_passes_and_no_payload_is_judged(self, tmp_path):
+        stack, _ = self.write(tmp_path)
+        raw = bytearray(stack.read_bytes())
+        raw[-4:] = np.float32(np.nan).tobytes()  # only read_day looks at the values
+        stack.write_bytes(bytes(raw))
+        F.check_day(tmp_path, date(2021, 6, 1))
+        with pytest.raises(F.FormatError, match="non-finite"):
+            F.read_day(tmp_path, date(2021, 6, 1))
+
+    @pytest.mark.parametrize("which", [0, 1])
+    @pytest.mark.parametrize("edit, message", [
+        (lambda raw: raw[:-1], "truncated file while reading"),
+        (lambda raw: raw + b"z", "trailing bytes after payload"),
+        (lambda raw: raw[:6], "truncated file while reading dimensions"),
+        (lambda raw: b"NOPE" + raw[4:], "bad magic"),
+    ], ids=["truncated", "trailing", "short-header", "magic"])
+    def test_bad_file_named(self, tmp_path, which, edit, message):
+        path = self.write(tmp_path)[which]
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(F.FormatError, match=message) as caught:
+            F.check_day(tmp_path, date(2021, 6, 1))
+        assert str(caught.value).startswith(f"{path}: ")
+
+
 class TestManifest:
     def test_round_trip(self, tmp_path):
         specs = (

@@ -4,7 +4,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import calibrate_bias_dense, expected_rate_dense, fire_marginal_dense
+from oracles import (
+    calibrate_bias_dense,
+    expected_rate_dense,
+    fire_marginal_dense,
+    smooth_field_padded,
+)
 
 from fireseg import data as D
 from fireseg import synthetic
@@ -175,7 +180,7 @@ class TestGeneration:
             SC(numeric_channels=2)
 
     def test_negative_blur_radius_is_refused(self):
-        # np.pad would otherwise fail deep inside generation, naming no setting
+        # the smoothing buffers would otherwise fail deep inside generation, naming no setting
         with pytest.raises(ValueError, match="blur_radius"):
             SC(blur_radius=-2)
 
@@ -311,15 +316,17 @@ class TestSparseMarginal:
         assert np.isnan(got).sum() == land[18:23, 28:33].sum()  # its land within distance 2
         assert same_bits(np.nan_to_num(got), np.nan_to_num(want))
 
-    @pytest.mark.parametrize("case", ["generated", "non-square dry", "gain 2.5, p1 0.5"])
+    @pytest.mark.parametrize("case", ["generated", "generated seed 11", "generated seed 12",
+                                      "non-square dry", "gain 2.5, p1 0.5"])
     def test_calibrated_bias_equals_dense_bisection(self, case):
         if case == "gain 2.5, p1 0.5":
             rule = replace(RULE, gain=2.5, spread_p1=0.5)
             days = [random_day(10 + d, h=48, w=64) for d in range(3)]
             stacks, land, target = [f for f, _ in days], days[0][1], 2e-3
         else:
-            cfg = (SynthConfig(height=64, width=64, days=3, seed=4, target_fire_rate=5e-3)
-                   if case == "generated" else
+            seed = int(case.split()[-1]) if "seed" in case else 4
+            cfg = (SynthConfig(height=64, width=64, days=3, seed=seed, target_fire_rate=5e-3)
+                   if case.startswith("generated") else
                    SynthConfig(height=64, width=96, days=2, seed=9, water_fraction=0.0))
             generated, _, rule = generate_dataset(cfg)
             stacks = [d.features for d in generated]
@@ -339,6 +346,41 @@ class TestSparseMarginal:
         monkeypatch.setattr(synthetic, "_expected_rate", recording)
         generate_dataset(SynthConfig(height=64, width=64, days=3, seed=4, target_fire_rate=5e-3))
         assert len(biases) > 10 and -30.0 not in biases
+
+    def test_full_land_scan_runs_only_below_the_kept_cutoff(self, monkeypatch):
+        # a day scans all its land pixels only when it keeps no active set (it
+        # had none yet, or the last held over an eighth of its land) or the
+        # cutoff falls below the kept set's; every other pass filters that set.
+        # Before the sets were kept, this calibration scanned 171 times (3 days
+        # x 57 passes); now it scans 6 times.
+        cutoffs, scans = [], []
+        scan, expected_rate = synthetic._scan, synthetic._expected_rate
+
+        def scanning(rule, raster, features, reach):
+            act, score = scan(rule, raster, features, reach)
+            scans.append((id(reach), rule._cutoff(), act.size))
+            return act, score
+
+        def recording(rule, stacks, land):
+            rate = expected_rate(rule, stacks, land)
+            return lambda bias: cutoffs.append(replace(rule, bias=bias)._cutoff()) or rate(bias)
+
+        monkeypatch.setattr(synthetic, "_scan", scanning)
+        monkeypatch.setattr(synthetic, "_expected_rate", recording)
+        days, _, _ = generate_dataset(
+            SynthConfig(height=64, width=64, days=3, seed=4, target_fire_rate=5e-3))
+        small = int((days[0].mask != D.WATER).sum()) // 8
+        keys = [key for key, _, _ in scans[:3]]
+        kept = [None] * 3
+        recorded = iter(scans)
+        for cut in cutoffs:
+            for d in range(3):
+                if kept[d] is None or cut < kept[d]:
+                    key, scan_cut, size = next(recorded)
+                    assert (key, scan_cut) == (keys[d], cut)
+                    kept[d] = cut if size <= small else None
+        assert next(recorded, None) is None
+        assert (len(cutoffs), len(scans)) == (57, 6)
 
     def test_target_above_the_rate_at_the_lowest_bias_refused(self):
         days = [random_day(30 + d) for d in range(2)]
@@ -383,3 +425,15 @@ class TestSparseMarginal:
                 tracemalloc.stop()
 
         assert peak(24) - peak(8) <= 16 * 3 * h * w * 8
+
+
+class TestSmoother:
+    @pytest.mark.parametrize("radius", [0, 1, 9])
+    def test_equals_padded_cumsum_oracle(self, radius):
+        # one workspace serves every field of a dataset: each field must come
+        # out as a fresh array, untouched by the ones drawn after it
+        smooth = synthetic._Smoother(64, 97, radius)
+        got = [smooth(np.random.default_rng(tag)) for tag in range(3)]
+        for tag, field in enumerate(got):
+            want = smooth_field_padded(np.random.default_rng(tag), 64, 97, radius)
+            assert same_bits(field, want)
