@@ -141,6 +141,7 @@ def _data_and_out(cfg: dict, data_default: str = ".") -> tuple[Path, Path]:
 
 
 def cmd_generate(cfg: dict) -> int:
+    """Write a synthetic dataset. Memory: every day, as generate_dataset holds them."""
     out = Path(cfg.get("out_dir", "."))
     n_train = _get(cfg, "days")
     n_holdout = _get(cfg, "holdout_days")
@@ -222,6 +223,10 @@ def _read_prepared(data: Path, day_id: date) -> D.GridDay:
 
 
 def cmd_train(cfg: dict) -> int:
+    """Cross-validate on the sampled tiles.
+
+    Memory: the prepared train days, plus one fold's tiles, state and step (see train_fold).
+    """
     config = train_config(cfg)
     data, out = _data_and_out(cfg)
     tileset, day_ids = _load_manifest(data / "train_val_tiles.csv", D.SAMPLED)

@@ -86,6 +86,10 @@ class FeatureSchema:
             )
 
 
+class NonFiniteError(ValueError):
+    """A feature stack holds a NaN or an infinity."""
+
+
 @dataclass(frozen=True)
 class GridDay:
     """One day's feature stack [C,H,W] and label mask [H,W] in {0,1,2}."""
@@ -100,7 +104,7 @@ class GridDay:
         if self.features.dtype != np.float32:
             raise ValueError(f"features must be float32, got {self.features.dtype}")
         if not np.all(np.isfinite(self.features)):
-            raise ValueError("features contain non-finite values")
+            raise NonFiniteError("features contain non-finite values")
         if self.mask.shape != self.features.shape[1:]:
             raise ShapeError(
                 f"mask {self.mask.shape} does not match feature grid {self.features.shape[1:]}"

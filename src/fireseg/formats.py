@@ -37,6 +37,7 @@ from .data import (
     Channel,
     FeatureSchema,
     GridDay,
+    NonFiniteError,
     ScalingParams,
     TileSet,
     TileSpec,
@@ -128,15 +129,24 @@ def _stack_header(f) -> tuple[list[str], tuple[int, int, int]]:
     return names, (c, h, w)
 
 
-def read_stack(path: Path) -> tuple[list[str], np.ndarray]:
+def _read_features(path: Path) -> tuple[list[str], np.ndarray]:
+    """A stack's channel names and float32 features; the values are not judged."""
     with open(path, "rb") as f:
         names, (c, h, w) = _stack_header(f)
         data = np.frombuffer(_read_exact(f, 4 * c * h * w, "float payload"), dtype="<f4")
         if f.read(1):
             raise FormatError(f"{path}: trailing bytes after payload")
-    features = data.reshape(c, h, w).astype(np.float32)
+    return names, data.reshape(c, h, w).astype(np.float32)
+
+
+def _non_finite(path: Path) -> FormatError:
+    return FormatError(f"{path}: stack contains non-finite values")
+
+
+def read_stack(path: Path) -> tuple[list[str], np.ndarray]:
+    names, features = _read_features(path)
     if not np.all(np.isfinite(features)):
-        raise FormatError(f"{path}: stack contains non-finite values")
+        raise _non_finite(path)
     return names, features
 
 
@@ -203,10 +213,14 @@ def _check_payload(f, n: int, what: str) -> None:
 
 
 def read_day(directory: Path, day_id: date) -> tuple[GridDay, list[str]]:
+    """A day's stack and mask. GridDay's check is the one scan of the features."""
     stack_path, mask_path = day_paths(directory, day_id)
-    names, features = read_stack(stack_path)
+    names, features = _read_features(stack_path)
     mask = read_mask(mask_path)
-    return GridDay(day_id, features, mask), names
+    try:
+        return GridDay(day_id, features, mask), names
+    except NonFiniteError:
+        raise _non_finite(stack_path) from None
 
 
 # ---------------------------------------------------------------------------

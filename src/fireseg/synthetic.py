@@ -276,6 +276,12 @@ def generate_dataset(
     The dataset-wide fire rate is calibrated to target_fire_rate: the rule
     bias is solved against the exact expected rate, then the realized draw is
     rejected and redrawn (bounded retries) until it lands within +-20%.
+
+    Memory: every day's feature stack, by design, since the calibration
+    reads them all; while it runs, each day also keeps one float64 reach
+    value per land pixel and a small active set. That is at most one stack,
+    one mask and 8 bytes per pixel per day (1.21 stacks a day at 9 channels),
+    plus a fixed workspace of about 4.5 stacks.
     """
     h, w, seed = config.height, config.width, config.seed
     dynamic = tuple(i for i in range(config.numeric_channels) if i % 2 == 0)

@@ -150,6 +150,32 @@ def predict_tiles(
         yield chunk, U.predict_mask(logits, threshold), masks
 
 
+def _train_step(
+    params: U.UNetParams,
+    state: AdamState,
+    step: int,
+    feats: np.ndarray,
+    masks: np.ndarray,
+    batch: np.ndarray,
+    class_weights: tuple[float, float],
+    lr: float,
+) -> tuple[U.UNetParams, AdamState, float]:
+    """One Adam step on the tiles that `batch` indexes: (new params, new state, batch loss).
+
+    The forward cache, logits, loss result and gradients are this frame's
+    locals, so none of them outlives the step. The batch is selected in the
+    forward call, whose own channels-last copy is what the cache keeps, so
+    the selected copy dies when forward returns.
+    """
+    logits, cache = U.forward(params, feats[batch], training=True)
+    res = weighted_ce_loss(logits, masks[batch], class_weights)
+    grads = U.backward(params, cache, res.grad_logits)
+    loss = res.loss
+    del logits, cache, res  # Adam's new arrays need not sit on top of the activations
+    tensors, state = adam_step(params.tensors(), grads, state, lr=lr, t=step)
+    return params.with_tensors(tensors), state, loss
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def train_fold(
     train_specs,
@@ -162,6 +188,12 @@ def train_fold(
 
     numpy's overflow and invalid-value warnings are off here: the finite
     check after each epoch is the one report of a diverged fold.
+
+    Memory: the fold's train tiles (features and masks), plus about 4-5
+    parameter sizes (the parameters, Adam's two moments, the best
+    checkpoint, Adam's new arrays), plus one step. A step's activations
+    and gradients are freed before the next forward, and the validation
+    forward runs with none of them alive.
     """
     val_specs = list(val_specs)
     if not any(s.tile_class == D.FIRE_TILE for s in val_specs):
@@ -188,14 +220,12 @@ def train_fold(
         epoch_loss = 0.0
         batches = 0
         for lo in range(0, n, config.batch_size):
-            sel = order[lo : lo + config.batch_size]
-            logits, cache = U.forward(params, tr_feats[sel], training=True)
-            res = weighted_ce_loss(logits, tr_masks[sel], class_weights)
-            grads = U.backward(params, cache, res.grad_logits)
             step += 1
-            tensors, state = adam_step(params.tensors(), grads, state, lr=config.lr, t=step)
-            params = params.with_tensors(tensors)
-            epoch_loss += res.loss
+            batch = order[lo : lo + config.batch_size]
+            params, state, loss = _train_step(
+                params, state, step, tr_feats, tr_masks, batch, class_weights, config.lr
+            )
+            epoch_loss += loss
             batches += 1
         if not all(np.isfinite(t).all() for t in params.tensors()):
             raise ValueError(

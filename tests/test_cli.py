@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import re
 import shutil
 import struct
 import subprocess
@@ -113,6 +114,66 @@ class TestConfigSurface:
                 key = "tr" if f.name == "tile_ratio" else f.name
                 if key in table:
                     assert table[key] == str(f.default), key
+
+
+def _readme_readers() -> dict[str, set[str]]:
+    """Key -> the commands the README's "read by" column names; notes in parentheses are skipped."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Configuration keys\n", 1)[1].split("\n## ", 1)[0]
+    readers = {}
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            key, _, read_by = (cell.strip() for cell in line.split("|")[1:4])
+            names = {name.strip() for name in re.sub(r"\([^)]*\)", "", read_by).split(",")}
+            readers[key.strip("`")] = set(C.COMMANDS) if names == {"all commands"} else names
+    return readers
+
+
+class TestKeyRecord:
+    def test_each_command_reads_the_keys_of_its_flags_and_readme_row(self, tmp_path, monkeypatch):
+        # every key a command reads goes through _get, but the two
+        # directories, which are read with cfg.get
+        reads: dict[str, set[str]] = {}
+        command = None
+        get = C._get
+        monkeypatch.setattr(C, "_get", lambda cfg, key: reads[command].add(key) or get(cfg, key))
+
+        class Recorded(dict):
+            def get(self, key, default=None):
+                reads[command].add(key)
+                return super().get(key, default)
+
+        ds, run = tmp_path / "ds", tmp_path / "run"
+        runs = {
+            "generate": C.cmd_generate,
+            "prepare": C.cmd_prepare,
+            "train": C.cmd_train,
+            "evaluate": lambda cfg: C.cmd_evaluate(cfg, run / "best.unc"),
+            "predict": lambda cfg: C.cmd_predict(cfg, run / "best.unc", ["2021-06-05"], False),
+        }
+        values = {"out_dir": ds, "days": 4, "holdout_days": 1, "height": 64, "width": 64,
+                  "target_fire_rate": 0.006, "seed": 3, "data_dir": ds, "tr": 2,
+                  "max_epochs": 2, "patience": 1, "folds": 2, "init_features": 2}
+        for command, fn in runs.items():
+            reads[command] = set()
+            if command == "train":
+                values["out_dir"] = run
+            assert fn(Recorded({k: str(v) for k, v in values.items()})) == 0
+        assert set(reads) == set(C.COMMANDS)
+
+        readers = _readme_readers()
+        for command, keys in reads.items():
+            assert keys == {k for k, names in readers.items() if command in names}, command
+            assert set(C.COMMANDS[command][1]) <= keys, command  # no flag goes unread
+        # what the flags and the reads do not share today: keys read from a
+        # config file only, and shared flags a command ignores
+        file_only = {c: keys - set(C.COMMANDS[c][1]) - set(C.SHARED_KEYS) for c, keys in reads.items()}
+        assert file_only == {"generate": {"blur_radius"}, "prepare": set(),
+                             "train": {"threshold", "grouping"}, "evaluate": {"threshold"},
+                             "predict": set()}
+        ignored = {c: set(C.SHARED_KEYS) - keys for c, keys in reads.items()}
+        assert ignored == {"generate": {"data_dir"}, "prepare": set(), "train": {"threads"},
+                           "evaluate": {"seed", "threads"}, "predict": {"seed"}}
 
 
 HOLDOUT_DAYS = ["2021-06-09", "2021-06-10", "2021-06-11", "2021-06-12"]
@@ -339,6 +400,28 @@ class TestDeterminism:
         assert masks == [f"pred_{day}.msk" for day in days]
         for name in masks:
             assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t2" / name).read_bytes(), name
+
+
+class TestGenerateMemory:
+    def test_peak_grows_by_one_stack_and_its_calibration_raster_per_day(self, tmp_path):
+        # generate holds every day by design: the bias calibration reads them all
+        def peak(train_days):
+            cfg = {"out_dir": str(tmp_path / f"ds{train_days}"), "days": str(train_days),
+                   "holdout_days": "2", "height": "96", "width": "96", "seed": "5",
+                   "target_fire_rate": "0.01"}
+            tracemalloc.start()
+            try:
+                assert C.cmd_generate(cfg) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # first-call allocations are not per-day growth
+        growth = peak(12) - peak(4)
+        _, holdout_ids = F.read_splits(tmp_path / "ds4" / "splits.json")
+        day, _ = F.read_day(tmp_path / "ds4" / "raw", holdout_ids[0])
+        per_day = day.features.nbytes + day.mask.nbytes + 8 * day.mask.size
+        assert growth <= 1.1 * per_day * (12 - 4), (growth, per_day)
 
 
 class TestPrepareMemory:

@@ -172,6 +172,28 @@ class TestCheckDay:
         with pytest.raises(F.FormatError, match="non-finite"):
             F.read_day(tmp_path, date(2021, 6, 1))
 
+    def test_read_day_scans_the_features_once(self, tmp_path, monkeypatch):
+        self.write(tmp_path)
+        scanned = []
+        isfinite = np.isfinite
+
+        def counting(x, *args, **kwargs):
+            scanned.append(np.shape(x))
+            return isfinite(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", counting)
+        F.read_day(tmp_path, date(2021, 6, 1))
+        assert scanned == [(2, 3, 4)]
+
+    def test_non_finite_read_day_error_names_only_the_stack(self, tmp_path):
+        stack, _ = self.write(tmp_path)
+        raw = bytearray(stack.read_bytes())
+        raw[-4:] = np.float32(np.inf).tobytes()
+        stack.write_bytes(bytes(raw))
+        with pytest.raises(F.FormatError) as info:
+            F.read_day(tmp_path, date(2021, 6, 1))
+        assert str(info.value) == f"{stack}: stack contains non-finite values"
+
     @pytest.mark.parametrize("which", [0, 1])
     @pytest.mark.parametrize("edit, message", [
         (lambda raw: raw[:-1], "truncated file while reading"),

@@ -1,3 +1,4 @@
+import tracemalloc
 from datetime import date
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from fireseg import data as D
 from fireseg import training as T
 from fireseg import unet as U
+from fireseg.kernels import weighted_ce_loss
 from fireseg.metrics import ConfusionCounts, confusion
 from fireseg.synthetic import SynthConfig, generate_dataset
 
@@ -185,6 +187,42 @@ class TestCrossValidate:
             assert ra.trace == rb.trace
             for ta, tb in zip(ra.best.params.tensors(), rb.best.params.tensors()):
                 assert np.array_equal(ta, tb)
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestTrainFoldMemory:
+    @pytest.mark.parametrize("batch_size", [8, 24])
+    def test_peak_is_the_folds_arrays_plus_one_step(self, tiny_setup, batch_size):
+        # a step's activations and gradients are gone before the next
+        # forward, so a fold holds its train tiles, about 4-5 parameter
+        # sizes (params, Adam's moments, the best checkpoint, Adam's new
+        # arrays) and one step; two live steps would exceed this
+        store, tileset, encoded = tiny_setup
+        train = [spec for day in encoded for spec in D.extract_tiles(day)]
+        val = tileset.specs  # its fire tiles make validation scores defined
+        assert len(train) == 24
+        config = tiny_config(init_features=4, batch_size=batch_size, max_epochs=3, patience=2)
+        feats, masks = D.materialize_batch(list(train), store)
+        params = U.init_params(U.UNetConfig(in_channels=feats.shape[1], init_features=4))
+        batch_feats, batch_masks = feats[:batch_size].copy(), masks[:batch_size].copy()
+
+        def one_step():
+            logits, cache = U.forward(params, batch_feats, training=True)
+            res = weighted_ce_loss(logits, batch_masks, (1.0, 1.0))
+            U.backward(params, cache, res.grad_logits)
+
+        step = _traced_peak(one_step)
+        fold = _traced_peak(lambda: T.train_fold(train, val, store, config))
+        arrays = feats.nbytes + masks.nbytes + 5 * sum(t.nbytes for t in params.tensors())
+        assert fold <= arrays + 1.2 * step, (fold, arrays, step, (fold - arrays) / step)
 
 
 class TestEvaluateHoldout:
