@@ -15,6 +15,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse
 import math
 import sys
+from collections import deque
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import Field, fields
 from datetime import date
@@ -108,11 +110,22 @@ def train_config(cfg: dict) -> T.TrainConfig:
     return _build(T.TrainConfig, cfg)
 
 
-def _map_days(fn, items, threads: int):
+def _map_days(fn, items, threads: int) -> list:
+    """[fn(item) for item in items] in `threads` threads.
+
+    items is drawn lazily: at most `threads` items are drawn and not yet done,
+    so a stream of days is held a few days at a time.
+    """
     if threads <= 1:
         return [fn(item) for item in items]
+    results, running = [], deque()
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+        for item in items:
+            running.append(pool.submit(fn, item))
+            if len(running) == threads:  # the next item is drawn once the oldest is done
+                results.append(running.popleft().result())
+        results.extend(future.result() for future in running)
+    return results
 
 
 def _require_dir(path: Path, what: str) -> Path:
@@ -141,69 +154,82 @@ def _data_and_out(cfg: dict, data_default: str = ".") -> tuple[Path, Path]:
 
 
 def cmd_generate(cfg: dict) -> int:
-    """Write a synthetic dataset. Memory: every day, as generate_dataset holds them."""
+    """Write a synthetic dataset, each day as stream_dataset builds it.
+
+    Memory: every day's rule channels and mask (see stream_dataset), plus one
+    full day per worker (`threads` workers).
+    """
     out = Path(cfg.get("out_dir", "."))
     n_train = _get(cfg, "days")
     n_holdout = _get(cfg, "holdout_days")
     if n_train < 1 or n_holdout < 1:
         raise CliError(f"need at least 1 train-val and 1 holdout day, got {n_train} and {n_holdout}")
     synth = _build(S.SynthConfig, cfg, days=n_train + n_holdout)
-    days, schema, rule = S.generate_dataset(synth)
+    days, schema, rule = S.stream_dataset(synth)
     raw = out / "raw"
     raw.mkdir(parents=True, exist_ok=True)
     names = [ch.name for ch in schema.channels]
-    _map_days(lambda day: F.write_day(raw, day, names), days, _get(cfg, "threads"))
+
+    def write(day: D.GridDay) -> tuple[date, int]:
+        F.write_day(raw, day, names)
+        return day.day_id, int((day.mask == D.FIRE).sum())
+
+    written = _map_days(write, days, _get(cfg, "threads"))
     F.write_schema(out / "schema.json", schema)
     F.write_rule(out / "rule.json", rule)
-    train_ids = [day.day_id for day in days[:n_train]]
-    holdout_ids = [day.day_id for day in days[n_train:]]
-    F.write_splits(out / "splits.json", train_ids, holdout_ids)
-    fire_px = sum(int((day.mask == D.FIRE).sum()) for day in days)
+    day_ids = [day_id for day_id, _ in written]
+    F.write_splits(out / "splits.json", day_ids[:n_train], day_ids[n_train:])
+    fire_px = sum(fire for _, fire in written)
     print(
-        f"generated {len(days)} days ({n_train} train-val, {n_holdout} holdout) "
+        f"generated {len(written)} days ({n_train} train-val, {n_holdout} holdout) "
         f"at {synth.height}x{synth.width}, {fire_px} fire pixels, into {raw}"
     )
     return 0
 
 
-def _load_split_days(data: Path) -> tuple[list[D.GridDay], list[D.GridDay], D.FeatureSchema]:
-    schema = F.read_schema(_require_file(data / "schema.json", "schema"))
-    train_ids, holdout_ids = F.read_splits(_require_file(data / "splits.json", "splits file"))
-    raw = _require_dir(data / "raw", "raw data")
-    train = [F.read_day(raw, d)[0] for d in train_ids]
-    holdout = [F.read_day(raw, d)[0] for d in holdout_ids]
-    return train, holdout, schema
-
-
 def cmd_prepare(cfg: dict) -> int:
+    """Scale, encode and write every day, and write the tile manifests, in two passes.
+
+    Pass 1 fits the scaling on the raw train days, read one at a time; pass 2
+    reads each day again, writes it scaled and encoded, and keeps its tiles.
+    Memory: one raw and one encoded day per worker (`threads` workers), plus
+    the tile specs.
+    """
     tr = _get(cfg, "tr")
     if not 0 <= tr < math.inf:
         raise CliError(f"config key tr={tr}: the tile ratio must be finite and non-negative")
     data, out = _data_and_out(cfg, cfg.get("out_dir", "."))
-    train_days, holdout_days, schema = _load_split_days(data)
+    schema = F.read_schema(_require_file(data / "schema.json", "schema"))
+    train_ids, holdout_ids = F.read_splits(_require_file(data / "splits.json", "splits file"))
+    raw = _require_dir(data / "raw", "raw data")
+    for day_id in train_ids + holdout_ids:  # a missing or misshapen day fails before any write
+        F.check_day(raw, day_id)
 
-    scaling = D.fit_scaling(train_days, schema)
+    scaling = D.fit_scaling((F.read_day(raw, d)[0] for d in train_ids), schema)
     F.write_scaling(out / "scaling.json", scaling)
 
     prepared = out / "prepared"
     prepared.mkdir(parents=True, exist_ok=True)
     encoded_names = schema.encoded_names()
 
-    # each encoded day is written and dropped: encoding keeps the day's mask,
-    # so the tiles below come from the raw days
-    def encode(day: D.GridDay) -> None:
+    # encoding keeps the day's mask, so the raw day's tiles are the encoded day's
+    def prepare_day(job: tuple[date, bool]) -> Sequence[D.TileSpec]:
+        day_id, held_out = job
+        day = F.read_day(raw, day_id)[0]
         enc, _ = D.one_hot_encode(D.apply_scaling(day, scaling), schema)
         F.write_day(prepared, enc, encoded_names)
+        return D.holdout_tileset([day]).specs if held_out else D.extract_tiles(day)
 
-    _map_days(encode, train_days + holdout_days, _get(cfg, "threads"))
-
-    tiles = [spec for day in train_days for spec in D.extract_tiles(day)]
-    sampled = D.sample_tileset(tiles, tr, _get(cfg, "seed"))
+    n_train = len(train_ids)
+    jobs = [(d, False) for d in train_ids] + [(d, True) for d in holdout_ids]
+    tiles = _map_days(prepare_day, jobs, _get(cfg, "threads"))
+    train_tiles = [spec for specs in tiles[:n_train] for spec in specs]
+    sampled = D.sample_tileset(train_tiles, tr, _get(cfg, "seed"))
     F.write_manifest(out / "train_val_tiles.csv", sampled)
-    holdout_set = D.holdout_tileset(holdout_days)
+    holdout_set = D.TileSet(tuple(spec for specs in tiles[n_train:] for spec in specs), D.HOLDOUT)
     F.write_manifest(out / "holdout_tiles.csv", holdout_set)
     print(
-        f"prepared {len(train_days)} train-val + {len(holdout_days)} holdout days; "
+        f"prepared {n_train} train-val + {len(holdout_ids)} holdout days; "
         f"sampled {len(sampled.specs)} tiles ({sampled.fire_count()} fire, tr={tr}), "
         f"holdout keeps {len(holdout_set.specs)} land tiles"
     )
@@ -322,12 +348,12 @@ def cmd_predict(cfg: dict, checkpoint: Path, day_args: list[str], render: bool) 
 COMMANDS = {
     "generate": ("write a synthetic dataset",
                  ("days", "holdout_days", "height", "width", "numeric_channels", "categories",
-                  "target_fire_rate", "water_fraction")),
+                  "target_fire_rate", "water_fraction", "blur_radius")),
     "prepare": ("normalize, encode, tile and sample", ("tr",)),
     "train": ("k-fold cross-validated training",
               ("tr", "fire_buffer", "buffer_radius", "init_features", "es_metric", "folds",
                "patience", "max_epochs", "lr", "batch_size")),
-    "evaluate": ("pixel metrics on the untouched holdout", ()),
+    "evaluate": ("pixel metrics on the untouched holdout", ("threshold",)),
     "predict": ("predict day masks, optionally rendered", ("threshold",)),
 }
 SHARED_KEYS = ("seed", "threads", "out_dir", "data_dir")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass
 from datetime import date
 
@@ -103,7 +104,8 @@ class GridDay:
             raise ShapeError(f"features must be [C,H,W], got {self.features.shape}")
         if self.features.dtype != np.float32:
             raise ValueError(f"features must be float32, got {self.features.dtype}")
-        if not np.all(np.isfinite(self.features)):
+        # a plane at a time: a mask of the whole stack would hold a quarter of its bytes
+        if not all(np.isfinite(plane).all() for plane in self.features):
             raise NonFiniteError("features contain non-finite values")
         if self.mask.shape != self.features.shape[1:]:
             raise ShapeError(
@@ -141,25 +143,27 @@ class ScalingParams:
         return [n for n, lo, hi in zip(self.names, self.mins, self.maxs) if lo == hi]
 
 
-def fit_scaling(days: list[GridDay], schema: FeatureSchema) -> ScalingParams:
+def fit_scaling(days: Iterable[GridDay], schema: FeatureSchema) -> ScalingParams:
     """Min/max per numeric channel over all non-water pixels of the fitting days.
 
     Call this on the train-validation days only; the returned params are then
-    applied unchanged to holdout data.
+    applied unchanged to holdout data. days is iterated once, so a stream of
+    days is held one at a time; min and max do not depend on the days' order.
     """
-    if not days:
-        raise ValueError("cannot fit scaling on an empty set of days")
     idx = [i for i, ch in enumerate(schema.channels) if ch.kind == NUMERIC]
     names = [schema.channels[i].name for i in idx]
     mins = np.full(len(idx), np.inf)
     maxs = np.full(len(idx), -np.inf)
-    for day in days:
+    count = 0
+    for count, day in enumerate(days, 1):
         schema.check_channels(day)
         land = day.mask != WATER
         # a day without land leaves both bounds as they are
         planes = [day.features[i] for i in idx]
         mins = np.minimum(mins, [p.min(where=land, initial=np.inf) for p in planes])
         maxs = np.maximum(maxs, [p.max(where=land, initial=-np.inf) for p in planes])
+    if not count:
+        raise ValueError("cannot fit scaling on an empty set of days")
     if np.isinf(mins).any():
         raise ValueError("fitting days contain no land pixels")
     params = ScalingParams(tuple(idx), tuple(names), tuple(map(float, mins)), tuple(map(float, maxs)))

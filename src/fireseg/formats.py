@@ -130,13 +130,17 @@ def _stack_header(f) -> tuple[list[str], tuple[int, int, int]]:
 
 
 def _read_features(path: Path) -> tuple[list[str], np.ndarray]:
-    """A stack's channel names and float32 features; the values are not judged."""
+    """A stack's channel names and float32 features; the values are not judged.
+
+    The payload is read once, into the array returned.
+    """
     with open(path, "rb") as f:
-        names, (c, h, w) = _stack_header(f)
-        data = np.frombuffer(_read_exact(f, 4 * c * h * w, "float payload"), dtype="<f4")
-        if f.read(1):
-            raise FormatError(f"{path}: trailing bytes after payload")
-    return names, data.reshape(c, h, w).astype(np.float32)
+        names, shape = _stack_header(f)
+        _check_payload(f, 4 * math.prod(shape), "float payload")  # before allocating
+        data = np.empty(shape, dtype="<f4")
+        if f.readinto(data) != data.nbytes:
+            raise FormatError(f"{path}: truncated file while reading float payload")
+    return names, data.astype(np.float32, copy=False)
 
 
 def _non_finite(path: Path) -> FormatError:

@@ -35,12 +35,17 @@ score does not depend on the bias. The bisection steps the cutoff down
 until a step first raises the lower bound; every later cutoff lies above
 that one, so a day whose set was kept there scans no more.
 
+The rule reads two dynamic channels and one static one, so generation
+builds those channels of every day first, calibrates the bias and draws the
+labels on them, and only then builds each full day, when it is consumed.
+
 The rule description is returned next to the dataset so tests can evaluate
 that ceiling; it is not part of the schema the model sees.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from datetime import date, timedelta
 from functools import reduce
@@ -108,23 +113,30 @@ class PlantedRule:
     dynamic_channels: tuple[int, ...]
     deterministic_level: float | None = None  # marginal threshold when labels are noiseless
 
-    def score(self, features: np.ndarray) -> np.ndarray:
+    @property
+    def channels(self) -> tuple[int, int, int]:
+        """The channels score reads."""
+        return self.channel_a, self.channel_b, self.channel_c
+
+    def score(self, features) -> np.ndarray:
+        """The rule's score per pixel; features[i] is channel i's plane (a [C, ...] stack
+        or a dict holding at least the rule's channels)."""
         fa = features[self.channel_a].astype(np.float64)
         fb = features[self.channel_b].astype(np.float64)
         fc = features[self.channel_c].astype(np.float64)
         return self.coef_a * fa + self.coef_b * fb * fc + self.coef_c * fc * fc
 
-    def seed_probability(self, features: np.ndarray, land: np.ndarray) -> np.ndarray:
+    def seed_probability(self, features, land: np.ndarray) -> np.ndarray:
         return np.where(land, self._seed(self.score(features)), 0.0)
 
     def _seed(self, score: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-self.gain * (score - self.bias)))
 
-    def fire_marginal(self, features: np.ndarray, land: np.ndarray) -> np.ndarray:
+    def fire_marginal(self, features, land: np.ndarray) -> np.ndarray:
         """Exact P(pixel burns): independent seed + contagion events."""
         raster = _Raster(land)
         reach = _reach(self.score(features), land)
-        self._burn(raster, *_scan(self, raster, features.reshape(len(features), -1), reach))
+        self._burn(raster, *_scan(self, raster, features, reach))
         out = np.zeros(land.shape)
         out[land] = raster.burn
         return out
@@ -203,14 +215,16 @@ def _reach(score: np.ndarray, land: np.ndarray) -> np.ndarray:
     return reduce(np.maximum, [rows[r : r + h] for r in range(5)])[land]
 
 
-def _scan(rule: PlantedRule, raster: _Raster, features: np.ndarray, reach: np.ndarray):
+def _scan(rule: PlantedRule, raster: _Raster, features, reach: np.ndarray):
     """The land indices whose reach is at least rule's cutoff, ascending, and the rule's score at each.
 
-    features is the day's stack with flat pixels, [C, H * W]; reach holds
-    each land pixel's highest land score within Chebyshev distance 2.
+    features[i] is the day's [H, W] plane of channel i, for each of the
+    rule's channels; reach holds each land pixel's highest land score within
+    Chebyshev distance 2.
     """
     act = np.flatnonzero(reach >= rule._cutoff())
-    return act, rule.score(np.take(features, raster.flat[act], axis=1))
+    pixels = raster.flat[act]
+    return act, rule.score({i: features[i].reshape(-1)[pixels] for i in rule.channels})
 
 
 class _Smoother:
@@ -253,9 +267,7 @@ def _child_rng(seed: int, *tags: int) -> np.random.Generator:
 _TAG_STATIC, _TAG_WATER, _TAG_LANDCOVER, _TAG_DYNAMIC, _TAG_LABELS = range(5)
 
 
-def _draw_labels(
-    rule: PlantedRule, features: np.ndarray, land: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
+def _draw_labels(rule: PlantedRule, features, land: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     q = rule.seed_probability(features, land)
     seeds = land & (rng.random(q.shape) < q)
     h, w = q.shape
@@ -268,20 +280,24 @@ def _draw_labels(
     return fire & land
 
 
-def generate_dataset(
+def stream_dataset(
     config: SynthConfig,
-) -> tuple[list[GridDay], FeatureSchema, PlantedRule]:
-    """Build the full synthetic dataset, bitwise-deterministic in config.seed.
+) -> tuple[Iterator[GridDay], FeatureSchema, PlantedRule]:
+    """The synthetic dataset, bitwise-deterministic in config.seed, its days built as they are drawn.
 
     The dataset-wide fire rate is calibrated to target_fire_rate: the rule
     bias is solved against the exact expected rate, then the realized draw is
-    rejected and redrawn (bounded retries) until it lands within +-20%.
+    rejected and redrawn (bounded retries) until it lands within +-20%. Both
+    run on the rule's channels alone, before the first day is drawn: each
+    day's two dynamic rule channels and the shared static one. A day's other
+    dynamic fields are smoothed when the day is drawn, each field once.
 
-    Memory: every day's feature stack, by design, since the calibration
-    reads them all; while it runs, each day also keeps one float64 reach
-    value per land pixel and a small active set. That is at most one stack,
-    one mask and 8 bytes per pixel per day (1.21 stacks a day at 9 channels),
-    plus a fixed workspace of about 4.5 stacks.
+    Memory: until the last day is drawn, every day's two rule channels and
+    mask, the static fields and the smoothing workspace (a fixed few
+    rasters); while the calibration runs, each day also keeps one float64
+    reach value per land pixel and a small active set. That is at most two
+    float32 channels, one mask and 8 bytes per pixel per day. A full day is
+    held only by whoever draws it.
     """
     h, w, seed = config.height, config.width, config.seed
     dynamic = tuple(i for i in range(config.numeric_channels) if i % 2 == 0)
@@ -311,19 +327,6 @@ def generate_dataset(
     )
     schema = FeatureSchema(tuple(channels))
 
-    # feature stacks first: the rule score needs them for calibration
-    stacks = []
-    for d in range(config.days):
-        stack = np.zeros((config.numeric_channels + 1, h, w), dtype=np.float32)
-        for i in range(config.numeric_channels):
-            if i in static:
-                stack[i] = static_fields[i]
-            else:  # the assignment rounds to float32 as astype does
-                stack[i] = smooth(_child_rng(seed, _TAG_DYNAMIC, d, i))
-        stack[-1] = landcover
-        stacks.append(stack)
-    del smooth, static_fields  # the calibration below sets generation's memory peak
-
     rule = PlantedRule(
         channel_a=dynamic[0],
         channel_b=dynamic[1] if len(dynamic) > 1 else dynamic[0],
@@ -338,7 +341,16 @@ def generate_dataset(
         static_channels=static,
         dynamic_channels=dynamic,
     )
-    rule = replace(rule, bias=_calibrate_bias(rule, stacks, land, config.target_fire_rate))
+
+    def field(d: int, i: int) -> np.ndarray:
+        """Day d's channel i; a dynamic field is smoothed on every call."""
+        if i in static:
+            return static_fields[i]
+        return smooth(_child_rng(seed, _TAG_DYNAMIC, d, i)).astype(np.float32)
+
+    # the rule's channels of every day first: calibration and labels read only them
+    scored = [{i: field(d, i) for i in rule.channels} for d in range(config.days)]
+    rule = replace(rule, bias=_calibrate_bias(rule, scored, land, config.target_fire_rate))
 
     def as_mask(fire: np.ndarray) -> np.ndarray:
         mask = np.full((h, w), NO_FIRE, dtype=np.uint8)
@@ -347,7 +359,7 @@ def generate_dataset(
         return mask
 
     if config.deterministic_labels:
-        marginals = [rule.fire_marginal(s, land) for s in stacks]
+        marginals = [rule.fire_marginal(planes, land) for planes in scored]
         level = float(np.quantile(np.concatenate([m[land] for m in marginals]),
                                   1.0 - config.target_fire_rate))
         rule = replace(rule, deterministic_level=level)
@@ -356,8 +368,8 @@ def generate_dataset(
         lo = 0.8 * config.target_fire_rate
         hi = 1.2 * config.target_fire_rate
         for attempt in range(8):
-            masks = [as_mask(_draw_labels(rule, s, land, _child_rng(seed, _TAG_LABELS, d, attempt)))
-                     for d, s in enumerate(stacks)]
+            masks = [as_mask(_draw_labels(rule, p, land, _child_rng(seed, _TAG_LABELS, d, attempt)))
+                     for d, p in enumerate(scored)]
             achieved = sum(int((m == FIRE).sum()) for m in masks) / (config.days * int(land.sum()))
             if lo <= achieved <= hi:
                 break
@@ -367,21 +379,37 @@ def generate_dataset(
                 f"target {config.target_fire_rate:.2e} +-20%"
             )
 
-    days = [GridDay(BASE_DAY + timedelta(days=d), stack, mask)
-            for d, (stack, mask) in enumerate(zip(stacks, masks))]
-    return days, schema, rule
+    def full_days() -> Iterator[GridDay]:
+        for d, (planes, mask) in enumerate(zip(scored, masks)):
+            stack = np.empty((config.numeric_channels + 1, h, w), dtype=np.float32)
+            for i in range(config.numeric_channels):
+                stack[i] = planes[i] if i in planes else field(d, i)
+            stack[-1] = landcover
+            yield GridDay(BASE_DAY + timedelta(days=d), stack, mask)
+
+    return full_days(), schema, rule
 
 
-def _expected_rate(rule: PlantedRule, stacks: list[np.ndarray], land: np.ndarray):
+def generate_dataset(
+    config: SynthConfig,
+) -> tuple[list[GridDay], FeatureSchema, PlantedRule]:
+    """stream_dataset's dataset with every day built: all days are held at once."""
+    days, schema, rule = stream_dataset(config)
+    return list(days), schema, rule
+
+
+def _expected_rate(rule: PlantedRule, stacks: list, land: np.ndarray):
     """expected_rate(bias): the exact fire marginal's mean over every land pixel of every day.
 
-    Each day keeps a small active set of its last full scan (see the module docstring).
+    stacks[d][i] is day d's plane of channel i, for each of the rule's
+    channels. Each day keeps a small active set of its last full scan (see
+    the module docstring).
     """
     raster = _Raster(land)
     small = raster.flat.size // 8
-    # per day: flat pixels, the bias-independent reach of each land pixel and
+    # per day: its planes, the bias-independent reach of each land pixel and
     # the kept (cutoff, land indices, scores), if any
-    days = [[s.reshape(len(s), -1), _reach(rule.score(s), land), None] for s in stacks]
+    days = [[s, _reach(rule.score(s), land), None] for s in stacks]
 
     def expected_rate(bias: float) -> float:
         r = replace(rule, bias=bias)
@@ -404,9 +432,7 @@ def _expected_rate(rule: PlantedRule, stacks: list[np.ndarray], land: np.ndarray
     return expected_rate
 
 
-def _calibrate_bias(
-    rule: PlantedRule, stacks: list[np.ndarray], land: np.ndarray, target: float
-) -> float:
+def _calibrate_bias(rule: PlantedRule, stacks: list, land: np.ndarray, target: float) -> float:
     """Bisect the rule bias so the exact expected fire rate hits the target."""
     expected_rate = _expected_rate(rule, stacks, land)
     lo, hi = -30.0, 60.0

@@ -5,6 +5,8 @@ import shutil
 import struct
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from datetime import date
 from pathlib import Path
@@ -94,7 +96,7 @@ class TestConfigSurface:
         def record(config):
             raise Generated(config)
 
-        monkeypatch.setattr(C.S, "generate_dataset", record)
+        monkeypatch.setattr(C.S, "stream_dataset", record)
         with pytest.raises(Generated) as caught:
             C.main(["generate", "--out", str(tmp_path)])
         # `days` counts train days (30) and `holdout_days` adds 10
@@ -168,8 +170,8 @@ class TestKeyRecord:
         # what the flags and the reads do not share today: keys read from a
         # config file only, and shared flags a command ignores
         file_only = {c: keys - set(C.COMMANDS[c][1]) - set(C.SHARED_KEYS) for c, keys in reads.items()}
-        assert file_only == {"generate": {"blur_radius"}, "prepare": set(),
-                             "train": {"threshold", "grouping"}, "evaluate": {"threshold"},
+        assert file_only == {"generate": set(), "prepare": set(),
+                             "train": {"threshold", "grouping"}, "evaluate": set(),
                              "predict": set()}
         ignored = {c: set(C.SHARED_KEYS) - keys for c, keys in reads.items()}
         assert ignored == {"generate": {"data_dir"}, "prepare": set(), "train": {"threads"},
@@ -362,6 +364,31 @@ class TestPipelinePin:
         assert digest.hexdigest() == PIPELINE_DIGESTS[identity]
 
 
+class TestMapDays:
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_draws_at_most_threads_items_ahead_in_order(self, threads):
+        # generate and prepare hand _map_days a stream of days: drawing one is
+        # holding one, so the stream may run at most `threads` items ahead
+        lock = threading.Lock()
+        drawn, done, ahead = [0], [0], []
+
+        def items():
+            for i in range(12):
+                with lock:
+                    drawn[0] += 1
+                    ahead.append(drawn[0] - done[0])
+                yield i
+
+        def square(i):
+            time.sleep(0.002 * (i % 3))  # items finish out of order
+            with lock:
+                done[0] += 1
+            return i * i
+
+        assert C._map_days(square, items(), threads) == [i * i for i in range(12)]
+        assert len(ahead) == 12 and max(ahead) <= threads, ahead
+
+
 class TestDeterminism:
     def test_generate_twice_bitwise_identical(self, tmp_path):
         args = ["--days", "2", "--holdout-days", "1", "--height", "64", "--width", "64",
@@ -373,6 +400,17 @@ class TestDeterminism:
         assert files
         for rel in files:
             assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes(), rel
+
+    def test_threads_do_not_change_generate_output(self, tmp_path):
+        args = ["--days", "3", "--holdout-days", "2", "--height", "64", "--width", "64",
+                "--seed", "2", "--target-fire-rate", "0.01"]
+        for out, threads in [("g1", "1"), ("g2", "2")]:
+            proc = run_cli("generate", "--out", tmp_path / out, *args, "--threads", threads)
+            assert proc.returncode == 0, proc.stderr
+        files = sorted(p.relative_to(tmp_path / "g1") for p in (tmp_path / "g1").rglob("*") if p.is_file())
+        assert len(files) == 3 + 2 * 5
+        for rel in files:
+            assert (tmp_path / "g1" / rel).read_bytes() == (tmp_path / "g2" / rel).read_bytes(), rel
 
     def test_threads_do_not_change_prepare_output(self, tmp_path):
         gen = ["generate", "--out", tmp_path / "ds", "--days", "3", "--holdout-days", "1",
@@ -403,12 +441,14 @@ class TestDeterminism:
 
 
 class TestGenerateMemory:
-    def test_peak_grows_by_one_stack_and_its_calibration_raster_per_day(self, tmp_path):
-        # generate holds every day by design: the bias calibration reads them all
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_peak_grows_by_the_rule_channels_of_a_day_per_day(self, tmp_path, threads):
+        # generate holds every day's two dynamic rule channels, its mask and,
+        # while the bias is calibrated, one float64 per pixel; full days stream
         def peak(train_days):
             cfg = {"out_dir": str(tmp_path / f"ds{train_days}"), "days": str(train_days),
                    "holdout_days": "2", "height": "96", "width": "96", "seed": "5",
-                   "target_fire_rate": "0.01"}
+                   "target_fire_rate": "0.01", "threads": str(threads)}
             tracemalloc.start()
             try:
                 assert C.cmd_generate(cfg) == 0
@@ -418,15 +458,14 @@ class TestGenerateMemory:
 
         peak(1)  # first-call allocations are not per-day growth
         growth = peak(12) - peak(4)
-        _, holdout_ids = F.read_splits(tmp_path / "ds4" / "splits.json")
-        day, _ = F.read_day(tmp_path / "ds4" / "raw", holdout_ids[0])
-        per_day = day.features.nbytes + day.mask.nbytes + 8 * day.mask.size
+        per_day = (2 * 4 + 1 + 8) * 96 * 96
         assert growth <= 1.1 * per_day * (12 - 4), (growth, per_day)
 
 
 class TestPrepareMemory:
-    def test_peak_grows_by_one_raw_day_per_train_day(self, tmp_path):
-        # prepare holds every raw day but only one encoded day at a time
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_peak_does_not_grow_with_the_train_days(self, tmp_path, threads):
+        # prepare reads the raw days twice, one day per worker at a time
         def peak(train_days):
             ds = tmp_path / f"ds{train_days}"
             gen = ["generate", "--out", ds, "--days", train_days, "--holdout-days", 2,
@@ -434,7 +473,8 @@ class TestPrepareMemory:
             assert C.main([str(a) for a in gen]) == 0
             tracemalloc.start()
             try:
-                assert C.cmd_prepare({"data_dir": str(ds), "tr": "1", "seed": "5"}) == 0
+                cfg = {"data_dir": str(ds), "tr": "1", "seed": "5", "threads": str(threads)}
+                assert C.cmd_prepare(cfg) == 0
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -443,7 +483,7 @@ class TestPrepareMemory:
         _, holdout_ids = F.read_splits(tmp_path / "ds4" / "splits.json")
         day, _ = F.read_day(tmp_path / "ds4" / "raw", holdout_ids[0])
         raw_day = day.features.nbytes + day.mask.nbytes
-        assert growth <= 1.25 * raw_day * (12 - 4)
+        assert growth <= 0.25 * raw_day * (12 - 4), (growth, raw_day)
 
 
 class TestEvaluatePredictMemory:

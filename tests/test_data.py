@@ -69,6 +69,8 @@ class TestScaling:
             mask = rng.integers(0, 3, (8, 8)).astype(np.uint8)
             days.append(D.GridDay(date(2021, 6, 1 + i), feats, mask))
         params = D.fit_scaling(days, schema)
+        # a stream of days, in any order, fits the same bounds
+        assert D.fit_scaling(iter(days[::-1]), schema) == params
         for c in range(2):
             vals = [
                 float(v)
@@ -89,8 +91,9 @@ class TestScaling:
             D.fit_scaling([wet], schema)
 
     def test_empty_fitting_set_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            D.fit_scaling([], D.FeatureSchema((D.Channel("a"),)))
+        for days in ([], iter(())):  # an empty stream too, not "no land pixels"
+            with pytest.raises(ValueError, match="empty set of days"):
+                D.fit_scaling(days, D.FeatureSchema((D.Channel("a"),)))
 
 
 class TestOneHot:

@@ -2,6 +2,7 @@ import hashlib
 import json
 import re
 import threading
+import tracemalloc
 from datetime import date
 
 import numpy as np
@@ -183,7 +184,21 @@ class TestCheckDay:
 
         monkeypatch.setattr(np, "isfinite", counting)
         F.read_day(tmp_path, date(2021, 6, 1))
-        assert scanned == [(2, 3, 4)]
+        assert scanned == [(3, 4), (3, 4)]  # each channel's plane once
+
+    def test_read_day_holds_the_payload_once(self, tmp_path):
+        rng = np.random.default_rng(0)
+        day = D.GridDay(date(2021, 6, 1), rng.random((9, 96, 96), dtype=np.float32),
+                        rng.integers(0, 3, (96, 96), dtype=np.uint8))
+        F.write_day(tmp_path, day, [f"c{i}" for i in range(9)])
+        tracemalloc.start()
+        try:
+            got, _ = F.read_day(tmp_path, day.day_id)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got.features, day.features) and np.array_equal(got.mask, day.mask)
+        assert peak <= 1.2 * (day.features.nbytes + day.mask.nbytes), peak
 
     def test_non_finite_read_day_error_names_only_the_stack(self, tmp_path):
         stack, _ = self.write(tmp_path)
