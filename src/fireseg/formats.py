@@ -9,8 +9,15 @@ Binary formats are little-endian with 4-byte magics:
        num_classes, u64 seed, u32 tensor count; per tensor u32 ndim,
        u32 dims..., float32 data. Tensors appear in topology order. Depth
        and num_classes are the architecture's constants (4 and 2); the
-       reader refuses any other value. A sidecar CSV next to the file
-       stores the validation metrics.
+       reader refuses any other value. The configuration fixes every
+       tensor's shape, so the file's size follows from its header; each
+       tensor's stored rank and dims are checked against the architecture,
+       not trusted. A sidecar CSV next to the file stores the validation
+       metrics.
+
+Each binary reader checks the payload size its header implies against the
+file before allocating, then reads every array once; a failed check is a
+FormatError naming the file.
 
 Tile manifests and metric tables are CSV. Every writer is atomic
 (write to a temp file in the same directory, then rename).
@@ -42,7 +49,7 @@ from .data import (
     TileSet,
     TileSpec,
 )
-from .kernels import ConfigError, ShapeError
+from .kernels import ConfigError
 from .unet import DEPTH, NUM_CLASSES, UNetConfig, UNetParams, layer_shapes
 
 MAGIC_STACK = b"FSK1"
@@ -90,12 +97,26 @@ def atomic_write_text(path: Path, payload: str) -> None:
 def _read_exact(f, n: int, what: str) -> bytes:
     # a header may claim any size: compare it with the bytes the file still
     # holds before read() allocates it
-    if n > os.fstat(f.fileno()).st_size - f.tell():
-        raise FormatError(f"{f.name}: truncated file while reading {what}")
-    buf = f.read(n)
-    if len(buf) != n:
+    if n > os.fstat(f.fileno()).st_size - f.tell() or len(buf := f.read(n)) != n:
         raise FormatError(f"{f.name}: truncated file while reading {what}")
     return buf
+
+
+def _check_payload(f, n: int, what: str) -> None:
+    """Refuse the open file f unless exactly n bytes follow its position."""
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if left < n:
+        raise FormatError(f"{f.name}: truncated file while reading {what}")
+    if left > n:
+        raise FormatError(f"{f.name}: trailing bytes after payload")
+
+
+def _read_array(f, shape: tuple[int, ...], dtype: str, what: str) -> np.ndarray:
+    """The next array of f, whose size _check_payload passed, read once into the array returned."""
+    data = np.empty(shape, dtype)
+    if f.readinto(data) != data.nbytes:  # the file shrank since the check
+        raise FormatError(f"{f.name}: truncated file while reading {what}")
+    return data.astype(data.dtype.newbyteorder("="), copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +137,7 @@ def write_stack(path: Path, names: list[str], features: np.ndarray) -> None:
 
 
 def _stack_header(f) -> tuple[list[str], tuple[int, int, int]]:
-    """Channel names and (C, H, W) of the open stack file f, left at its payload."""
+    """Channel names and (C, H, W) of the open stack file f, left at its checked payload."""
     if _read_exact(f, 4, "magic") != MAGIC_STACK:
         raise FormatError(f"{f.name}: not a feature stack (bad magic)")
     c, h, w = struct.unpack("<III", _read_exact(f, 12, "dimensions"))
@@ -125,22 +146,19 @@ def _stack_header(f) -> tuple[list[str], tuple[int, int, int]]:
     names = []
     for _ in range(c):
         (n,) = struct.unpack("<I", _read_exact(f, 4, "name length"))
-        names.append(_read_exact(f, n, "channel name").decode("utf-8"))
+        try:
+            names.append(_read_exact(f, n, "channel name").decode("utf-8"))
+        except UnicodeDecodeError:
+            raise FormatError(f"{f.name}: channel name is not UTF-8") from None
+    _check_payload(f, 4 * c * h * w, "float payload")
     return names, (c, h, w)
 
 
 def _read_features(path: Path) -> tuple[list[str], np.ndarray]:
-    """A stack's channel names and float32 features; the values are not judged.
-
-    The payload is read once, into the array returned.
-    """
+    """A stack's channel names and float32 features; the values are not judged."""
     with open(path, "rb") as f:
         names, shape = _stack_header(f)
-        _check_payload(f, 4 * math.prod(shape), "float payload")  # before allocating
-        data = np.empty(shape, dtype="<f4")
-        if f.readinto(data) != data.nbytes:
-            raise FormatError(f"{path}: truncated file while reading float payload")
-    return names, data.astype(np.float32, copy=False)
+        return names, _read_array(f, shape, "<f4", "float payload")
 
 
 def _non_finite(path: Path) -> FormatError:
@@ -165,19 +183,17 @@ def write_mask(path: Path, mask: np.ndarray) -> None:
 
 
 def _mask_header(f) -> tuple[int, int]:
-    """(H, W) of the open mask file f, left at its payload."""
+    """(H, W) of the open mask file f, left at its checked payload."""
     if _read_exact(f, 4, "magic") != MAGIC_MASK:
         raise FormatError(f"{f.name}: not a mask file (bad magic)")
-    return struct.unpack("<II", _read_exact(f, 8, "dimensions"))
+    h, w = struct.unpack("<II", _read_exact(f, 8, "dimensions"))
+    _check_payload(f, h * w, "mask payload")
+    return h, w
 
 
 def read_mask(path: Path) -> np.ndarray:
     with open(path, "rb") as f:
-        h, w = _mask_header(f)
-        data = np.frombuffer(_read_exact(f, h * w, "mask payload"), dtype=np.uint8)
-        if f.read(1):
-            raise FormatError(f"{path}: trailing bytes after payload")
-    mask = data.reshape(h, w).copy()
+        mask = _read_array(f, _mask_header(f), "u1", "mask payload")
     if mask.size and mask.max() > 2:
         raise FormatError(f"{path}: mask holds values outside {{0,1,2}}")
     return mask
@@ -195,25 +211,16 @@ def write_day(directory: Path, day: GridDay, names: list[str]) -> None:
 
 
 def check_day(directory: Path, day_id: date) -> None:
-    """Parse the headers of a day's stack and mask and check each file's size against them.
+    """Parse the headers of a day's stack and mask, which check each file's size.
 
     Reads no payload, so a truncated or overlong file fails before a caller
     writes anything; a non-finite value only fails in read_day.
     """
     stack_path, mask_path = day_paths(directory, day_id)
     with open(stack_path, "rb") as f:
-        _check_payload(f, 4 * math.prod(_stack_header(f)[1]), "float payload")
+        _stack_header(f)
     with open(mask_path, "rb") as f:
-        _check_payload(f, math.prod(_mask_header(f)), "mask payload")
-
-
-def _check_payload(f, n: int, what: str) -> None:
-    """Refuse the open file f unless exactly n bytes follow its position."""
-    left = os.fstat(f.fileno()).st_size - f.tell()
-    if left < n:
-        raise FormatError(f"{f.name}: truncated file while reading {what}")
-    if left > n:
-        raise FormatError(f"{f.name}: trailing bytes after payload")
+        _mask_header(f)
 
 
 def read_day(directory: Path, day_id: date) -> tuple[GridDay, list[str]]:
@@ -405,34 +412,27 @@ def read_checkpoint(path: Path) -> UNetParams:
         with open(path, "rb") as f:
             if _read_exact(f, 4, "magic") != MAGIC_CHECKPOINT:
                 raise FormatError(f"{path}: not a checkpoint (bad magic)")
-            in_ch, feats, depth, classes, seed = struct.unpack(
-                "<IIIIQ", _read_exact(f, 24, "network configuration")
-            )
+            header = _read_exact(f, 24, "network configuration")
+            in_ch, feats, depth, classes, seed = struct.unpack("<IIIIQ", header)
             if (depth, classes) != (DEPTH, NUM_CLASSES):
-                raise FormatError(
-                    f"{path}: network of depth {depth} with {classes} classes; "
-                    f"the architecture has depth {DEPTH} with {NUM_CLASSES} classes"
-                )
+                raise FormatError(f"{path}: network of depth {depth} with {classes} classes; the "
+                                  f"architecture has depth {DEPTH} with {NUM_CLASSES} classes")
             config = UNetConfig(in_channels=in_ch, init_features=feats, seed=seed)
-            # checked before any payload is read: the count bounds the allocation
-            expected = 2 * len(layer_shapes(config))
+            # the architecture fixes every tensor's shape, and with them the file's size
+            shapes = [s for _, wshape, bshape in layer_shapes(config) for s in (wshape, bshape)]
             (count,) = struct.unpack("<I", _read_exact(f, 4, "tensor count"))
-            if count != expected:
-                raise FormatError(f"{path}: {count} tensors, the architecture has {expected}")
+            if count != len(shapes):
+                raise FormatError(f"{path}: {count} tensors, the architecture has {len(shapes)}")
+            _check_payload(f, sum(4 * (1 + len(s) + math.prod(s)) for s in shapes), "tensor payload")
             tensors = []
-            for i in range(count):
-                (ndim,) = struct.unpack("<I", _read_exact(f, 4, "tensor rank"))
-                shape = struct.unpack(f"<{ndim}I", _read_exact(f, 4 * ndim, "tensor shape"))
-                size = int(np.prod(shape))
-                data = np.frombuffer(_read_exact(f, 4 * size, f"tensor {i} payload"), dtype="<f4")
-                if not np.all(np.isfinite(data)):
+            for i, shape in enumerate(shapes):
+                if f.read(4 + 4 * len(shape)) != struct.pack(f"<I{len(shape)}I", len(shape), *shape):
+                    raise FormatError(f"{path}: tensor {i} is not in the architecture's shape {shape}")
+                tensors.append(_read_array(f, shape, "<f4", f"tensor {i} payload"))
+                if not np.all(np.isfinite(tensors[-1])):
                     raise FormatError(f"{path}: tensor {i} contains non-finite values")
-                tensors.append(data.reshape(shape).astype(np.float32))
-            if f.read(1):
-                raise FormatError(f"{path}: trailing bytes after payload")
-        # UNetParams checks every shape against the configured architecture
         return UNetParams.from_tensors(config, tensors)
-    except (ConfigError, ShapeError) as exc:  # a header the architecture refuses
+    except ConfigError as exc:  # a configuration the architecture refuses
         raise FormatError(f"{path}: {exc}") from None
 
 

@@ -629,6 +629,21 @@ class TestErrorContract:
         errors = proc.stderr.strip().splitlines()
         assert len(errors) == 1 and errors[0].startswith(f"error: {bad}: ")
 
+    @pytest.mark.parametrize("offset, patch", [
+        (32, bytes([4 ^ 0x10])),  # the first tensor's rank, flipped from 4 to 20
+        (36, struct.pack("<4I", *[65536] * 4)),  # its dims, whose numpy product wraps to 0
+    ], ids=["rank-flip", "huge-dims"])
+    def test_first_tensor_header_names_the_file(self, pipeline, tmp_path, capsys, offset, patch):
+        ds, run = pipeline
+        bad = tmp_path / "bad.unc"
+        raw = bytearray((run / "best.unc").read_bytes())
+        assert raw[32] == 4  # a weight's rank
+        raw[offset : offset + len(patch)] = patch
+        bad.write_bytes(bytes(raw))
+        assert C.main(["evaluate", "--data", str(ds), "--out", str(tmp_path), str(bad)]) == 1
+        [error] = capsys.readouterr().err.splitlines()
+        assert error.startswith(f"error: {bad}: ")
+
     def test_non_finite_checkpoint_names_the_file(self, pipeline, tmp_path):
         ds, run = pipeline
         bad = tmp_path / "nan.unc"

@@ -14,6 +14,16 @@ from fireseg.synthetic import PlantedRule, SynthConfig, generate_dataset
 from fireseg.unet import UNetConfig, init_params
 
 
+def _traced_peak(read):
+    """read()'s result and the peak of the memory it allocated (tracemalloc)."""
+    tracemalloc.start()
+    try:
+        got = read()
+        return got, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestStackFormat:
     def test_round_trip_bitwise(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -79,6 +89,21 @@ class TestStackFormat:
         path.write_bytes(header + struct.pack("<I", 1) + b"a")
         with pytest.raises(F.FormatError, match="truncated"):
             F.read_stack(path)
+
+    def test_non_utf8_channel_name_names_the_file(self, tmp_path):
+        day = date(2021, 6, 1)
+        F.write_day(tmp_path, D.GridDay(day, np.zeros((1, 2, 2), np.float32),
+                                        np.zeros((2, 2), np.uint8)), ["a"])
+        path, _ = F.day_paths(tmp_path, day)
+        raw = bytearray(path.read_bytes())
+        assert raw[16:21] == b"\x01\x00\x00\x00a"  # the name's length, then its one byte
+        raw[20] = 0xFF  # never valid UTF-8
+        path.write_bytes(bytes(raw))
+        for read in (lambda: F.read_stack(path), lambda: F.check_day(tmp_path, day),
+                     lambda: F.read_day(tmp_path, day)):
+            with pytest.raises(F.FormatError) as info:
+                read()
+            assert str(info.value) == f"{path}: channel name is not UTF-8"
 
     def test_zero_channels_rejected(self, tmp_path):
         import struct
@@ -191,14 +216,23 @@ class TestCheckDay:
         day = D.GridDay(date(2021, 6, 1), rng.random((9, 96, 96), dtype=np.float32),
                         rng.integers(0, 3, (96, 96), dtype=np.uint8))
         F.write_day(tmp_path, day, [f"c{i}" for i in range(9)])
-        tracemalloc.start()
-        try:
-            got, _ = F.read_day(tmp_path, day.day_id)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        (got, _), peak = _traced_peak(lambda: F.read_day(tmp_path, day.day_id))
         assert np.array_equal(got.features, day.features) and np.array_equal(got.mask, day.mask)
         assert peak <= 1.2 * (day.features.nbytes + day.mask.nbytes), peak
+
+    def test_read_mask_holds_the_payload_once(self, tmp_path):
+        mask = np.random.default_rng(0).integers(0, 3, (256, 256), dtype=np.uint8)
+        F.write_mask(tmp_path / "m.msk", mask)
+        got, peak = _traced_peak(lambda: F.read_mask(tmp_path / "m.msk"))
+        assert np.array_equal(got, mask)
+        assert peak <= 1.2 * mask.nbytes, peak
+
+    def test_read_checkpoint_holds_the_parameters_once(self, tmp_path):
+        params = init_params(UNetConfig(in_channels=12, init_features=8, seed=0))
+        F.write_checkpoint(tmp_path / "net.unc", params)
+        got, peak = _traced_peak(lambda: F.read_checkpoint(tmp_path / "net.unc"))
+        assert all(np.array_equal(a, b) for a, b in zip(got.tensors(), params.tensors()))
+        assert peak <= 1.2 * sum(t.nbytes for t in params.tensors()), peak
 
     def test_non_finite_read_day_error_names_only_the_stack(self, tmp_path):
         stack, _ = self.write(tmp_path)
@@ -354,8 +388,13 @@ class TestCheckpoint:
         # first tensor: rank at byte 32, then its dims; claim 2^20 x 2^20 x kh x kw
         raw[36:44] = (1 << 20).to_bytes(4, "little") * 2
         path.write_bytes(bytes(raw))
-        with pytest.raises(F.FormatError, match="truncated"):
-            F.read_checkpoint(path)
+
+        def refused():
+            with pytest.raises(F.FormatError, match=r"tensor 0 is not in the architecture's shape"):
+                F.read_checkpoint(path)
+
+        _, peak = _traced_peak(refused)
+        assert peak < len(raw) + (1 << 20), peak  # the claimed tensor would be 36 TiB
 
 
 class TestJsonSidecars:

@@ -5,9 +5,9 @@ Every reader gets valid bytes from the matching writer, then each example
 cuts the file short or XORs one byte. The reader may accept the result (a
 flipped float is still a float) or raise one of cli.REPORTED_ERRORS, of
 which FormatError is one; MemoryError, IndexError, TypeError, struct.error
-and the like break the contract. The manifest reader is held to more: it
-may only raise a FormatError that names the file. Examples are
-derandomized, so the suite stays deterministic.
+and the like break the contract. The binary readers and the manifest
+reader are held to more: they may only raise a FormatError that names the
+file. Examples are derandomized, so the suite stays deterministic.
 
 The JSON sidecars also get every valid JSON document of the wrong shape
 that replacing one value by a value of another type makes: the reader
@@ -107,7 +107,7 @@ READERS = {
 
 
 # readers whose every failure is a FormatError naming the file
-NAMING_READERS = {"manifest"}
+NAMING_READERS = {"fsk1", "msk1", "unc1", "manifest"}
 
 
 @pytest.fixture(params=sorted(READERS))
