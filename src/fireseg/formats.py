@@ -20,7 +20,10 @@ file before allocating, then reads every array once; a failed check is a
 FormatError naming the file.
 
 Tile manifests and metric tables are CSV. Every writer is atomic
-(write to a temp file in the same directory, then rename).
+(write to a temp file in the same directory, then rename). A binary
+writer writes its header bytes, then each array straight from the array's
+buffer: no payload is copied unless it first needs converting to its
+stored little-endian type or a contiguous layout.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ import csv
 import json
 import math
 import os
-import re
 import struct
 import threading
 from contextlib import contextmanager
@@ -73,9 +75,10 @@ class FormatError(ValueError):
     """A file does not parse as the format it claims to be."""
 
 
-def atomic_write_bytes(path: Path, payload: bytes) -> None:
-    """Write through a temp file in the target directory, then rename.
+def atomic_write_bytes(path: Path, *buffers) -> None:
+    """Write the buffers, in order, through a temp file in the target directory, then rename.
 
+    Each buffer is written as it is, so an array's memoryview is not copied.
     The temp name carries the process and thread id, so concurrent writers
     of one path never share a temp file (a thread writes one file at a
     time); a failed write or rename removes it.
@@ -83,7 +86,8 @@ def atomic_write_bytes(path: Path, payload: bytes) -> None:
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
     try:
-        tmp.write_bytes(payload)
+        with open(tmp, "wb") as f:
+            f.writelines(buffers)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -111,6 +115,11 @@ def _check_payload(f, n: int, what: str) -> None:
         raise FormatError(f"{f.name}: trailing bytes after payload")
 
 
+def _payload(array: np.ndarray, dtype: str) -> memoryview:
+    """array's values as a C-contiguous buffer of dtype; copied only if array is not one already."""
+    return memoryview(np.ascontiguousarray(array, dtype=dtype))
+
+
 def _read_array(f, shape: tuple[int, ...], dtype: str, what: str) -> np.ndarray:
     """The next array of f, whose size _check_payload passed, read once into the array returned."""
     data = np.empty(shape, dtype)
@@ -126,14 +135,11 @@ def _read_array(f, shape: tuple[int, ...], dtype: str, what: str) -> np.ndarray:
 def write_stack(path: Path, names: list[str], features: np.ndarray) -> None:
     if features.ndim != 3 or features.shape[0] != len(names):
         raise FormatError(f"stack shape {features.shape} does not match {len(names)} channel names")
-    c, h, w = features.shape
-    parts = [MAGIC_STACK, struct.pack("<III", c, h, w)]
+    parts = [MAGIC_STACK, struct.pack("<III", *features.shape)]
     for name in names:
         raw = name.encode("utf-8")
-        parts.append(struct.pack("<I", len(raw)))
-        parts.append(raw)
-    parts.append(np.ascontiguousarray(features, dtype="<f4").tobytes())
-    atomic_write_bytes(path, b"".join(parts))
+        parts += [struct.pack("<I", len(raw)), raw]
+    atomic_write_bytes(path, *parts, _payload(features, "<f4"))
 
 
 def _stack_header(f) -> tuple[list[str], tuple[int, int, int]]:
@@ -177,9 +183,7 @@ def write_mask(path: Path, mask: np.ndarray) -> None:
         raise FormatError(f"mask must be 2-d, got shape {mask.shape}")
     if mask.size and (mask.min() < 0 or mask.max() > 2):
         raise FormatError("mask values must be in {0,1,2}")
-    h, w = mask.shape
-    payload = MAGIC_MASK + struct.pack("<II", h, w) + mask.astype(np.uint8).tobytes()
-    atomic_write_bytes(path, payload)
+    atomic_write_bytes(path, MAGIC_MASK + struct.pack("<II", *mask.shape), _payload(mask, "u1"))
 
 
 def _mask_header(f) -> tuple[int, int]:
@@ -303,11 +307,21 @@ def write_splits(path: Path, train_val: list[date], holdout: list[date]) -> None
 
 
 def read_splits(path: Path) -> tuple[list[date], list[date]]:
+    """The train-val and holdout days; each list must be non-empty, and no day may appear twice."""
     with _json_document(path) as doc:
-        return (
-            [date.fromisoformat(s) for s in _typed(doc["train_val"], list)],
-            [date.fromisoformat(s) for s in _typed(doc["holdout"], list)],
-        )
+        splits = {key: [date.fromisoformat(s) for s in _typed(doc[key], list)]
+                  for key in ("train_val", "holdout")}
+    for key, days in splits.items():
+        if not days:
+            raise FormatError(f"{path}: {key} lists no day")
+    train_val, holdout = splits.values()
+    seen = set()
+    for day in train_val + holdout:
+        if day in seen:
+            where = "in both train_val and holdout" if day in train_val and day in holdout else "twice"
+            raise FormatError(f"{path}: day {day} is listed {where}")
+        seen.add(day)
+    return train_val, holdout
 
 
 def write_rule(path: Path, rule) -> None:
@@ -393,10 +407,8 @@ def write_checkpoint(path: Path, params: UNetParams, metrics: dict[str, float] |
     tensors = params.tensors()
     parts.append(struct.pack("<I", len(tensors)))
     for t in tensors:
-        parts.append(struct.pack("<I", t.ndim))
-        parts.append(struct.pack(f"<{t.ndim}I", *t.shape))
-        parts.append(np.ascontiguousarray(t, dtype="<f4").tobytes())
-    atomic_write_bytes(path, b"".join(parts))
+        parts += [struct.pack(f"<I{t.ndim}I", t.ndim, *t.shape), _payload(t, "<f4")]
+    atomic_write_bytes(path, *parts)
     if metrics is not None:
         row = [repr(float(v)) for v in metrics.values()]
         write_csv(checkpoint_metrics_path(path), list(metrics), [row])
@@ -501,21 +513,5 @@ def write_ppm(path: Path, rgb: np.ndarray) -> None:
     if rgb.ndim != 3 or rgb.shape[2] != 3 or rgb.dtype != np.uint8:
         raise FormatError(f"expected [H,W,3] uint8 image, got {rgb.shape} {rgb.dtype}")
     h, w = rgb.shape[:2]
-    header = f"P6\n{w} {h}\n255\n".encode("ascii")
-    atomic_write_bytes(path, header + rgb.tobytes())
+    atomic_write_bytes(path, f"P6\n{w} {h}\n255\n".encode("ascii"), _payload(rgb, "u1"))
 
-
-def read_ppm(path: Path) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    # magic, decimal width, height and maxval, then one whitespace byte; the
-    # digit bound keeps int() within its string-length limit
-    header = re.match(rb"P6\s+(\d{1,9})\s+(\d{1,9})\s+(\d{1,9})\s", raw)
-    if header is None:
-        raise FormatError(f"{path}: not a binary PPM (bad magic or header)")
-    w, h, maxval = map(int, header.groups())
-    if maxval != 255:
-        raise FormatError(f"{path}: unsupported max value {maxval}")
-    data = np.frombuffer(raw[header.end() :], np.uint8)
-    if data.size != h * w * 3:
-        raise FormatError(f"{path}: payload size mismatch")
-    return data.reshape(h, w, 3).copy()

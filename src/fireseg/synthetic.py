@@ -22,18 +22,27 @@ hot pixel within Chebyshev distance 2 gets the marginal 0.0 that the full
 product gives it, and the product runs, with the same factors in the same
 order, only at the others; they are found by comparing each land pixel's
 highest land score within distance 2 with the cutoff. Calibration bisects
-the bias against the exact expected rate. It computes those highest scores
-once per day, sums each day over all its land pixels (so numpy's pairwise
-summation sees the array the full product gives) and stops the bisection
-at its fixed point (where a step no longer moves either bound). A day keeps
-the active set of the last pass that scanned all its land pixels (the
-pixels whose highest score reaches the cutoff, ascending, with their
-scores) while that set holds at most an eighth of its land. A later pass
-whose cutoff is no lower filters the kept set by highest score instead of
-scanning: the same pixels in the same order with the same scores, since a
-score does not depend on the bias. The bisection steps the cutoff down
-until a step first raises the lower bound; every later cutoff lies above
-that one, so a day whose set was kept there scans no more.
+the bias against the exact expected rate. It sums each day over all its
+land pixels (so numpy's pairwise summation sees the array the full product
+gives) and stops the bisection at its fixed point (where a step no longer
+moves either bound). A day keeps the active set of the last pass that
+scanned all its land pixels (the pixels whose highest score reaches the
+cutoff, ascending, with their scores and highest scores) while that set
+holds at most an eighth of its land. A later pass whose cutoff is no lower
+filters the kept set by highest score instead of scanning: the same pixels
+in the same order with the same scores, since a score does not depend on
+the bias. The bisection steps the cutoff down until a step first raises the
+lower bound; every later cutoff lies above that one, so a day whose set was
+kept there scans no more. A day computes the highest scores of all its land
+pixels when it scans and drops them once it keeps a set, so no day holds
+one value per pixel beyond its scan, unless its active set is too large to
+keep.
+
+Label draws read only the uniforms they use. A contagion uniform matters
+only at a pixel whose neighbor at that offset is a seed; the generator's
+stream gives one 64-bit output per double, so the draw skips the others
+with the bit generator's jump-ahead and the labels keep the bits of drawing
+every contagion raster in full.
 
 The rule reads two dynamic channels and one static one, so generation
 builds those channels of every day first, calibrates the bias and draws the
@@ -267,16 +276,39 @@ def _child_rng(seed: int, *tags: int) -> np.random.Generator:
 _TAG_STATIC, _TAG_WATER, _TAG_LANDCOVER, _TAG_DYNAMIC, _TAG_LABELS = range(5)
 
 
+_GAP = 512  # unread uniforms worth one advance() rather than drawing them
+
+
 def _draw_labels(rule: PlantedRule, features, land: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One label draw: a raster of seed uniforms, then one of contagion uniforms per offset.
+
+    Pixel j burns from offset k = (dr, dc) when pixel j + (dr, dc) is a seed
+    and contagion raster k's uniform at j is below k's spread probability.
+    Only those uniforms are read. Each double is one 64-bit output of rng's
+    stream, so raster k's uniform at j is output (k + 1) * H * W + j: the
+    needed ones are drawn in spans, jumping with advance() over gaps of more
+    than _GAP, and rng ends where drawing every raster in full leaves it.
+    """
     q = rule.seed_probability(features, land)
-    seeds = land & (rng.random(q.shape) < q)
     h, w = q.shape
-    sp = np.pad(seeds, 2)  # seeds[r + dr, c + dc] is sp[2 + dr + r, 2 + dc + c]
-    fire = seeds.copy()
-    for (dr, dc), p in [(o, rule.spread_p1) for o in _NEIGH1] + [
-        (o, rule.spread_p2) for o in _NEIGH2
-    ]:
-        fire |= sp[2 + dr : 2 + dr + h, 2 + dc : 2 + dc + w] & (rng.random(q.shape) < p)
+    n = h * w
+    fire = land & (rng.random(q.shape) < q)  # the seeds
+    r, c = np.divmod(np.flatnonzero(fire), w)
+    offsets = _NEIGH1 + _NEIGH2
+    at = []  # ascending stream positions of the uniforms read
+    for k, (dr, dc) in enumerate(offsets):
+        inside = (r >= dr) & (r < h + dr) & (c >= dc) & (c < w + dc)
+        at.append((k + 1) * n + (r[inside] - dr) * w + (c[inside] - dc))
+    at = np.concatenate(at)
+    u, end = np.empty(at.size), n  # the stream stands at output `end`
+    cuts = [0, *(np.flatnonzero(np.diff(at) > _GAP) + 1), at.size] if at.size else []
+    for lo, hi in zip(cuts, cuts[1:]):
+        rng.bit_generator.advance(int(at[lo]) - end)
+        end = int(at[hi - 1]) + 1
+        u[lo:hi] = rng.random(end - int(at[lo]))[at[lo:hi] - at[lo]]
+    rng.bit_generator.advance((len(offsets) + 1) * n - end)
+    p = np.where(at < (len(_NEIGH1) + 1) * n, rule.spread_p1, rule.spread_p2)
+    fire.reshape(-1)[at[u < p] % n] = True
     return fire & land
 
 
@@ -294,10 +326,15 @@ def stream_dataset(
 
     Memory: until the last day is drawn, every day's two rule channels and
     mask, the static fields and the smoothing workspace (a fixed few
-    rasters); while the calibration runs, each day also keeps one float64
-    reach value per land pixel and a small active set. That is at most two
-    float32 channels, one mask and 8 bytes per pixel per day. A full day is
-    held only by whoever draws it.
+    rasters); while the calibration runs, each day also keeps a small active
+    set: at most an eighth of its land, 24 bytes a pixel. The reach of every
+    land pixel (one float64 each) is held by the day being scanned and by a
+    day whose active set is too large to keep. The label draws hold one
+    day's seeds and the uniforms they read. That is two float32 channels,
+    one mask and at most 3 bytes per pixel per day while every day keeps
+    its set (as at the default fire rate); a day whose set is too large
+    holds 8 bytes per land pixel instead. A full day is held only by
+    whoever draws it.
     """
     h, w, seed = config.height, config.width, config.seed
     dynamic = tuple(i for i in range(config.numeric_channels) if i % 2 == 0)
@@ -403,13 +440,15 @@ def _expected_rate(rule: PlantedRule, stacks: list, land: np.ndarray):
 
     stacks[d][i] is day d's plane of channel i, for each of the rule's
     channels. Each day keeps a small active set of its last full scan (see
-    the module docstring).
+    the module docstring) with the reach of its pixels; a day computes the
+    reach of all its land pixels when it scans, and holds it only while it
+    keeps no set.
     """
     raster = _Raster(land)
     small = raster.flat.size // 8
-    # per day: its planes, the bias-independent reach of each land pixel and
-    # the kept (cutoff, land indices, scores), if any
-    days = [[s, _reach(rule.score(s), land), None] for s in stacks]
+    # per day: its planes, the reach of each land pixel while it keeps no set,
+    # and the kept (cutoff, land indices, scores, reach at those), if any
+    days = [[s, None, None] for s in stacks]
 
     def expected_rate(bias: float) -> float:
         r = replace(rule, bias=bias)
@@ -418,12 +457,17 @@ def _expected_rate(rule: PlantedRule, stacks: list, land: np.ndarray):
         for day in days:
             features, reach, kept = day
             if kept is not None and cut >= kept[0]:
-                _, act, score = kept
-                inside = reach[act] >= cut
+                _, act, score, near = kept
+                inside = near >= cut
                 act, score = act[inside], score[inside]
             else:
+                if reach is None:
+                    reach = _reach(rule.score(features), land)
                 act, score = _scan(r, raster, features, reach)
-                day[2] = (cut, act, score) if act.size <= small else None
+                if act.size <= small:
+                    day[1:] = None, (cut, act, score, reach[act])
+                else:
+                    day[1:] = reach, None
             r._burn(raster, act, score)
             total += float(raster.burn.sum())  # all land pixels, in raster order
             raster.burn[act] = 0.0

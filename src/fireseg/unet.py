@@ -90,11 +90,6 @@ def layer_shapes(config: UNetConfig) -> list[tuple[str, tuple[int, ...], tuple[i
     return inv
 
 
-def param_count(config: UNetConfig) -> int:
-    f, c = config.init_features, config.in_channels
-    return 6809 * f * f + 9 * c * f + 94 * f + 2
-
-
 @dataclass
 class UNetParams:
     """All learnable kernels, keyed by the layer_shapes inventory order."""

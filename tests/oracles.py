@@ -6,9 +6,13 @@ finite differences) and shares no code with the library kernels.
 
 from __future__ import annotations
 
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
+
+from fireseg.formats import FormatError
 
 
 def conv2d_naive(x, w, b, stride=1, padding=0):
@@ -213,6 +217,21 @@ FIRE_NEIGH2 = [
 ]
 
 
+def draw_labels_dense(rule, features, land, rng):
+    """One label draw with every uniform drawn: a seed raster, then a full
+    contagion raster per offset, each read at every pixel."""
+    q = rule.seed_probability(features, land)
+    seeds = land & (rng.random(q.shape) < q)
+    h, w = q.shape
+    sp = np.pad(seeds, 2)  # seeds[r + dr, c + dc] is sp[2 + dr + r, 2 + dc + c]
+    fire = seeds.copy()
+    for (dr, dc), p in [(o, rule.spread_p1) for o in FIRE_NEIGH1] + [
+        (o, rule.spread_p2) for o in FIRE_NEIGH2
+    ]:
+        fire |= sp[2 + dr : 2 + dr + h, 2 + dc : 2 + dc + w] & (rng.random(q.shape) < p)
+    return fire & land
+
+
 def fire_marginal_dense(rule, features, land):
     """The planted rule's exact fire marginal as one full product over every pixel.
 
@@ -285,3 +304,26 @@ def smooth_field_padded(rng, h, w, radius):
     for _ in range(2):
         field = box1d_padded(box1d_padded(field, radius, 0), radius, 1)
     return (field - field.mean()) / field.std()
+
+
+def param_count(config):
+    """The U-Net's parameter count in closed form."""
+    f, c = config.init_features, config.in_channels
+    return 6809 * f * f + 9 * c * f + 94 * f + 2
+
+
+def read_ppm(path):
+    """The [H, W, 3] image of a binary PPM with max value 255; anything else is a FormatError naming path."""
+    raw = Path(path).read_bytes()
+    # magic, decimal width, height and maxval, then one whitespace byte; the
+    # digit bound keeps int() within its string-length limit
+    header = re.match(rb"P6\s+(\d{1,9})\s+(\d{1,9})\s+(\d{1,9})\s", raw)
+    if header is None:
+        raise FormatError(f"{path}: not a binary PPM (bad magic or header)")
+    w, h, maxval = map(int, header.groups())
+    if maxval != 255:
+        raise FormatError(f"{path}: unsupported max value {maxval}")
+    data = np.frombuffer(raw, np.uint8, offset=header.end())
+    if data.size != h * w * 3:
+        raise FormatError(f"{path}: payload size mismatch")
+    return data.reshape(h, w, 3)

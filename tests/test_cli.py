@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import read_ppm
 
 from fireseg import cli as C
 from fireseg import formats as F
@@ -290,7 +291,7 @@ class TestPipeline:
         pred = F.read_mask(run / "pred_2021-06-09.msk")
         assert pred.shape == (64, 64)
         assert set(np.unique(pred)) <= {0, 1}
-        img = F.read_ppm(run / "render_2021-06-09.ppm")
+        img = read_ppm(run / "render_2021-06-09.ppm")
         assert img.shape == (64, 64 * 2 + 2, 3)
 
     def test_evaluate_reads_only_the_threshold(self, pipeline, tmp_path):
@@ -440,32 +441,81 @@ class TestDeterminism:
             assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t2" / name).read_bytes(), name
 
 
-class TestGenerateMemory:
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_peak_grows_by_the_rule_channels_of_a_day_per_day(self, tmp_path, threads):
-        # generate holds every day's two dynamic rule channels, its mask and,
-        # while the bias is calibrated, one float64 per pixel; full days stream
-        def peak(train_days):
-            cfg = {"out_dir": str(tmp_path / f"ds{train_days}"), "days": str(train_days),
-                   "holdout_days": "2", "height": "96", "width": "96", "seed": "5",
-                   "target_fire_rate": "0.01", "threads": str(threads)}
-            tracemalloc.start()
-            try:
-                assert C.cmd_generate(cfg) == 0
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+def _meet_in_pairs(monkeypatch, module, name):
+    """Make the callers of module.name meet in pairs after each call, each
+    holding the call's arguments and result until its partner arrives.
 
-        peak(1)  # first-call allocations are not per-day growth
-        growth = peak(12) - peak(4)
+    At two workers both then hold that transient at once in every run, so a
+    tracemalloc peak does not depend on how the threads interleave. A run
+    must make an even number of calls; a caller left without a partner fails
+    with BrokenBarrierError after the timeout.
+    """
+    barrier = threading.Barrier(2, timeout=60)
+    call = getattr(module, name)
+
+    def paired(*args, **kwargs):
+        result = call(*args, **kwargs)
+        barrier.wait()
+        return result
+
+    monkeypatch.setattr(module, name, paired)
+
+
+class TestGenerateMemory:
+    @staticmethod
+    def peak(tmp_path, train_days, threads, rate):
+        cfg = {"out_dir": str(tmp_path / f"ds{train_days}"), "days": str(train_days),
+               "holdout_days": "2", "height": "96", "width": "96", "seed": "5",
+               "target_fire_rate": rate, "threads": str(threads)}
+        tracemalloc.start()
+        try:
+            assert C.cmd_generate(cfg) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_peak_grows_by_the_rule_channels_of_a_day_per_day(self, tmp_path, monkeypatch, threads):
+        # generate holds every day's two dynamic rule channels and its mask;
+        # full days stream. At this rate most calibration passes find over an
+        # eighth of each day's land active, so every day also holds one
+        # float64 reach value per pixel while the bias is calibrated
+        self.peak(tmp_path, 1, threads, "0.01")  # first-call allocations are not per-day growth
+        if threads == 2:  # the 6 and 14 days are written by two workers holding a day each
+            _meet_in_pairs(monkeypatch, F, "write_day")
+        growth = self.peak(tmp_path, 12, threads, "0.01") - self.peak(tmp_path, 4, threads, "0.01")
         per_day = (2 * 4 + 1 + 8) * 96 * 96
+        assert growth <= 1.1 * per_day * (12 - 4), (growth, per_day)
+
+    def test_sparse_calibration_holds_no_reach_per_day(self, tmp_path, monkeypatch):
+        # at the default rate every pass keeps each day's active set, so a day
+        # holds its rule channels, its mask and its kept set: 24 bytes per pixel
+        # of the set, and no reach value per pixel beyond the day being scanned
+        scans = []
+        scan = S._scan
+
+        def recording(rule, raster, features, reach):
+            act, score = scan(rule, raster, features, reach)
+            scans.append((act.size, raster.flat.size // 8))
+            return act, score
+
+        monkeypatch.setattr(S, "_scan", recording)
+        self.peak(tmp_path, 1, 1, "0.001")
+        growth = self.peak(tmp_path, 12, 1, "0.001") - self.peak(tmp_path, 4, 1, "0.001")
+        assert all(size <= small for size, small in scans)  # no pass keeps a reach
+        per_day = (2 * 4 + 1) * 96 * 96 + 24 * max(size for size, _ in scans)
         assert growth <= 1.1 * per_day * (12 - 4), (growth, per_day)
 
 
 class TestPrepareMemory:
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_peak_does_not_grow_with_the_train_days(self, tmp_path, threads):
-        # prepare reads the raw days twice, one day per worker at a time
+    def test_peak_does_not_grow_with_the_train_days(self, tmp_path, monkeypatch, threads):
+        # prepare reads the raw days twice, one day per worker at a time; at two
+        # workers both hold a raw, a scaled and an encoded day at once in every
+        # run (the 6 and 14 days of pass 2 pair up)
+        if threads == 2:
+            _meet_in_pairs(monkeypatch, C.D, "one_hot_encode")
+
         def peak(train_days):
             ds = tmp_path / f"ds{train_days}"
             gen = ["generate", "--out", ds, "--days", train_days, "--holdout-days", 2,
@@ -582,6 +632,23 @@ class TestErrorContract:
             f"error: {manifest}: does not match prepared holdout day 2021-06-10; re-run prepare"
         ]
         assert not (tmp_path / "run" / "holdout.csv").exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda tv, ho: (tv + tv[:1], ho), "day 2021-06-01 is listed twice"),
+        (lambda tv, ho: (tv, ho + tv[:1]), "day 2021-06-01 is listed in both train_val and holdout"),
+        (lambda tv, ho: (tv, []), "holdout lists no day"),
+    ], ids=["twice", "in-both", "empty"])
+    def test_prepare_refuses_overlapping_splits(self, pipeline, tmp_path, capsys, edit, message):
+        # a day in both lists would be trained on and then scored as holdout
+        ds, _ = pipeline
+        data = tmp_path / "ds"
+        shutil.copytree(ds / "raw", data / "raw")
+        shutil.copy(ds / "schema.json", data)
+        splits = data / "splits.json"
+        F.write_splits(splits, *edit(*F.read_splits(ds / "splits.json")))
+        assert C.main(["prepare", "--data", str(data), "--out", str(data), "--tr", "2"]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {splits}: {message}"]
+        assert not (data / "scaling.json").exists()
 
     def test_missing_data_dir_is_one_line_error(self, tmp_path):
         proc = run_cli("prepare", "--data", tmp_path / "nope", "--out", tmp_path)

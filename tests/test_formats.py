@@ -7,6 +7,7 @@ from datetime import date
 
 import numpy as np
 import pytest
+from oracles import read_ppm
 
 from fireseg import data as D
 from fireseg import formats as F
@@ -219,6 +220,17 @@ class TestCheckDay:
         (got, _), peak = _traced_peak(lambda: F.read_day(tmp_path, day.day_id))
         assert np.array_equal(got.features, day.features) and np.array_equal(got.mask, day.mask)
         assert peak <= 1.2 * (day.features.nbytes + day.mask.nbytes), peak
+
+    def test_write_day_copies_no_payload(self, tmp_path):
+        # the writers pass each array's buffer to the file as it is
+        rng = np.random.default_rng(0)
+        day = D.GridDay(date(2021, 6, 1), rng.random((9, 96, 96), dtype=np.float32),
+                        rng.integers(0, 3, (96, 96), dtype=np.uint8))
+        names = [f"c{i}" for i in range(9)]
+        _, peak = _traced_peak(lambda: F.write_day(tmp_path, day, names))
+        got, _ = F.read_day(tmp_path, day.day_id)
+        assert np.array_equal(got.features, day.features) and np.array_equal(got.mask, day.mask)
+        assert peak <= 0.2 * (day.features.nbytes + day.mask.nbytes), peak
 
     def test_read_mask_holds_the_payload_once(self, tmp_path):
         mask = np.random.default_rng(0).integers(0, 3, (256, 256), dtype=np.uint8)
@@ -480,6 +492,6 @@ class TestRendering:
         img = rng.integers(0, 256, (7, 11, 3)).astype(np.uint8)
         path = tmp_path / "img.ppm"
         F.write_ppm(path, img)
-        assert np.array_equal(F.read_ppm(path), img)
+        assert np.array_equal(read_ppm(path), img)
         header = path.read_bytes()[:15]
         assert header.startswith(b"P6\n11 7\n255\n")

