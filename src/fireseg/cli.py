@@ -4,6 +4,12 @@ Configuration comes from a flat key=value file plus command-line flags
 (flags win). Every output is written atomically, and all commands are
 bitwise-reproducible from (inputs, config, seed) at --threads 1; to keep
 that guarantee the BLAS thread pool is pinned before numpy loads.
+
+`evaluate` writes each holdout day's mask as `predict` would, then the
+run's record, evaluate.json. `predict` keeps a mask that record vouches
+for (same threshold, checkpoint, versions, BLAS and CPU; same prepared
+files and mask on disk, by sha256), so a day `evaluate` scored does not go
+through the network again.
 """
 
 # must happen before the first numpy import anywhere in the process
@@ -286,10 +292,25 @@ def cmd_train(cfg: dict) -> int:
     return 0
 
 
-def cmd_evaluate(cfg: dict, checkpoint: Path) -> int:
-    """Score the checkpoint on the holdout days. Memory: one prepared day per worker, one worker.
+def _pred_name(day_id: date) -> str:
+    return f"pred_{day_id.isoformat()}.msk"
 
-    Of the training keys it reads only threshold.
+
+def _day_digests(data: Path, out: Path, day_id: date) -> dict[str, str]:
+    """sha256 of a day's prepared stack and mask (under data) and of its pred
+    mask (under out), each keyed by its path relative to that directory."""
+    files = {path.as_posix(): data / path for path in F.day_paths(Path("prepared"), day_id)}
+    files[_pred_name(day_id)] = out / _pred_name(day_id)
+    return {name: F.file_sha256(path) for name, path in files.items()}
+
+
+def cmd_evaluate(cfg: dict, checkpoint: Path) -> int:
+    """Score the checkpoint on the holdout days, writing each day's mask as
+    predict would, then the run's record. Memory: one prepared day, one worker.
+
+    Of the training keys it reads only threshold. A day's mask is written as
+    soon as the day is scored; evaluate.json is the last write, so a run that
+    fails leaves the masks of the days before the failure and no new record.
     """
     config = T.TrainConfig(threshold=_get(cfg, "threshold"))
     data, out = _data_and_out(cfg)
@@ -304,17 +325,30 @@ def cmd_evaluate(cfg: dict, checkpoint: Path) -> int:
             raise CliError(f"{path}: does not match prepared holdout day {day_id}; re-run prepare")
         return day
 
-    result = T.evaluate_holdout(params, map(checked, day_ids), config)
+    digests = {}
+
+    def write_pred(day: D.GridDay, pred) -> None:
+        F.write_mask(out / _pred_name(day.day_id), pred)
+        digests[day.day_id.isoformat()] = _day_digests(data, out, day.day_id)
+
+    result = T.evaluate_holdout(params, map(checked, day_ids), config, on_mask=write_pred)
     days_run = f"{day_ids[0].isoformat()}..{day_ids[-1].isoformat()}"
     row = F.metric_row([checkpoint, days_run, result.tiles], result.values())
     row += [str(getattr(result.counts, c)) for c in F.COUNT_COLUMNS]
     F.write_csv(out / "holdout.csv", F.HOLDOUT_COLUMNS, [row])
+    F.write_evaluate_record(out / F.EVALUATE_RECORD, config.threshold,
+                            F.file_sha256(checkpoint), digests)
     print(f"holdout: tiles={result.tiles} {format_scores(result.values())}")
     return 0
 
 
 def cmd_predict(cfg: dict, checkpoint: Path, day_args: list[str], render: bool) -> int:
-    """Predict the named days. Memory: one prepared day per worker (`threads` workers)."""
+    """Predict the named days. Memory: one prepared day per worker (`threads` workers).
+
+    A day that evaluate.json in the output directory records, for this
+    checkpoint and threshold, with its prepared files and its mask on disk
+    unchanged, keeps that mask: it is rendered from it, not predicted again.
+    """
     data, out = _data_and_out(cfg)
     params = F.read_checkpoint(_require_file(checkpoint, "checkpoint"))
     try:
@@ -326,16 +360,26 @@ def cmd_predict(cfg: dict, checkpoint: Path, day_args: list[str], render: bool) 
             _require_file(path, "prepared day")
         F.check_day(data / "prepared", day_id)
     threshold = _get(cfg, "threshold")
+    recorded = F.read_evaluate_record(out / F.EVALUATE_RECORD, threshold, F.file_sha256(checkpoint))
 
-    def predict_one(day_id: date) -> None:
-        day = _read_prepared(data, day_id)
-        pred = T.predict_day(params, day, threshold)
-        F.write_mask(out / f"pred_{day_id.isoformat()}.msk", pred)
+    def predict_one(day_id: date) -> bool:
+        """Write the day's mask and render; True if evaluate's mask was kept."""
+        pred_path = out / _pred_name(day_id)
+        entry = recorded.get(day_id.isoformat())
+        kept = entry is not None and pred_path.is_file() and entry == _day_digests(data, out, day_id)
+        if not kept:
+            day = _read_prepared(data, day_id)
+            truth, pred = day.mask, T.predict_day(params, day, threshold)
+            F.write_mask(pred_path, pred)
+        elif render:
+            truth, pred = F.read_mask(F.day_paths(data / "prepared", day_id)[1]), F.read_mask(pred_path)
         if render:
-            F.write_ppm(out / f"render_{day_id.isoformat()}.ppm", F.render_panels(day.mask, pred))
+            F.write_ppm(out / f"render_{day_id.isoformat()}.ppm", F.render_panels(truth, pred))
+        return kept
 
-    _map_days(predict_one, day_ids, _get(cfg, "threads"))
-    print(f"predicted {len(day_ids)} day(s) into {out}" + (" (rendered)" if render else ""))
+    kept = sum(_map_days(predict_one, day_ids, _get(cfg, "threads")))
+    print(f"predicted {len(day_ids)} day(s) into {out}" + (" (rendered)" if render else "")
+          + (f", {kept} kept from {F.EVALUATE_RECORD}" if kept else ""))
     return 0
 
 

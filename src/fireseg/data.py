@@ -49,6 +49,9 @@ class Channel:
             raise ValueError(f"categorical channel {self.name!r} declares no categories")
         if self.kind == NUMERIC and self.categories:
             raise ValueError(f"numeric channel {self.name!r} must not declare categories")
+        for i, category in enumerate(self.categories):
+            if category in self.categories[:i]:
+                raise ValueError(f"categorical channel {self.name!r} declares {category!r} twice")
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,12 @@ Each binary reader checks the payload size its header implies against the
 file before allocating, then reads every array once; a failed check is a
 FormatError naming the file.
 
-Tile manifests and metric tables are CSV. Every writer is atomic
+Tile manifests and metric tables are CSV. `evaluate.json` is the record
+of an `evaluate` run: the threshold, the fireseg/numpy/BLAS/CPU identity,
+the checkpoint's sha256 and, per holdout day, the sha256 of its prepared
+stack and mask and of the mask evaluate wrote. It holds no path outside
+the data and output directories and no time, so two runs on equal inputs
+write equal records. Every writer is atomic
 (write to a temp file in the same directory, then rename). A binary
 writer writes its header bytes, then each array straight from the array's
 buffer: no payload is copied unless it first needs converting to its
@@ -29,6 +34,7 @@ stored little-endian type or a contiguous layout.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -41,6 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .data import (
     FIRE,
     Channel,
@@ -69,6 +76,17 @@ PALETTE = {
     "false_negative": (230, 40, 230),
     "gutter": (255, 255, 255),
 }
+# a render pixel's color, row 2 * truth + (pred != 0); row 6 is the gutter
+_RENDER_COLORS = np.array([PALETTE[name] for name in (
+    "no_fire", "false_positive",  # truth no-fire
+    "false_negative", "fire",     # truth fire
+    "water", "water",             # truth water
+    "gutter",
+)], np.uint8)
+_GUTTER = len(_RENDER_COLORS) - 1
+
+EVALUATE_RECORD = "evaluate.json"
+_DIGEST_CHUNK = 1 << 20
 
 
 class FormatError(ValueError):
@@ -351,6 +369,69 @@ def read_rule(path: Path):
 
 
 # ---------------------------------------------------------------------------
+# run records
+
+
+def file_sha256(path: Path) -> str:
+    """The sha256 hex digest of the file at path, read in fixed 1 MiB chunks."""
+    digest = hashlib.sha256()
+    chunk = bytearray(_DIGEST_CHUNK)
+    view = memoryview(chunk)
+    with open(path, "rb") as f:
+        while n := f.readinto(chunk):
+            digest.update(view[:n])
+    return digest.hexdigest()
+
+
+def blas_identity() -> tuple[str, str, str]:
+    """The BLAS build (name and version, OpenBLAS configuration) and the CPU model.
+
+    The CPU is part of the identity because a DYNAMIC_ARCH OpenBLAS picks
+    its kernels from the CPU at run time, and other kernels round differently.
+    """
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # a numpy before 1.25 reports no build dict
+        blas = {}
+    cpu = "unknown"
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                cpu = line.split(":", 1)[1].strip()
+                break
+    except OSError:
+        pass
+    return f"{blas.get('name')} {blas.get('version')}", blas.get("openblas configuration", ""), cpu
+
+
+def _record_header(threshold: float, checkpoint_sha256: str) -> dict:
+    blas, blas_config, cpu = blas_identity()
+    return {"threshold": threshold, "fireseg": __version__, "numpy": np.__version__,
+            "blas": blas, "blas_config": blas_config, "cpu": cpu, "checkpoint": checkpoint_sha256}
+
+
+def write_evaluate_record(path: Path, threshold: float, checkpoint_sha256: str,
+                          days: dict[str, dict[str, str]]) -> None:
+    """evaluate.json: the header, then day id -> {relative path: sha256} of the day's files."""
+    _write_json(path, {**_record_header(threshold, checkpoint_sha256), "days": days})
+
+
+def read_evaluate_record(path: Path, threshold: float, checkpoint_sha256: str) -> dict:
+    """The day digests of the record at path, if it was written at this threshold,
+    for this checkpoint, by this fireseg, numpy, BLAS and CPU; else {}.
+
+    A record that is missing or does not parse is no error: it is not used.
+    """
+    try:
+        doc = json.loads(Path(path).read_bytes())
+    except (OSError, ValueError):
+        return {}
+    if type(doc) is not dict or type(days := doc.pop("days", None)) is not dict:
+        return {}
+    return days if doc == _record_header(threshold, checkpoint_sha256) else {}
+
+
+# ---------------------------------------------------------------------------
 # tile manifests
 
 
@@ -487,26 +568,21 @@ def write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
 # prediction rendering (binary PPM)
 
 
-def render_prediction(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
-    """Prediction panel with error overlay: orange FP, magenta FN."""
-    rgb = np.zeros(truth.shape + (3,), np.uint8)
-    fire = truth == 1
-    land = truth != 2
-    predf = pred.astype(bool)
-    rgb[land & ~fire & ~predf] = PALETTE["no_fire"]
-    rgb[fire & predf] = PALETTE["fire"]
-    rgb[truth == 2] = PALETTE["water"]
-    rgb[land & ~fire & predf] = PALETTE["false_positive"]
-    rgb[fire & ~predf] = PALETTE["false_negative"]
-    return rgb
-
-
 def render_panels(truth: np.ndarray, pred: np.ndarray) -> np.ndarray:
-    """Side-by-side ground truth | prediction image, split by a 2-pixel gutter."""
-    left = render_prediction(truth == FIRE, truth)  # a perfect prediction shows no overlay
-    right = render_prediction(pred, truth)
-    gap = np.full((truth.shape[0], 2, 3), PALETTE["gutter"], np.uint8)
-    return np.concatenate([left, gap, right], axis=1)
+    """Side-by-side ground truth | prediction image, split by a 2-pixel gutter.
+
+    truth holds mask values {0,1,2}. The prediction panel overlays false
+    positives orange and false negatives magenta; the truth panel is the
+    prediction panel of a perfect prediction, so it shows no overlay. The
+    image is one lookup of _RENDER_COLORS.
+    """
+    h, w = truth.shape
+    base = 2 * truth.astype(np.uint8)
+    rows = np.empty((h, 2 * w + 2), np.uint8)
+    rows[:, :w] = base + (truth == FIRE)
+    rows[:, w : w + 2] = _GUTTER
+    rows[:, w + 2 :] = base + (pred != 0)
+    return _RENDER_COLORS.take(rows, axis=0)
 
 
 def write_ppm(path: Path, rgb: np.ndarray) -> None:

@@ -13,7 +13,7 @@ scores every land tile of the holdout days.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from datetime import date
 
@@ -285,16 +285,23 @@ def evaluate_holdout(
     params: U.UNetParams,
     holdout_days: Iterable[D.GridDay],
     config: TrainConfig,
+    *,
+    on_mask: Callable[[D.GridDay, np.ndarray], None] | None = None,
 ) -> HoldoutResult:
     """Pixel metrics of predict_day's masks, summed over the holdout days in order.
 
     The days carry the training-time scaling/encoding. Each is read once, so
     a generator is held one day at a time. No sampling, no fire buffer, ever.
+    on_mask, if given, receives each day and its mask once the day is scored,
+    before the next day is drawn.
     """
     counts, tiles = ConfusionCounts(), 0
     for day in holdout_days:
-        counts = counts + confusion(predict_day(params, day, config.threshold), day.mask)
+        pred = predict_day(params, day, config.threshold)
+        counts = counts + confusion(pred, day.mask)
         tiles += len(D.holdout_tileset([day]).specs)
+        if on_mask is not None:
+            on_mask(day, pred)
     result = HoldoutResult.of(counts, counts=counts, tiles=tiles)
     if result is None:
         raise ValueError("holdout metrics undefined (a class is absent from the holdout days)")

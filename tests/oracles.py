@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from fireseg.formats import FormatError
+from fireseg.formats import PALETTE, FormatError
 
 
 def conv2d_naive(x, w, b, stride=1, padding=0):
@@ -327,3 +327,25 @@ def read_ppm(path):
     if data.size != h * w * 3:
         raise FormatError(f"{path}: payload size mismatch")
     return data.reshape(h, w, 3)
+
+
+def render_prediction_masks(pred, truth):
+    """Prediction panel with error overlay, one boolean-mask assignment per color."""
+    rgb = np.zeros(truth.shape + (3,), np.uint8)
+    fire = truth == 1
+    land = truth != 2
+    predf = pred.astype(bool)
+    rgb[land & ~fire & ~predf] = PALETTE["no_fire"]
+    rgb[fire & predf] = PALETTE["fire"]
+    rgb[truth == 2] = PALETTE["water"]
+    rgb[land & ~fire & predf] = PALETTE["false_positive"]
+    rgb[fire & ~predf] = PALETTE["false_negative"]
+    return rgb
+
+
+def render_panels_masks(truth, pred):
+    """Ground truth | prediction panels split by a 2-pixel white gutter, panel by panel."""
+    left = render_prediction_masks(truth == 1, truth)
+    right = render_prediction_masks(pred, truth)
+    gap = np.full((truth.shape[0], 2, 3), PALETTE["gutter"], np.uint8)
+    return np.concatenate([left, gap, right], axis=1)

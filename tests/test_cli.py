@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 import re
 import shutil
 import struct
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 from oracles import read_ppm
 
+import fireseg
 from fireseg import cli as C
 from fireseg import formats as F
 from fireseg import metrics as M
@@ -319,24 +321,6 @@ class TestPipeline:
         assert leftovers == []
 
 
-def _blas_identity() -> tuple[str, str, str]:
-    """The BLAS build and the CPU, read as perfbench/run.py's environment() reads them.
-
-    The CPU is part of the identity because a DYNAMIC_ARCH OpenBLAS picks
-    its kernels from the CPU at run time, and other kernels round differently.
-    """
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    cpu = "unknown"
-    try:
-        for line in Path("/proc/cpuinfo").read_text().splitlines():
-            if line.startswith("model name"):
-                cpu = line.split(":", 1)[1].strip()
-                break
-    except OSError:
-        pass
-    return f"{blas.get('name')} {blas.get('version')}", blas.get("openblas configuration", ""), cpu
-
-
 # sha256 of what the pipeline fixture computes, per BLAS identity: a change
 # meant to keep outputs must keep this digest, and one that moves bits
 # records its new digest here
@@ -359,10 +343,170 @@ class TestPipelinePin:
         # holdout.csv less its first column, the checkpoint path
         rows = (run / "holdout.csv").read_text().splitlines()
         digest.update(b"holdout.csv\0" + "\n".join(r.split(",", 1)[1] for r in rows).encode())
-        identity = _blas_identity()
+        identity = F.blas_identity()
         if identity not in PIPELINE_DIGESTS:
             pytest.skip(f"no pipeline digest recorded for BLAS identity {identity}")
         assert digest.hexdigest() == PIPELINE_DIGESTS[identity]
+
+
+def _count_forwards(monkeypatch) -> list[int]:
+    """A one-item list counting the unet.forward calls from here on."""
+    calls = [0]
+    forward = U.forward
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(U, "forward", counting)
+    return calls
+
+
+def _outputs(out: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(out.glob("pred_*.msk")) + sorted(out.glob("render_*"))}
+
+
+@pytest.fixture
+def evaluated(pipeline, tmp_path):
+    """A copy of the pipeline's dataset, evaluated in process into a fresh directory."""
+    ds, run = pipeline
+    data, out = tmp_path / "ds", tmp_path / "run"
+    shutil.copytree(ds, data)
+    assert C.main(["evaluate", "--data", str(data), "--out", str(out), str(run / "best.unc")]) == 0
+    return data, out, run / "best.unc"
+
+
+class TestEvaluateRecord:
+    def test_record_holds_the_digests_of_what_evaluate_read_and_wrote(self, evaluated):
+        data, out, checkpoint = evaluated
+        record = json.loads((out / "evaluate.json").read_text())
+        blas, blas_config, cpu = F.blas_identity()
+        sha = lambda path: hashlib.sha256(path.read_bytes()).hexdigest()  # noqa: E731
+        assert record == {
+            "threshold": 0.5, "fireseg": fireseg.__version__, "numpy": np.__version__,
+            "blas": blas, "blas_config": blas_config, "cpu": cpu, "checkpoint": sha(checkpoint),
+            "days": {day: {f"prepared/{day}.fsk": sha(data / "prepared" / f"{day}.fsk"),
+                           f"prepared/{day}.msk": sha(data / "prepared" / f"{day}.msk"),
+                           f"pred_{day}.msk": sha(out / f"pred_{day}.msk")}
+                     for day in HOLDOUT_DAYS},
+        }
+
+    def test_two_runs_into_different_directories_write_equal_records(self, evaluated, tmp_path):
+        data, out, checkpoint = evaluated
+        other = tmp_path / "elsewhere"
+        shutil.copytree(data, other / "ds")
+        assert C.main(["evaluate", "--data", str(other / "ds"), "--out", str(other / "run"),
+                       str(checkpoint)]) == 0
+        assert (other / "run" / "evaluate.json").read_bytes() == (out / "evaluate.json").read_bytes()
+
+    def test_a_refused_stale_manifest_leaves_no_new_record(self, evaluated, tmp_path, capsys):
+        data, out, checkpoint = evaluated
+        manifest = data / "holdout_tiles.csv"
+        lines = manifest.read_text().splitlines()
+        lines.remove(next(line for line in lines if line.startswith(HOLDOUT_DAYS[1])))
+        manifest.write_text("\n".join(lines) + "\n")
+        record = (out / "evaluate.json").read_bytes()
+        for target in (out, tmp_path / "fresh"):
+            assert C.main(["evaluate", "--data", str(data), "--out", str(target), str(checkpoint),
+                           "--threshold", "0.25"]) == 1
+            assert capsys.readouterr().err.startswith(f"error: {manifest}: ")
+        assert (out / "evaluate.json").read_bytes() == record
+        # the first day was scored, and its mask written, before the second was refused
+        assert sorted(p.name for p in (tmp_path / "fresh").iterdir()) == [f"pred_{HOLDOUT_DAYS[0]}.msk"]
+
+
+def _other_checkpoint(data, out, checkpoint):
+    net = F.read_checkpoint(checkpoint).config
+    other = out / "other.unc"
+    F.write_checkpoint(other, U.init_params(dataclasses.replace(net, seed=net.seed + 1)))
+    return ["--data", data, "--out", out, other], HOLDOUT_DAYS
+
+
+def _flip_last_stack_value(data, out, checkpoint):
+    stack = data / "prepared" / f"{HOLDOUT_DAYS[2]}.fsk"
+    raw = bytearray(stack.read_bytes())
+    raw[-4] ^= 0x01  # the low mantissa bit of the last value, which stays finite
+    stack.write_bytes(raw)
+    return ["--data", data, "--out", out, checkpoint], HOLDOUT_DAYS[2:3]
+
+
+def _flip_a_truth_pixel(data, out, checkpoint):
+    mask = data / "prepared" / f"{HOLDOUT_DAYS[1]}.msk"
+    raw = bytearray(mask.read_bytes())
+    raw[raw.index(0, 12)] = 1  # the first no-fire pixel after the 12 header bytes is fire
+    mask.write_bytes(raw)
+    return ["--data", data, "--out", out, checkpoint], HOLDOUT_DAYS[1:2]
+
+
+def _overwrite_a_pred_mask(data, out, checkpoint):
+    pred = out / f"pred_{HOLDOUT_DAYS[3]}.msk"
+    F.write_mask(pred, 1 - F.read_mask(pred))
+    return ["--data", data, "--out", out, checkpoint], HOLDOUT_DAYS[3:]
+
+
+def _edit_record(edit):
+    def spoil(data, out, checkpoint):
+        path = out / "evaluate.json"
+        path.write_bytes(edit(path.read_bytes()))
+        return ["--data", data, "--out", out, checkpoint], HOLDOUT_DAYS
+    return spoil
+
+
+def _recorded(key, value):
+    return _edit_record(lambda raw: json.dumps({**json.loads(raw), key: value}).encode())
+
+
+def _remove_record(data, out, checkpoint):
+    (out / "evaluate.json").unlink()
+    return ["--data", data, "--out", out, checkpoint], HOLDOUT_DAYS
+
+
+def _other_threshold(data, out, checkpoint):
+    return ["--data", data, "--out", out, checkpoint, "--threshold", "0.3"], HOLDOUT_DAYS
+
+
+class TestPredictKeepsEvaluateMasks:
+    def test_holdout_days_go_through_no_network(self, evaluated, tmp_path, monkeypatch):
+        data, out, checkpoint = evaluated
+        calls = _count_forwards(monkeypatch)
+        assert C.main(["predict", "--data", str(data), "--out", str(out), str(checkpoint),
+                       *HOLDOUT_DAYS, "--render"]) == 0
+        assert calls == [0]
+        fresh = tmp_path / "fresh"
+        assert C.main(["predict", "--data", str(data), "--out", str(fresh), str(checkpoint),
+                       *HOLDOUT_DAYS, "--render"]) == 0
+        assert calls[0] > 0
+        assert _outputs(out) == _outputs(fresh)
+        # a train day has no mask in the record
+        calls[0] = 0
+        assert C.main(["predict", "--data", str(data), "--out", str(out), str(checkpoint),
+                       "2021-06-01"]) == 0
+        assert calls[0] > 0
+
+    @pytest.mark.parametrize("spoil", [
+        _other_checkpoint, _other_threshold, _flip_last_stack_value, _flip_a_truth_pixel,
+        _overwrite_a_pred_mask, _remove_record,
+        _edit_record(lambda raw: raw[: len(raw) // 2]),
+        _edit_record(lambda raw: b"[]"),
+        *(_recorded(key, "other") for key in ("fireseg", "numpy", "blas", "blas_config", "cpu")),
+    ], ids=["checkpoint", "threshold", "stack-byte", "truth-byte", "pred-mask", "no-record",
+            "truncated-record", "not-a-record", "fireseg", "numpy", "blas", "blas-config", "cpu"])
+    def test_a_mismatch_runs_the_network_again(self, evaluated, tmp_path, monkeypatch, spoil):
+        data, out, checkpoint = evaluated
+        args, predicted = spoil(data, out, checkpoint)
+        calls = _count_forwards(monkeypatch)
+
+        def predict(*args) -> int:
+            calls[0] = 0
+            assert C.main([str(a) for a in ("predict", *args, "--render")]) == 0
+            return calls[0]
+
+        fresh = tmp_path / "fresh"
+        fresh_args = [fresh if a == out else a for a in args]
+        assert predict(*args, *HOLDOUT_DAYS) == predict(*fresh_args, *predicted) > 0
+        shutil.rmtree(fresh)
+        predict(*fresh_args, *HOLDOUT_DAYS)
+        assert _outputs(out) == _outputs(fresh)
 
 
 class TestMapDays:
@@ -648,6 +792,22 @@ class TestErrorContract:
         F.write_splits(splits, *edit(*F.read_splits(ds / "splits.json")))
         assert C.main(["prepare", "--data", str(data), "--out", str(data), "--tr", "2"]) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {splits}: {message}"]
+        assert not (data / "scaling.json").exists()
+
+    def test_prepare_refuses_a_category_declared_twice(self, pipeline, tmp_path, capsys):
+        ds, _ = pipeline
+        data = tmp_path / "ds"
+        shutil.copytree(ds / "raw", data / "raw")
+        shutil.copy(ds / "splits.json", data)
+        doc = json.loads((ds / "schema.json").read_text())
+        (channel,) = [c for c in doc["channels"] if c["kind"] == "categorical"]
+        assert channel["categories"] == ["lc0", "lc1", "lc2", "lc3"]
+        channel["categories"] = ["lc0", "lc1", "lc1", "lc3"]
+        schema = data / "schema.json"
+        schema.write_text(json.dumps(doc))
+        assert C.main(["prepare", "--data", str(data), "--out", str(data), "--tr", "2"]) == 1
+        [error] = capsys.readouterr().err.splitlines()
+        assert error.startswith(f"error: {schema}: ") and "'lc1' twice" in error
         assert not (data / "scaling.json").exists()
 
     def test_missing_data_dir_is_one_line_error(self, tmp_path):

@@ -7,7 +7,7 @@ from datetime import date
 
 import numpy as np
 import pytest
-from oracles import read_ppm
+from oracles import read_ppm, render_panels_masks
 
 from fireseg import data as D
 from fireseg import formats as F
@@ -469,6 +469,29 @@ class TestJsonSidecars:
                 F.read_rule(path)
 
 
+class TestEvaluateRecord:
+    @pytest.mark.parametrize("size", [0, 1, F._DIGEST_CHUNK, 2 * F._DIGEST_CHUNK + 7])
+    def test_file_sha256_is_the_sha256_of_the_bytes(self, tmp_path, size):
+        path = tmp_path / "blob"
+        path.write_bytes(np.random.default_rng(size).integers(0, 256, size, np.uint8).tobytes())
+        assert F.file_sha256(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_round_trip_needs_the_same_threshold_and_checkpoint(self, tmp_path):
+        path = tmp_path / F.EVALUATE_RECORD
+        days = {"2021-06-09": {"pred_2021-06-09.msk": "ab" * 32}}
+        F.write_evaluate_record(path, 0.5, "cd" * 32, days)
+        assert F.read_evaluate_record(path, 0.5, "cd" * 32) == days
+        assert F.read_evaluate_record(path, 0.25, "cd" * 32) == {}
+        assert F.read_evaluate_record(path, 0.5, "ef" * 32) == {}
+
+    @pytest.mark.parametrize("payload", [b"", b"\xff\xfe", b"{", b"[]", b"{}", b'{"days": []}', b"null"])
+    def test_what_is_not_a_record_is_not_used(self, tmp_path, payload):
+        path = tmp_path / F.EVALUATE_RECORD
+        path.write_bytes(payload)
+        assert F.read_evaluate_record(path, 0.5, "cd" * 32) == {}
+        assert F.read_evaluate_record(tmp_path / "missing.json", 0.5, "cd" * 32) == {}
+
+
 class TestRendering:
     def test_palette_applied(self):
         truth = np.array([[0, 1], [2, 1]], np.uint8)
@@ -486,6 +509,21 @@ class TestRendering:
         assert tuple(img[0, 5]) == F.PALETTE["fire"]  # true positive
         assert tuple(img[1, 4]) == F.PALETTE["water"]
         assert tuple(img[1, 5]) == F.PALETTE["false_negative"]
+
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 11), (256, 256)])
+    def test_table_lookup_matches_the_mask_assignments(self, shape):
+        # every (truth, pred) pair appears, on a pred of 0/1 and on one holding
+        # other nonzero bytes, which count as fire
+        rng = np.random.default_rng(shape[1])
+        truth = rng.integers(0, 3, shape).astype(np.uint8)
+        for pred in (rng.integers(0, 2, shape).astype(np.uint8),
+                     rng.choice(np.array([0, 2, 255], np.uint8), shape)):
+            if truth.size > 6:
+                assert {(t, p != 0) for t, p in zip(truth.flat, pred.flat)} == {
+                    (t, p) for t in range(3) for p in (False, True)}
+            img = F.render_panels(truth, pred)
+            assert img.dtype == np.uint8
+            assert img.tobytes() == render_panels_masks(truth, pred).tobytes()
 
     def test_ppm_round_trip(self, tmp_path):
         rng = np.random.default_rng(2)
