@@ -22,7 +22,7 @@ import argparse
 import math
 import sys
 from collections import deque
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import Field, fields
 from datetime import date
@@ -213,6 +213,8 @@ def cmd_prepare(cfg: dict) -> int:
 
     scaling = D.fit_scaling((F.read_day(raw, d)[0] for d in train_ids), schema)
     F.write_scaling(out / "scaling.json", scaling)
+    if out.resolve() != data.resolve():  # train and evaluate check the manifests' days against it
+        F.write_splits(out / "splits.json", train_ids, holdout_ids)
 
     prepared = out / "prepared"
     prepared.mkdir(parents=True, exist_ok=True)
@@ -242,12 +244,54 @@ def cmd_prepare(cfg: dict) -> int:
     return 0
 
 
-def _load_manifest(path: Path, provenance: str) -> tuple[D.TileSet, list[date]]:
-    """The manifest at path, refused unless it carries provenance, and its days in order."""
+_SPLIT = {D.SAMPLED: "train_val", D.HOLDOUT: "holdout"}  # the splits.json list a manifest draws on
+
+
+class _ManifestDays(Mapping):
+    """The prepared days a manifest names, in date order. Each is read from
+    disk when looked up, and kept only by the caller.
+
+    A day read is checked against its manifest rows: every row must be one of
+    the day's land tiles, with its class, and a holdout manifest must hold
+    every land tile of its days.
+    """
+
+    def __init__(self, data: Path, path: Path, tileset: D.TileSet):
+        self.data, self.path, self.split = data, path, _SPLIT[tileset.provenance]
+        self.rows: dict[date, set[D.TileSpec]] = {}
+        for spec in tileset.specs:
+            self.rows.setdefault(spec.day_id, set()).add(spec)
+
+    def __getitem__(self, day_id: date) -> D.GridDay:
+        rows, day = self.rows[day_id], _read_prepared(self.data, day_id)
+        land = set(D.holdout_tileset([day]).specs)
+        if not (rows == land if self.split == "holdout" else rows <= land):
+            raise CliError(f"{self.path}: does not match prepared {self.split} day {day_id}; "
+                           "re-run prepare")
+        return day
+
+    def __iter__(self):
+        return iter(sorted(self.rows))
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+
+def _load_manifest(data: Path, name: str, provenance: str) -> tuple[D.TileSet, _ManifestDays]:
+    """The manifest data/name and its days, refused unless it carries
+    provenance and every day it names is on its list in splits.json."""
+    path = data / name
     tileset = F.read_manifest(_require_file(path, "manifest"))
     if tileset.provenance != provenance:
         raise CliError(f"{path}: manifest carries {tileset.provenance} provenance, not {provenance}")
-    return tileset, sorted({s.day_id for s in tileset.specs})
+    splits = _require_file(data / "splits.json", "splits file")
+    train_ids, holdout_ids = F.read_splits(splits)
+    listed = holdout_ids if provenance == D.HOLDOUT else train_ids
+    days = _ManifestDays(data, path, tileset)
+    for day_id in days:
+        if day_id not in listed:
+            raise CliError(f"{path}: day {day_id} is not a {_SPLIT[provenance]} day of {splits}")
+    return tileset, days
 
 
 def _read_prepared(data: Path, day_id: date) -> D.GridDay:
@@ -257,14 +301,14 @@ def _read_prepared(data: Path, day_id: date) -> D.GridDay:
 def cmd_train(cfg: dict) -> int:
     """Cross-validate on the sampled tiles.
 
-    Memory: the prepared train days, plus one fold's tiles, state and step (see train_fold).
+    Memory: the sampled tiles, plus one prepared day while they are cut,
+    then one fold's state and step at a time (see train_fold) and each
+    finished fold's best checkpoint.
     """
     config = train_config(cfg)
     data, out = _data_and_out(cfg)
-    tileset, day_ids = _load_manifest(data / "train_val_tiles.csv", D.SAMPLED)
-    store = {d: _read_prepared(data, d) for d in day_ids}
-
-    cv = T.cross_validate(tileset, store, config)
+    tileset, days = _load_manifest(data, "train_val_tiles.csv", D.SAMPLED)
+    cv = T.cross_validate(tileset, days, config)
 
     def save_checkpoint(path: Path, r: T.FoldResult) -> None:
         metrics = {"fold": r.fold_index, "epoch": r.best.epoch,
@@ -315,15 +359,8 @@ def cmd_evaluate(cfg: dict, checkpoint: Path) -> int:
     config = T.TrainConfig(threshold=_get(cfg, "threshold"))
     data, out = _data_and_out(cfg)
     params = F.read_checkpoint(_require_file(checkpoint, "checkpoint"))
-    path = data / "holdout_tiles.csv"
-    manifest, day_ids = _load_manifest(path, D.HOLDOUT)
-
-    # a stale manifest is refused: a day's land tiling must be its manifest tiles
-    def checked(day_id: date) -> D.GridDay:
-        day = _read_prepared(data, day_id)
-        if set(D.holdout_tileset([day]).specs) != {s for s in manifest.specs if s.day_id == day_id}:
-            raise CliError(f"{path}: does not match prepared holdout day {day_id}; re-run prepare")
-        return day
+    _, days = _load_manifest(data, "holdout_tiles.csv", D.HOLDOUT)
+    day_ids = list(days)
 
     digests = {}
 
@@ -331,7 +368,7 @@ def cmd_evaluate(cfg: dict, checkpoint: Path) -> int:
         F.write_mask(out / _pred_name(day.day_id), pred)
         digests[day.day_id.isoformat()] = _day_digests(data, out, day.day_id)
 
-    result = T.evaluate_holdout(params, map(checked, day_ids), config, on_mask=write_pred)
+    result = T.evaluate_holdout(params, days.values(), config, on_mask=write_pred)
     days_run = f"{day_ids[0].isoformat()}..{day_ids[-1].isoformat()}"
     row = F.metric_row([checkpoint, days_run, result.tiles], result.values())
     row += [str(getattr(result.counts, c)) for c in F.COUNT_COLUMNS]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from datetime import date
 
@@ -388,30 +388,35 @@ def kfold_split(
 
 def materialize_batch(
     specs: list[TileSpec] | tuple[TileSpec, ...],
-    days: dict[date, GridDay],
+    days: Mapping[date, GridDay],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Slice feature/mask tiles at the recorded offsets, bit-exact.
 
     Tiles reaching past the raster edge are padded with zero features and
-    water labels, matching the padding rule used at extraction time.
+    water labels, matching the padding rule used at extraction time. Each
+    day is looked up once, in the order of its first spec, and dropped once
+    its tiles are cut, so `days` may read a day from disk when it is looked up.
     """
     if not specs:
         raise ValueError("cannot materialize an empty batch")
-    first = days.get(specs[0].day_id)
-    if first is None:
-        raise KeyError(f"day {specs[0].day_id} not present in the day store")
-    channels = first.features.shape[0]
-    feats = np.zeros((len(specs), channels, TILE_SIDE, TILE_SIDE), dtype=np.float32)
-    masks = np.full((len(specs), TILE_SIDE, TILE_SIDE), WATER, dtype=np.uint8)
+    by_day: dict[date, list[int]] = {}
     for n, spec in enumerate(specs):
-        day = days.get(spec.day_id)
+        by_day.setdefault(spec.day_id, []).append(n)
+    feats = masks = None
+    for day_id, ns in by_day.items():
+        day = days.get(day_id)
         if day is None:
-            raise KeyError(f"day {spec.day_id} not present in the day store")
-        r, c = spec.row_off, spec.col_off
-        rows = min(TILE_SIDE, day.height - r)
-        cols = min(TILE_SIDE, day.width - c)
-        if rows <= 0 or cols <= 0:
-            raise ShapeError(f"tile at ({r},{c}) lies outside day {spec.day_id} raster")
-        feats[n, :, :rows, :cols] = day.features[:, r : r + rows, c : c + cols]
-        masks[n, :rows, :cols] = day.mask[r : r + rows, c : c + cols]
+            raise KeyError(f"day {day_id} not present in the day store")
+        if feats is None:
+            feats = np.zeros((len(specs), day.features.shape[0], TILE_SIDE, TILE_SIDE), np.float32)
+            masks = np.full((len(specs), TILE_SIDE, TILE_SIDE), WATER, dtype=np.uint8)
+        for n in ns:
+            r, c = specs[n].row_off, specs[n].col_off
+            rows = min(TILE_SIDE, day.height - r)
+            cols = min(TILE_SIDE, day.width - c)
+            if rows <= 0 or cols <= 0:
+                raise ShapeError(f"tile at ({r},{c}) lies outside day {day_id} raster")
+            feats[n, :, :rows, :cols] = day.features[:, r : r + rows, c : c + cols]
+            masks[n, :rows, :cols] = day.mask[r : r + rows, c : c + cols]
+        del day  # a day read on lookup is dropped before the next is read
     return feats, masks

@@ -442,7 +442,7 @@ def write_manifest(path: Path, tileset: TileSet) -> None:
 
 
 def read_manifest(path: Path) -> TileSet:
-    specs = []
+    specs: dict[TileSpec, None] = {}  # in file order
     provenances = set()
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
@@ -454,14 +454,15 @@ def read_manifest(path: Path) -> TileSet:
                     raise FormatError(
                         f"{path}: line {reader.line_num} does not hold {len(MANIFEST_HEADER)} fields"
                     )
-                specs.append(
-                    TileSpec(
-                        date.fromisoformat(row["day_id"]),
-                        int(row["row_off"]),
-                        int(row["col_off"]),
-                        row["tile_class"],
-                    )
+                spec = TileSpec(
+                    date.fromisoformat(row["day_id"]),
+                    int(row["row_off"]),
+                    int(row["col_off"]),
+                    row["tile_class"],
                 )
+                if spec in specs:  # a repeated train row would weigh its tile twice
+                    raise FormatError(f"{path}: line {reader.line_num}: tile listed twice")
+                specs[spec] = None
                 provenances.add(row["provenance"])
         except FormatError:
             raise

@@ -6,14 +6,15 @@ epochs (ties do not reset the counter) and keeping the checkpoint of the
 best epoch (earliest on ties). Fold scores are the checkpoint metrics,
 averaged arithmetically across folds.
 
-Fire-buffer augmentation happens here, on materialized tile masks, per the
-configured mode; holdout evaluation never samples, never buffers, and
+The sampled tiles are cut once into one array that every fold indexes.
+Fire-buffer augmentation happens here, on a copy of those tile masks, per
+the configured mode; holdout evaluation never samples, never buffers, and
 scores every land tile of the holdout days.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from datetime import date
 
@@ -131,25 +132,6 @@ def compute_class_weights(masks: np.ndarray) -> tuple[float, float]:
     return total / (2.0 * n0), total / (2.0 * n1)
 
 
-def predict_tiles(
-    params: U.UNetParams,
-    specs: Sequence[D.TileSpec],
-    days: dict[date, D.GridDay],
-    threshold: float,
-    batch_size: int,
-) -> Iterator[tuple[Sequence[D.TileSpec], np.ndarray, np.ndarray]]:
-    """Predict tile masks in batches of at most batch_size tiles, in spec order.
-
-    Yields (batch specs, predicted masks, true masks) per batch. Validation
-    and day prediction run this one loop; holdout scoring predicts whole days.
-    """
-    for lo in range(0, len(specs), batch_size):
-        chunk = specs[lo : lo + batch_size]
-        feats, masks = D.materialize_batch(chunk, days)
-        logits, _ = U.forward(params, feats)
-        yield chunk, U.predict_mask(logits, threshold), masks
-
-
 def _train_step(
     params: U.UNetParams,
     state: AdamState,
@@ -178,40 +160,40 @@ def _train_step(
 
 @np.errstate(over="ignore", invalid="ignore")
 def train_fold(
-    train_specs,
-    val_specs,
-    days: dict[date, D.GridDay],
+    feats: np.ndarray,
+    masks: np.ndarray,
+    train: np.ndarray,
+    val: np.ndarray,
     config: TrainConfig,
     fold_index: int = 0,
 ) -> FoldResult:
-    """Train on one fold split and return its best checkpoint and trace.
+    """Train on the tiles `train` indexes, validate on those `val` indexes.
 
-    numpy's overflow and invalid-value warnings are off here: the finite
-    check after each epoch is the one report of a diverged fold.
+    feats [T, C, 32, 32] and masks [T, 32, 32] are the sample's tiles, which
+    every fold shares and none writes. numpy's overflow and invalid-value
+    warnings are off: the finite check after each epoch reports a diverged fold.
 
-    Memory: the fold's train tiles (features and masks), plus about 4-5
-    parameter sizes (the parameters, Adam's two moments, the best
-    checkpoint, Adam's new arrays), plus one step. A step's activations
-    and gradients are freed before the next forward, and the validation
-    forward runs with none of them alive.
+    Memory: beyond the shared tiles, a buffered copy of the masks, about 4-5
+    parameter sizes (the parameters, Adam's two moments, the best checkpoint,
+    Adam's new arrays) and one step. A step's activations and gradients are
+    freed before the next forward; none is alive in the validation forward.
     """
-    val_specs = list(val_specs)
-    if not any(s.tile_class == D.FIRE_TILE for s in val_specs):
+    if not (masks[val] == D.FIRE).any():
         raise ValueError(f"fold {fold_index}: validation sensitivity undefined (no fire tiles)")
-    tr_feats, tr_masks = D.materialize_batch(list(train_specs), days)
-    if config.fire_buffer in (BUFFER_TRAIN, BUFFER_TRAIN_VAL):
-        tr_masks = D.apply_fire_buffer(tr_masks, config.buffer_radius)
-
-    class_weights = compute_class_weights(tr_masks)
+    buffered = masks
+    if config.fire_buffer != BUFFER_OFF:
+        buffered = D.apply_fire_buffer(masks, config.buffer_radius)
+    val_masks = buffered if config.fire_buffer == BUFFER_TRAIN_VAL else masks
+    class_weights = compute_class_weights(buffered[train])
     net_config = U.UNetConfig(
-        in_channels=tr_feats.shape[1],
+        in_channels=feats.shape[1],
         init_features=config.init_features,
         seed=_derived_seed(config.seed, fold_index, 0),
     )
     params = U.init_params(net_config)
     state = AdamState.zeros_like(params.tensors())
     trace: list[EpochMetrics] = []
-    n = tr_feats.shape[0]
+    n = len(train)
     step = 0
 
     for epoch in range(1, config.max_epochs + 1):
@@ -221,9 +203,9 @@ def train_fold(
         batches = 0
         for lo in range(0, n, config.batch_size):
             step += 1
-            batch = order[lo : lo + config.batch_size]
+            batch = train[order[lo : lo + config.batch_size]]
             params, state, loss = _train_step(
-                params, state, step, tr_feats, tr_masks, batch, class_weights, config.lr
+                params, state, step, feats, buffered, batch, class_weights, config.lr
             )
             epoch_loss += loss
             batches += 1
@@ -233,11 +215,10 @@ def train_fold(
             )
 
         counts = ConfusionCounts()
-        scored = predict_tiles(params, val_specs, days, config.threshold, config.batch_size)
-        for _, pred, masks in scored:
-            if config.fire_buffer == BUFFER_TRAIN_VAL:
-                masks = D.apply_fire_buffer(masks, config.buffer_radius)
-            counts = counts + confusion(pred, masks)
+        for lo in range(0, len(val), config.batch_size):
+            batch = val[lo : lo + config.batch_size]
+            logits, _ = U.forward(params, feats[batch])
+            counts = counts + confusion(U.predict_mask(logits, config.threshold), val_masks[batch])
         em = EpochMetrics.of(counts, epoch=epoch, train_loss=epoch_loss / max(batches, 1))
         if em is None:
             raise ValueError(f"fold {fold_index}: validation metrics undefined at epoch {epoch}")
@@ -260,15 +241,22 @@ class CrossValResult:
 
 
 def cross_validate(
-    tileset: D.TileSet, days: dict[date, D.GridDay], config: TrainConfig
+    tileset: D.TileSet, days: Mapping[date, D.GridDay], config: TrainConfig
 ) -> CrossValResult:
-    """Rotate each fold as validation, training on the rest; average scores."""
-    folds = D.kfold_split(tileset, config.folds, config.seed, config.grouping)
+    """Rotate each fold as validation, training on the rest; average scores.
+
+    The sample's tiles are cut once; a fold is an index array into them.
+    Memory: the sample's tiles, plus one day of `days` while they are cut,
+    then one fold (see train_fold) and each finished fold's best checkpoint.
+    """
+    feats, masks = D.materialize_batch(tileset.specs, days)
+    row = {spec: n for n, spec in enumerate(tileset.specs)}
+    folds = [np.array([row[s] for s in fold], np.intp)
+             for fold in D.kfold_split(tileset, config.folds, config.seed, config.grouping)]
     results = []
-    for i in range(config.folds):
-        val = folds[i]
-        train = [s for j, f in enumerate(folds) if j != i for s in f]
-        results.append(train_fold(train, val, days, config, fold_index=i))
+    for i, val in enumerate(folds):
+        train = np.concatenate([f for j, f in enumerate(folds) if j != i])
+        results.append(train_fold(feats, masks, train, val, config, fold_index=i))
     # each mean averages the folds' own values: 2*mean(sens) + mean(spec) is
     # not bitwise mean(2*sens + spec)
     per_score = zip(*(r.best.values() for r in results))
@@ -314,8 +302,11 @@ def predict_day(
     """Predict a full day raster by tiling, then stitch tiles back together."""
     out = np.zeros((day.height, day.width), np.uint8)
     specs = D.extract_tiles(day)
-    scored = predict_tiles(params, specs, {day.day_id: day}, threshold, TrainConfig.batch_size)
-    for chunk, pred, _ in scored:
+    for lo in range(0, len(specs), TrainConfig.batch_size):  # a day's tiles are never all cut
+        chunk = specs[lo : lo + TrainConfig.batch_size]
+        feats, _ = D.materialize_batch(chunk, {day.day_id: day})
+        logits, _ = U.forward(params, feats)
+        pred = U.predict_mask(logits, threshold)
         for n, s in enumerate(chunk):
             # the slice stops at the raster edge, dropping an edge tile's padding
             window = out[s.row_off : s.row_off + D.TILE_SIDE, s.col_off : s.col_off + D.TILE_SIDE]

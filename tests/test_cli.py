@@ -1,5 +1,7 @@
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import re
 import shutil
@@ -18,6 +20,7 @@ from oracles import read_ppm
 
 import fireseg
 from fireseg import cli as C
+from fireseg import data as D
 from fireseg import formats as F
 from fireseg import metrics as M
 from fireseg import synthetic as S
@@ -716,6 +719,187 @@ class TestEvaluatePredictMemory:
             assert many[name] - few[name] <= 0.25 * prepared_day, (name, few, many, prepared_day)
 
 
+class TestTrainDays:
+    def test_cross_validate_is_the_same_from_disk_and_from_memory(self, pipeline):
+        # train hands cross_validate a mapping that reads each day on lookup
+        ds, _ = pipeline
+        tileset, days = C._load_manifest(ds, "train_val_tiles.csv", D.SAMPLED)
+        store = {day_id: F.read_day(ds / "prepared", day_id)[0] for day_id in days}
+        config = T.TrainConfig(init_features=2, max_epochs=3, patience=1, folds=2,
+                               fire_buffer="train", seed=3)
+        disk, memory = T.cross_validate(tileset, days, config), T.cross_validate(tileset, store, config)
+        assert disk.means == memory.means
+        for a, b in zip(disk.folds, memory.folds, strict=True):
+            assert a.trace == b.trace and a.best.epoch == b.best.epoch
+            for ta, tb in zip(a.best.params.tensors(), b.best.params.tensors(), strict=True):
+                assert np.array_equal(ta, tb)
+
+    def test_train_reads_a_dataset_prepared_into_another_directory(self, pipeline, tmp_path):
+        # prepare writes the split next to the manifests it checks
+        ds, _ = pipeline
+        other = tmp_path / "prepared_ds"
+        assert C.main(["prepare", "--data", str(ds), "--out", str(other), "--tr", "2",
+                       "--seed", "3"]) == 0
+        assert (other / "splits.json").read_bytes() == (ds / "splits.json").read_bytes()
+        assert C.main(["train", "--data", str(other), "--out", str(tmp_path / "run"),
+                       "--init-features", "2", "--max-epochs", "2", "--patience", "1",
+                       "--folds", "2", "--seed", "3"]) == 0
+
+
+class TestTrainMemory:
+    def test_peak_holds_the_sample_and_one_prepared_day(self, tmp_path):
+        # twelve sampled tiles on 4 train days, then on 12: train cuts the
+        # tiles one day at a time and keeps no day, so the 8 more days it
+        # reads leave its peak where it was
+        ds = tmp_path / "ds"
+        for args in (
+            ["generate", "--out", ds, "--days", 12, "--holdout-days", 1, "--height", 96,
+             "--width", 96, "--seed", 5, "--target-fire-rate", 0.01],
+            ["prepare", "--data", ds, "--out", ds, "--tr", 1, "--seed", 5],
+        ):
+            assert C.main([str(a) for a in args]) == 0
+        train_ids, _ = F.read_splits(ds / "splits.json")
+        land = {}
+        for day_id in train_ids:
+            day, _ = F.read_day(ds / "prepared", day_id)
+            # fire tiles first, so the few days carry fire for both folds
+            land[day_id] = sorted(D.holdout_tileset([day]).specs, key=lambda s: s.tile_class)
+
+        def peak(day_ids, per_day):
+            specs = tuple(spec for d in day_ids for spec in land[d][:per_day])
+            assert len(specs) == 12
+            F.write_manifest(ds / "train_val_tiles.csv", D.TileSet(specs, D.SAMPLED))
+            cfg = {"data_dir": str(ds), "out_dir": str(tmp_path / "run"), "init_features": "2",
+                   "max_epochs": "2", "patience": "1", "folds": "2", "seed": "5"}
+            tracemalloc.start()
+            try:
+                assert C.cmd_train(cfg) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(train_ids[:4], 3)  # first-call allocations are not per-day growth
+        few, many = peak(train_ids[:4], 3), peak(train_ids, 1)
+        prepared_day = day.features.nbytes + day.mask.nbytes
+        assert many - few <= 0.25 * prepared_day, (few, many, prepared_day)
+
+
+def _edited_copy(pipeline, tmp_path, name, edit):
+    """A copy of the pipeline's dataset whose file `name` holds edit(its lines)."""
+    ds, _ = pipeline
+    data = tmp_path / "ds"
+    shutil.copytree(ds, data)
+    path = data / name
+    path.write_text("\n".join(edit(data, path.read_text().splitlines())) + "\n")
+    return data, path
+
+
+def _first_fire_row(lines):
+    return next(n for n, line in enumerate(lines) if ",fire," in line)
+
+
+def _offset_off_the_grid(data, lines):
+    n = _first_fire_row(lines)
+    day, row, rest = lines[n].split(",", 2)
+    lines[n] = f"{day},{int(row) + 1},{rest}"
+    return lines
+
+
+def _fire_relabelled(data, lines):
+    n = _first_fire_row(lines)
+    lines[n] = lines[n].replace(",fire,", ",no-fire,")
+    return lines
+
+
+def _moved_to_a_day_without_that_fire(data, lines):
+    # to the first other train day whose tile at those offsets holds no fire
+    n = _first_fire_row(lines)
+    day, row, col, _ = lines[n].split(",", 3)
+    for other in F.read_splits(data / "splits.json")[0]:
+        tiles = D.extract_tiles(F.read_day(data / "prepared", other)[0])
+        if other.isoformat() != day and any(
+            (t.row_off, t.col_off, t.tile_class) == (int(row), int(col), D.NO_FIRE_TILE)
+            for t in tiles
+        ):
+            lines[n] = f"{other.isoformat()},{row},{col},fire,sampled"
+            return lines
+    raise AssertionError("no train day lacks that fire tile")
+
+
+def _main_quietly(args) -> tuple[int, list[str]]:
+    """cli.main(args) in process: its exit status and its stderr lines."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = C.main([str(a) for a in args])
+    return code, err.getvalue().splitlines()
+
+
+def _header_bytes(path: Path) -> range:
+    """The header of a FSK1 stack, MSK1 mask or UNC1 checkpoint (with its first tensor's shape)."""
+    raw = path.read_bytes()
+    if raw[:4] == F.MAGIC_STACK:
+        end = 16
+        for _ in range(struct.unpack_from("<I", raw, 4)[0]):  # a length, then the name
+            end += 4 + struct.unpack_from("<I", raw, end)[0]
+        return range(end)
+    return range(12 if raw[:4] == F.MAGIC_MASK else 36)
+
+
+class TestFlipSweep:
+    def test_each_single_byte_flip_exits_0_or_names_a_file(self, tmp_path):
+        # every byte of the text inputs and every header byte of one binary
+        # input of each kind, XORed with 0x01, one at a time, through the
+        # command that reads it: each run exits 0 or ends in one error line
+        # naming a file
+        ds, run = tmp_path / "ds", tmp_path / "run"
+        train = ["--init-features", 2, "--max-epochs", 2, "--patience", 1, "--folds", 2, "--seed", 3]
+        for step in (
+            ["generate", "--out", ds, "--days", 2, "--holdout-days", 1, "--height", 64, "--width", 64,
+             "--numeric-channels", 3, "--categories", 2, "--target-fire-rate", 0.02, "--seed", 3],
+            ["prepare", "--data", ds, "--out", ds, "--tr", 1, "--seed", 3],
+            ["train", "--data", ds, "--out", run, *train],
+            ["evaluate", "--data", ds, "--out", run, run / "best.unc"],
+        ):
+            assert _main_quietly(step) == (0, []), step[0]
+        shutil.copytree(run, tmp_path / "predicted")
+        (t, _), (h,) = F.read_splits(ds / "splits.json")
+        prepare = ["prepare", "--data", ds, "--out", tmp_path / "prepared", "--tr", 1, "--seed", 3]
+        train = ["train", "--data", ds, "--out", tmp_path / "trained", *train]
+        evaluate = ["evaluate", "--data", ds, "--out", tmp_path / "evaluated", run / "best.unc"]
+        predict = ["predict", "--data", ds, "--out", tmp_path / "predicted", run / "best.unc", h]
+        every_byte = lambda path: range(path.stat().st_size)  # noqa: E731
+        sweep = [
+            (prepare, ds / "schema.json", every_byte), (prepare, ds / "splits.json", every_byte),
+            (prepare, ds / "raw" / f"{t}.fsk", _header_bytes),
+            (prepare, ds / "raw" / f"{t}.msk", _header_bytes),
+            (train, ds / "train_val_tiles.csv", every_byte), (train, ds / "splits.json", every_byte),
+            (train, ds / "prepared" / f"{t}.fsk", _header_bytes),
+            (train, ds / "prepared" / f"{t}.msk", _header_bytes),
+            (evaluate, ds / "holdout_tiles.csv", every_byte), (evaluate, ds / "splits.json", every_byte),
+            (evaluate, run / "best.unc", _header_bytes),
+            (evaluate, ds / "prepared" / f"{h}.fsk", _header_bytes),
+            (evaluate, ds / "prepared" / f"{h}.msk", _header_bytes),
+            (predict, run / "evaluate.json", every_byte),
+        ]
+        broken, accepted = [], {}
+        for args, path, where in sweep:
+            clean = path.read_bytes()
+            for i in where(path):
+                path.write_bytes(clean[:i] + bytes([clean[i] ^ 0x01]) + clean[i + 1 :])
+                try:
+                    code, err = _main_quietly(args)
+                finally:
+                    path.write_bytes(clean)
+                if code == 0:
+                    accepted[args[0], path.name] = accepted.get((args[0], path.name), 0) + 1
+                elif code != 1 or len(err) != 1 or not err[0].startswith("error: ") \
+                        or str(tmp_path) not in err[0]:
+                    broken.append((args[0], path.name, i, code, err))
+        assert not broken
+        # a flipped manifest byte names no other day of the same split here,
+        # so a manifest that took a flip would be trained or scored on silently
+        assert not {key for key in accepted if key[1].endswith("_tiles.csv")}, accepted
+
 class TestErrorContract:
     @pytest.mark.parametrize("args, message", [
         (["train", "--folds", "x"], "argument --folds: invalid int value: 'x'"),
@@ -776,6 +960,55 @@ class TestErrorContract:
             f"error: {manifest}: does not match prepared holdout day 2021-06-10; re-run prepare"
         ]
         assert not (tmp_path / "run" / "holdout.csv").exists()
+
+    @pytest.mark.parametrize("edit", [_offset_off_the_grid, _fire_relabelled,
+                                      _moved_to_a_day_without_that_fire],
+                             ids=["offset-32-to-33", "fire-to-no-fire", "moved-to-another-day"])
+    def test_train_refuses_a_row_its_day_does_not_hold(self, pipeline, tmp_path, capsys, edit):
+        data, manifest = _edited_copy(pipeline, tmp_path, "train_val_tiles.csv", edit)
+        # the error names the day of the edited row
+        day = next(line for line in manifest.read_text().splitlines()
+                   if line not in (pipeline[0] / manifest.name).read_text().splitlines())[:10]
+        out = tmp_path / "run"
+        assert C.main(["train", "--data", str(data), "--out", str(out), "--init-features", "2",
+                       "--max-epochs", "2", "--patience", "1", "--folds", "2"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {manifest}: does not match prepared train_val day {day}; re-run prepare"
+        ]
+        assert not (out / "best.unc").exists()
+
+    def test_train_refuses_a_holdout_day(self, pipeline, tmp_path, capsys):
+        # a holdout tile in the sample would leak the holdout into training;
+        # it is a land tile of its day, with its class, so only the split
+        # tells it apart
+        ds, _ = pipeline
+        holdout_row = (ds / "holdout_tiles.csv").read_text().splitlines()[1]
+        moved = holdout_row.rsplit(",", 1)[0] + ",sampled"
+        data, manifest = _edited_copy(pipeline, tmp_path, "train_val_tiles.csv",
+                                      lambda data, lines: lines[:-1] + [moved])
+        out = tmp_path / "run"
+        assert C.main(["train", "--data", str(data), "--out", str(out), "--init-features", "2",
+                       "--max-epochs", "2", "--patience", "1", "--folds", "2"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {manifest}: day {HOLDOUT_DAYS[0]} is not a train_val day of {data / 'splits.json'}"
+        ]
+        assert not (out / "best.unc").exists()
+
+    def test_evaluate_refuses_a_train_day(self, pipeline, tmp_path, capsys):
+        # every land tile of a train day, listed as holdout, passes the
+        # land-tile check; only the split tells it apart
+        ds, run = pipeline
+        train_day = F.read_day(ds / "prepared", date(2021, 6, 1))[0]
+        rows = [f"{s.day_id.isoformat()},{s.row_off},{s.col_off},{s.tile_class},holdout"
+                for s in D.holdout_tileset([train_day]).specs]
+        data, manifest = _edited_copy(pipeline, tmp_path, "holdout_tiles.csv",
+                                      lambda data, lines: lines + rows)
+        out = tmp_path / "run"
+        assert C.main(["evaluate", "--data", str(data), "--out", str(out), str(run / "best.unc")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {manifest}: day 2021-06-01 is not a holdout day of {data / 'splits.json'}"
+        ]
+        assert not (out / "holdout.csv").exists()
 
     @pytest.mark.parametrize("edit, message", [
         (lambda tv, ho: (tv + tv[:1], ho), "day 2021-06-01 is listed twice"),

@@ -1,3 +1,4 @@
+from collections.abc import Mapping
 from datetime import date
 
 import numpy as np
@@ -376,6 +377,35 @@ class TestMaterialize:
         spec = D.TileSpec(date(2021, 6, 9), 0, 0, D.NO_FIRE_TILE)
         with pytest.raises(KeyError):
             D.materialize_batch([spec], {})
+
+    def test_each_day_is_looked_up_once_in_the_order_of_its_first_spec(self):
+        # specs that interleave two days, edge tiles included; the result is
+        # what slicing one spec at a time gives
+        rng = np.random.default_rng(11)
+        a, b = (make_day(rng.integers(0, 3, (64, 40)), channels=3, day=date(2021, 6, d), rng=rng)
+                for d in (1, 2))
+        tiles = {day.day_id: D.extract_tiles(day) for day in (a, b)}
+        specs = [tiles[b.day_id][0], tiles[a.day_id][1], tiles[b.day_id][3], tiles[a.day_id][0],
+                 tiles[b.day_id][1]]
+        store = {a.day_id: a, b.day_id: b}
+        lookups = []
+
+        class Counting(Mapping):
+            def __getitem__(self, day_id):
+                lookups.append(day_id)
+                return store[day_id]
+
+            def __iter__(self):
+                return iter(store)
+
+            def __len__(self):
+                return len(store)
+
+        feats, masks = D.materialize_batch(specs, Counting())
+        assert lookups == [b.day_id, a.day_id]
+        for n, spec in enumerate(specs):
+            one_feats, one_mask = D.materialize_batch([spec], store)
+            assert np.array_equal(feats[n], one_feats[0]) and np.array_equal(masks[n], one_mask[0])
 
 
 class TestGridDayValidation:

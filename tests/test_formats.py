@@ -320,6 +320,19 @@ class TestManifest:
         with pytest.raises(F.FormatError, match=r"tiles\.csv: line 3: "):
             F.read_manifest(path)
 
+    def test_a_tile_listed_twice_names_file_and_line(self, tmp_path):
+        # a repeated train row would weigh its tile twice in training
+        path = tmp_path / "tiles.csv"
+        path.write_text(
+            "day_id,row_off,col_off,tile_class,provenance\n"
+            "2021-06-01,0,0,fire,sampled\n"
+            "2021-06-01,0,32,no-fire,sampled\n"
+            "2021-06-01,0,0,fire,sampled\n"
+        )
+        with pytest.raises(F.FormatError) as caught:
+            F.read_manifest(path)
+        assert str(caught.value) == f"{path}: line 4: tile listed twice"
+
     def test_unknown_provenance_names_file(self, tmp_path):
         path = tmp_path / "tiles.csv"
         path.write_text("day_id,row_off,col_off,tile_class,provenance\n2021-06-01,0,0,fire,guessed\n")

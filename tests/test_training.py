@@ -122,12 +122,20 @@ def tiny_config(**kw):
     return T.TrainConfig(**base)
 
 
+def fold_arrays(store, tileset, k=2, seed=5):
+    """The sample's tiles and its k folds' index arrays, as cross_validate builds them."""
+    feats, masks = D.materialize_batch(tileset.specs, store)
+    row = {spec: n for n, spec in enumerate(tileset.specs)}
+    folds = [np.array([row[s] for s in fold]) for fold in D.kfold_split(tileset, k, seed=seed)]
+    return feats, masks, folds
+
+
 class TestTrainFold:
     def test_trace_consistent_with_stopping_rule(self, tiny_setup):
         store, tileset, _ = tiny_setup
-        folds = D.kfold_split(tileset, 2, seed=5)
+        feats, masks, folds = fold_arrays(store, tileset)
         config = tiny_config()
-        result = T.train_fold(folds[1], folds[0], store, config, fold_index=0)
+        result = T.train_fold(feats, masks, folds[1], folds[0], config, fold_index=0)
         scores = [m.score(config.es_metric) for m in result.trace]
         run, best = T.run_stopping_rule(scores, config.patience, config.max_epochs)
         assert result.stopped_epoch == run == len(result.trace)
@@ -135,12 +143,14 @@ class TestTrainFold:
 
     def test_checkpoint_metrics_recomputable(self, tiny_setup):
         store, tileset, _ = tiny_setup
-        folds = D.kfold_split(tileset, 2, seed=5)
+        feats, masks, folds = fold_arrays(store, tileset)
         config = tiny_config(fire_buffer="train")
-        result = T.train_fold(folds[1], folds[0], store, config, fold_index=0)
+        result = T.train_fold(feats, masks, folds[1], folds[0], config, fold_index=0)
         counts = ConfusionCounts()
-        for _, pred, masks in T.predict_tiles(result.best.params, folds[0], store, config.threshold, 8):
-            counts = counts + confusion(pred, masks)
+        for lo in range(0, len(folds[0]), config.batch_size):
+            rows = folds[0][lo : lo + config.batch_size]
+            logits, _ = U.forward(result.best.params, feats[rows])
+            counts = counts + confusion(U.predict_mask(logits, config.threshold), masks[rows])
         sens = counts.tp / (counts.tp + counts.fn)
         spec = counts.tn / (counts.tn + counts.fp)
         assert abs(sens - result.best.sens) < 1e-6
@@ -150,23 +160,33 @@ class TestTrainFold:
         store, tileset, _ = tiny_setup
         no_fire_val = [s for s in tileset.specs if s.tile_class == D.NO_FIRE_TILE][:4]
         train = [s for s in tileset.specs if s.tile_class == D.FIRE_TILE]
+        feats, masks = D.materialize_batch(train + no_fire_val, store)
+        rows = np.arange(len(train) + len(no_fire_val))
         with pytest.raises(ValueError, match="fold 7"):
-            T.train_fold(train, no_fire_val, store, tiny_config(), fold_index=7)
+            T.train_fold(feats, masks, rows[: len(train)], rows[len(train) :], tiny_config(),
+                         fold_index=7)
 
     def test_diverged_parameters_stop_the_fold(self, tiny_setup):
         store, tileset, _ = tiny_setup
-        folds = D.kfold_split(tileset, 2, seed=5)
+        feats, masks, folds = fold_arrays(store, tileset)
         with np.errstate(all="ignore"), pytest.raises(ValueError) as info:
-            T.train_fold(folds[1], folds[0], store, tiny_config(lr=1e30), fold_index=1)
+            T.train_fold(feats, masks, folds[1], folds[0], tiny_config(lr=1e30), fold_index=1)
         assert str(info.value) == "fold 1: parameters not finite after epoch 1; training diverged"
 
     def test_fire_buffer_train_and_val_changes_validation_labels(self, tiny_setup):
         store, tileset, _ = tiny_setup
-        folds = D.kfold_split(tileset, 2, seed=5)
-        a = T.train_fold(folds[1], folds[0], store, tiny_config(fire_buffer="off"), 0)
-        b = T.train_fold(folds[1], folds[0], store, tiny_config(fire_buffer="train+val"), 0)
+        feats, masks, folds = fold_arrays(store, tileset)
+        a = T.train_fold(feats, masks, folds[1], folds[0], tiny_config(fire_buffer="off"), 0)
+        b = T.train_fold(feats, masks, folds[1], folds[0], tiny_config(fire_buffer="train+val"), 0)
         # buffered validation has more fire pixels, so the confusion base differs
         assert a.trace[0].sens != b.trace[0].sens or a.trace[0].spec != b.trace[0].spec
+
+    def test_the_shared_masks_are_left_as_they_are(self, tiny_setup):
+        store, tileset, _ = tiny_setup
+        feats, masks, folds = fold_arrays(store, tileset)
+        before = feats.copy(), masks.copy()
+        T.train_fold(feats, masks, folds[1], folds[0], tiny_config(fire_buffer="train+val"), 0)
+        assert np.array_equal(feats, before[0]) and np.array_equal(masks, before[1])
 
 
 class TestCrossValidate:
@@ -202,15 +222,17 @@ class TestTrainFoldMemory:
     @pytest.mark.parametrize("batch_size", [8, 24])
     def test_peak_is_the_folds_arrays_plus_one_step(self, tiny_setup, batch_size):
         # a step's activations and gradients are gone before the next
-        # forward, so a fold holds its train tiles, about 4-5 parameter
-        # sizes (params, Adam's moments, the best checkpoint, Adam's new
-        # arrays) and one step; two live steps would exceed this
+        # forward, so the sample's tiles and a fold over them hold the shared
+        # arrays, about 4-5 parameter sizes (params, Adam's moments, the best
+        # checkpoint, Adam's new arrays) and one step; two live steps would
+        # exceed this
         store, tileset, encoded = tiny_setup
-        train = [spec for day in encoded for spec in D.extract_tiles(day)]
-        val = tileset.specs  # its fire tiles make validation scores defined
-        assert len(train) == 24
+        specs = [spec for day in encoded for spec in D.extract_tiles(day)]
+        assert len(specs) == 24
+        train = np.arange(len(specs))
+        val = np.array([specs.index(s) for s in tileset.specs])  # its fire makes scores defined
         config = tiny_config(init_features=4, batch_size=batch_size, max_epochs=3, patience=2)
-        feats, masks = D.materialize_batch(list(train), store)
+        feats, masks = D.materialize_batch(specs, store)
         params = U.init_params(U.UNetConfig(in_channels=feats.shape[1], init_features=4))
         batch_feats, batch_masks = feats[:batch_size].copy(), masks[:batch_size].copy()
 
@@ -220,7 +242,9 @@ class TestTrainFoldMemory:
             U.backward(params, cache, res.grad_logits)
 
         step = _traced_peak(one_step)
-        fold = _traced_peak(lambda: T.train_fold(train, val, store, config))
+        fold = _traced_peak(
+            lambda: T.train_fold(*D.materialize_batch(specs, store), train, val, config)
+        )
         arrays = feats.nbytes + masks.nbytes + 5 * sum(t.nbytes for t in params.tensors())
         assert fold <= arrays + 1.2 * step, (fold, arrays, step, (fold - arrays) / step)
 
@@ -333,16 +357,3 @@ class TestPredictDay:
         assert sizes == [32, 17]
         full = oracle_forward(params, feats[None])[0]
         assert np.array_equal(pred, U.predict_mask(full, 0.6)[0])
-
-    def test_predict_tiles_keeps_spec_order_and_ends_with_partial_batch(self, tiny_setup):
-        store, tileset, _ = tiny_setup
-        specs = tileset.specs[:11]
-        params = U.init_params(
-            U.UNetConfig(in_channels=store[specs[0].day_id].features.shape[0], init_features=2)
-        )
-        batches = list(T.predict_tiles(params, specs, store, 0.5, 4))
-        assert [len(chunk) for chunk, _, _ in batches] == [4, 4, 3]
-        assert tuple(s for chunk, _, _ in batches for s in chunk) == specs
-        _, masks = D.materialize_batch(specs, store)
-        assert np.array_equal(np.concatenate([m for _, _, m in batches]), masks)
-        assert all(pred.shape == m.shape for _, pred, m in batches)
