@@ -19,8 +19,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse
-import math
 import sys
+import warnings
 from collections import deque
 from collections.abc import Mapping, Sequence
 from concurrent.futures import ThreadPoolExecutor
@@ -201,9 +201,7 @@ def cmd_prepare(cfg: dict) -> int:
     Memory: one raw and one encoded day per worker (`threads` workers), plus
     the tile specs.
     """
-    tr = _get(cfg, "tr")
-    if not 0 <= tr < math.inf:
-        raise CliError(f"config key tr={tr}: the tile ratio must be finite and non-negative")
+    tr = T.TrainConfig(tile_ratio=_get(cfg, "tr")).tile_ratio  # TrainConfig's check of tr
     data, out = _data_and_out(cfg, cfg.get("out_dir", "."))
     schema = F.read_schema(_require_file(data / "schema.json", "schema"))
     train_ids, holdout_ids = F.read_splits(_require_file(data / "splits.json", "splits file"))
@@ -248,17 +246,17 @@ _SPLIT = {D.SAMPLED: "train_val", D.HOLDOUT: "holdout"}  # the splits.json list 
 
 
 class _ManifestDays(Mapping):
-    """The prepared days a manifest names, in date order. Each is read from
-    disk when looked up, and kept only by the caller.
+    """The prepared days a manifest names, and the days it must cover, in date
+    order. Each is read from disk when looked up, and kept only by the caller.
 
     A day read is checked against its manifest rows: every row must be one of
     the day's land tiles, with its class, and a holdout manifest must hold
-    every land tile of its days.
+    every land tile of its days, which are all the holdout days of its split.
     """
 
-    def __init__(self, data: Path, path: Path, tileset: D.TileSet):
+    def __init__(self, data: Path, path: Path, tileset: D.TileSet, covered: Sequence[date] = ()):
         self.data, self.path, self.split = data, path, _SPLIT[tileset.provenance]
-        self.rows: dict[date, set[D.TileSpec]] = {}
+        self.rows: dict[date, set[D.TileSpec]] = {day_id: set() for day_id in covered}
         for spec in tileset.specs:
             self.rows.setdefault(spec.day_id, set()).add(spec)
 
@@ -287,7 +285,7 @@ def _load_manifest(data: Path, name: str, provenance: str) -> tuple[D.TileSet, _
     splits = _require_file(data / "splits.json", "splits file")
     train_ids, holdout_ids = F.read_splits(splits)
     listed = holdout_ids if provenance == D.HOLDOUT else train_ids
-    days = _ManifestDays(data, path, tileset)
+    days = _ManifestDays(data, path, tileset, listed if provenance == D.HOLDOUT else ())
     for day_id in days:
         if day_id not in listed:
             raise CliError(f"{path}: day {day_id} is not a {_SPLIT[provenance]} day of {splits}")
@@ -469,23 +467,27 @@ REPORTED_ERRORS = (CliError, ValueError, KeyError, OSError, RuntimeError)
 
 
 def main(argv: list[str] | None = None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-        cfg = resolve(args)
-        for key, low in (("seed", 0), ("threads", 1)):  # before any command reads or writes
-            if _get(cfg, key) < low:
-                raise CliError(f"config key {key}={cfg[key]}: must be at least {low}")
-        if args.command == "generate":
-            return cmd_generate(cfg)
-        if args.command == "prepare":
-            return cmd_prepare(cfg)
-        if args.command == "train":
-            return cmd_train(cfg)
-        if args.command == "evaluate":
-            return cmd_evaluate(cfg, args.checkpoint)
-        return cmd_predict(cfg, args.checkpoint, args.day_ids, args.render)
-    except REPORTED_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    with warnings.catch_warnings():  # each warning one `warning:` line; restored on the way out
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            args = build_parser().parse_args(argv)
+            cfg = resolve(args)
+            for key, low in (("seed", 0), ("threads", 1)):  # before any command reads or writes
+                if _get(cfg, key) < low:
+                    raise CliError(f"config key {key}={cfg[key]}: must be at least {low}")
+            if args.command == "generate":
+                return cmd_generate(cfg)
+            if args.command == "prepare":
+                return cmd_prepare(cfg)
+            if args.command == "train":
+                return cmd_train(cfg)
+            if args.command == "evaluate":
+                return cmd_evaluate(cfg, args.checkpoint)
+            return cmd_predict(cfg, args.checkpoint, args.day_ids, args.render)
+        except REPORTED_ERRORS as exc:
+            print(f"error: {exc}", file=sys.stderr)
+        except MemoryError as exc:  # a setting too large to allocate
+            print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

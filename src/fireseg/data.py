@@ -317,20 +317,20 @@ def apply_fire_buffer(mask: np.ndarray, radius: int) -> np.ndarray:
     mask is one [H, W] mask or a [..., H, W] stack of them, each dilated on
     its own. Water pixels are never relabeled. The input is the original mask,
     so the operation is a pure function of it (re-running from the original
-    with the same radius gives the same result).
+    with the same radius gives the same result). Rows, then columns, are
+    dilated, each up to its length - 1, the farthest any two pixels lie apart.
     """
     if radius < 0:
         raise ValueError(f"buffer radius must be non-negative, got {radius}")
     if mask.ndim < 2:
         raise ShapeError(f"mask must be [..., H, W], got shape {mask.shape}")
-    if radius == 0:
-        return mask.copy()
-    fire = np.pad(mask == FIRE, [(0, 0)] * (mask.ndim - 2) + [(radius, radius)] * 2)
-    reach = np.zeros(mask.shape, dtype=bool)
-    h, w = mask.shape[-2:]
-    for dr in range(2 * radius + 1):
-        for dc in range(2 * radius + 1):
-            reach |= fire[..., dr : dr + h, dc : dc + w]
+    reach = mask == FIRE
+    for axis in (-1, -2):
+        seen, reach = reach, reach.copy()
+        a, b = np.moveaxis(reach, axis, 0), np.moveaxis(seen, axis, 0)  # views: |= writes reach
+        for s in range(1, min(radius, len(a) - 1) + 1):
+            a[s:] |= b[:-s]
+            a[:-s] |= b[s:]
     out = mask.copy()
     out[reach & (mask != WATER)] = FIRE
     return out

@@ -58,7 +58,8 @@ from .data import (
     TileSet,
     TileSpec,
 )
-from .kernels import ConfigError
+from .kernels import ConfigError, ShapeError
+from .metrics import pixel_code
 from .unet import DEPTH, NUM_CLASSES, UNetConfig, UNetParams, layer_shapes
 
 MAGIC_STACK = b"FSK1"
@@ -76,7 +77,7 @@ PALETTE = {
     "false_negative": (230, 40, 230),
     "gutter": (255, 255, 255),
 }
-# a render pixel's color, row 2 * truth + (pred != 0); row 6 is the gutter
+# a render pixel's color, row metrics.pixel_code(truth, pred); row 6 is the gutter
 _RENDER_COLORS = np.array([PALETTE[name] for name in (
     "no_fire", "false_positive",  # truth no-fire
     "false_negative", "fire",     # truth fire
@@ -233,16 +234,17 @@ def write_day(directory: Path, day: GridDay, names: list[str]) -> None:
 
 
 def check_day(directory: Path, day_id: date) -> None:
-    """Parse the headers of a day's stack and mask, which check each file's size.
+    """Parse the headers of a day's stack and mask, which check each file's size, and their grids.
 
-    Reads no payload, so a truncated or overlong file fails before a caller
-    writes anything; a non-finite value only fails in read_day.
+    Reads no payload, so a truncated, overlong or misshapen file fails before
+    a caller writes anything; a non-finite value only fails in read_day.
     """
     stack_path, mask_path = day_paths(directory, day_id)
     with open(stack_path, "rb") as f:
-        _stack_header(f)
+        grid = _stack_header(f)[1][1:]
     with open(mask_path, "rb") as f:
-        _mask_header(f)
+        if (mask_grid := _mask_header(f)) != grid:  # GridDay's refusal, before any payload
+            raise FormatError(f"{mask_path}: mask {mask_grid} does not match feature grid {grid}")
 
 
 def read_day(directory: Path, day_id: date) -> tuple[GridDay, list[str]]:
@@ -254,6 +256,8 @@ def read_day(directory: Path, day_id: date) -> tuple[GridDay, list[str]]:
         return GridDay(day_id, features, mask), names
     except NonFiniteError:
         raise _non_finite(stack_path) from None
+    except ShapeError as exc:  # the stack's and the mask's grids differ
+        raise FormatError(f"{mask_path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -578,11 +582,10 @@ def render_panels(truth: np.ndarray, pred: np.ndarray) -> np.ndarray:
     image is one lookup of _RENDER_COLORS.
     """
     h, w = truth.shape
-    base = 2 * truth.astype(np.uint8)
     rows = np.empty((h, 2 * w + 2), np.uint8)
-    rows[:, :w] = base + (truth == FIRE)
+    rows[:, :w] = pixel_code(truth, truth == FIRE)
     rows[:, w : w + 2] = _GUTTER
-    rows[:, w + 2 :] = base + (pred != 0)
+    rows[:, w + 2 :] = pixel_code(truth, pred)
     return _RENDER_COLORS.take(rows, axis=0)
 
 

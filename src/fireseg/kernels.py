@@ -265,8 +265,8 @@ def maxpool2x2_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """2x2 max pooling.
 
     Returns the pooled tensor and window-local argmax indices (0..3 in
-    row-major window order; ties go to the first position scanned), which
-    the backward pass uses to route gradients deterministically.
+    row-major window order; ties and NaNs go to the first position scanned),
+    which the backward pass uses to route gradients deterministically.
     """
     _require_nchw(x, "input")
     n, c, h, w = x.shape
@@ -280,11 +280,11 @@ def maxpool2x2_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     bits = q.view(f"u{q.itemsize}")
     out = np.zeros(top.shape, bits.dtype)
     idx = np.zeros(top.shape, np.int8)
-    # the output takes the bits of the first quarter equal to the max: np.maximum
-    # may return either of -0.0 and 0.0, the first one scanned must win
+    # the output takes the bits of the first quarter equal to the max (np.maximum may
+    # return either of -0.0 and 0.0) or, in a window holding NaN, of its first NaN
     pending = np.ones(top.shape, bool)  # no earlier quarter equal to the max yet
     for t in range(4):
-        first = (q[t] == top) & pending
+        first = ((q[t] == top) | (q[t] != q[t])) & pending
         pending ^= first
         out |= bits[t] * first
         idx |= np.int8(t) * first

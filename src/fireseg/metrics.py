@@ -43,21 +43,19 @@ class ConfusionCounts:
         return self.tn + self.fp
 
 
+def pixel_code(truth: np.ndarray, pred: np.ndarray) -> np.ndarray:
+    """uint8 2 * truth + (pred != 0): 0 TN, 1 FP, 2 FN, 3 TP, 4-5 water; a render's palette row."""
+    return 2 * truth.astype(np.uint8) + (pred != 0)
+
+
 def confusion(pred_mask: np.ndarray, true_mask: np.ndarray) -> ConfusionCounts:
     """Count pixel outcomes, skipping pixels whose true label is ignore (2)."""
     if pred_mask.shape != true_mask.shape:
         raise ShapeError(f"prediction {pred_mask.shape} and truth {true_mask.shape} differ")
-    if true_mask.size and (true_mask.min() < 0 or true_mask.max() > 2):
+    if true_mask.size and (true_mask.min() < 0 or true_mask.max() > IGNORE_LABEL):
         raise ValueError("true mask labels must be in {0,1,2}")
-    valid = true_mask != IGNORE_LABEL
-    fire = true_mask == 1
-    pred_fire = pred_mask.astype(bool)
-    return ConfusionCounts(
-        tp=int(np.sum(valid & fire & pred_fire)),
-        fn=int(np.sum(valid & fire & ~pred_fire)),
-        tn=int(np.sum(valid & ~fire & ~pred_fire)),
-        fp=int(np.sum(valid & ~fire & pred_fire)),
-    )
+    tn, fp, fn, tp = np.bincount(pixel_code(true_mask, pred_mask).ravel(), minlength=6)[:4].tolist()
+    return ConfusionCounts(tp=tp, fn=fn, tn=tn, fp=fp)
 
 
 def sensitivity(c: ConfusionCounts) -> float | None:

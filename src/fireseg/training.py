@@ -60,6 +60,11 @@ class TrainConfig:
             raise ValueError(f"unknown fire_buffer mode {self.fire_buffer!r}")
         if not 0 < self.lr < np.inf or self.batch_size < 1 or self.buffer_radius < 0:
             raise ValueError("invalid lr / batch_size / buffer_radius")
+        if self.init_features < 1:
+            raise ValueError(f"init_features must be at least 1, got {self.init_features}")
+        if not 0 <= self.tile_ratio < np.inf:  # named by its config key, as prepare reports it
+            raise ValueError(f"config key tr={self.tile_ratio}: "
+                             "the tile ratio must be finite and non-negative")
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError("threshold must be a probability")
         if self.grouping not in D.GROUPINGS:
@@ -245,14 +250,15 @@ def cross_validate(
 ) -> CrossValResult:
     """Rotate each fold as validation, training on the rest; average scores.
 
-    The sample's tiles are cut once; a fold is an index array into them.
+    The folds are split from the specs, so a failed split reads no day; then
+    the sample's tiles are cut once, and a fold is an index array into them.
     Memory: the sample's tiles, plus one day of `days` while they are cut,
     then one fold (see train_fold) and each finished fold's best checkpoint.
     """
-    feats, masks = D.materialize_batch(tileset.specs, days)
     row = {spec: n for n, spec in enumerate(tileset.specs)}
     folds = [np.array([row[s] for s in fold], np.intp)
              for fold in D.kfold_split(tileset, config.folds, config.seed, config.grouping)]
+    feats, masks = D.materialize_batch(tileset.specs, days)
     results = []
     for i, val in enumerate(folds):
         train = np.concatenate([f for j, f in enumerate(folds) if j != i])

@@ -1191,3 +1191,82 @@ class TestErrorContract:
                        tmp_path / "x.unc", "not-a-date")
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: ")
+
+    def test_evaluate_refuses_a_holdout_day_its_manifest_leaves_out(self, pipeline, tmp_path, capsys):
+        # evaluate scores every holdout day of splits.json, not only the days
+        # its manifest names, so a day whose rows are gone is not skipped
+        _, run = pipeline
+        left_out = HOLDOUT_DAYS[1]
+        data, manifest = _edited_copy(pipeline, tmp_path, "holdout_tiles.csv",
+                                      lambda data, lines: [x for x in lines if not x.startswith(left_out)])
+        out = tmp_path / "run"
+        assert C.main(["evaluate", "--data", str(data), "--out", str(out), str(run / "best.unc")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {manifest}: does not match prepared holdout day {left_out}; re-run prepare"
+        ]
+        assert not (out / "holdout.csv").exists()
+
+    def test_a_holdout_day_without_land_needs_no_rows(self, pipeline, tmp_path):
+        _, run = pipeline
+        water = HOLDOUT_DAYS[1]
+        data, _ = _edited_copy(pipeline, tmp_path, "holdout_tiles.csv",
+                               lambda data, lines: [x for x in lines if not x.startswith(water)])
+        F.write_mask(data / "prepared" / f"{water}.msk", np.full((64, 64), D.WATER, np.uint8))
+        out = tmp_path / "run"
+        assert _main_quietly(["evaluate", "--data", data, "--out", out, run / "best.unc"]) == (0, [])
+        [(_, days, tiles, *_)] = [r.split(",") for r in (out / "holdout.csv").read_text().splitlines()[1:]]
+        assert days == "2021-06-09..2021-06-12"
+        assert int(tiles) == len(F.read_manifest(data / "holdout_tiles.csv").specs) == 12
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_a_mask_off_its_stacks_grid_names_the_mask(self, pipeline, tmp_path, capsys, command):
+        ds, run = pipeline
+        data = tmp_path / "ds"
+        shutil.copytree(ds, data)
+        mask = data / "prepared" / f"{HOLDOUT_DAYS[0]}.msk"
+        F.write_mask(mask, np.zeros((64, 32), np.uint8))
+        out = tmp_path / "run"
+        days = HOLDOUT_DAYS if command == "predict" else []
+        assert C.main([command, "--data", str(data), "--out", str(out), str(run / "best.unc"), *days]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {mask}: mask (64, 32) does not match feature grid (64, 64)"
+        ]
+        assert list(out.glob("pred_*")) == [] and not (out / "holdout.csv").exists()
+
+    def test_a_setting_too_large_to_allocate_is_one_line(self, tmp_path):
+        # 10^7 x 10^7 float64 planes: numpy refuses the allocation at once
+        out = tmp_path / "ds"
+        proc = run_cli("generate", "--out", out, "--height", 10_000_000, "--width", 10_000_000,
+                       "--days", 1, "--holdout-days", 1)
+        assert proc.returncode == 1
+        [error] = proc.stderr.splitlines()
+        assert error.startswith("error: out of memory: ") and "TiB" in error
+        assert not out.exists()
+
+    def test_a_warning_is_one_line(self, tmp_path):
+        ds = tmp_path / "ds"
+        assert _main_quietly(["generate", "--out", ds, "--days", 4, "--holdout-days", 2,
+                              "--height", 64, "--width", 64, "--seed", 3]) == (0, [])
+        proc = run_cli("prepare", "--data", ds, "--out", ds, "--tr", 40, "--seed", 3)
+        assert proc.returncode == 0, proc.stderr
+        [warning] = proc.stderr.splitlines()
+        assert re.fullmatch(r"warning: requested \d+ no-fire tiles but only \d+ exist; keeping all",
+                            warning)
+
+    @pytest.mark.parametrize("setting, message", [
+        (["--folds", "40"], "fire-bearing by-tile groups for k=40 folds"),
+        (["--init-features", "0"], "init_features must be at least 1"),
+        (["--tr", "-3"], "config key tr=-3.0: the tile ratio must be finite and non-negative"),
+    ], ids=["folds", "init-features", "tr"])
+    def test_bad_training_settings_fail_before_any_day_is_read(self, pipeline, tmp_path, monkeypatch,
+                                                               setting, message):
+        ds, _ = pipeline
+        reads = []
+        read_day = F.read_day
+        monkeypatch.setattr(F, "read_day", lambda *a: reads.append(a) or read_day(*a))
+        out = tmp_path / "run"
+        code, err = _main_quietly(["train", "--data", ds, "--out", out, "--max-epochs", 2,
+                                   "--patience", 1, *setting])
+        assert code == 1 and len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+        assert reads == []
+        assert not (out / "validation.csv").exists()

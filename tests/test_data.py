@@ -1,3 +1,4 @@
+import tracemalloc
 from collections.abc import Mapping
 from datetime import date
 
@@ -292,6 +293,29 @@ class TestFireBuffer:
     def test_one_dimensional_mask_refused(self):
         with pytest.raises(ShapeError):
             D.apply_fire_buffer(np.array([0, 1, 0], np.uint8), 1)
+
+    def test_radius_beyond_the_mask_acts_as_its_extent(self):
+        # on 32x32 tiles no pixel lies farther than 31 from another, so a
+        # larger radius gives radius 31's result in memory that grows with
+        # the mask; padding each side by 127 alone would take 6.5 MB here
+        rng = np.random.default_rng(9)
+        stack = rng.choice([0, 1, 2], size=(80, 32, 32), p=[0.973, 0.002, 0.025]).astype(np.uint8)
+        tracemalloc.start()
+        try:
+            got = D.apply_fire_buffer(stack, 127)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+        assert np.array_equal(got, D.apply_fire_buffer(stack, 31))
+        # every land pixel of a tile with fire burns; the oracle is slow, so it checks four
+        burning = (stack == D.FIRE).any(axis=(1, 2))
+        assert burning.any() and not burning.all()
+        assert np.array_equal(got, np.where(burning[:, None, None] & (stack != D.WATER), D.FIRE, stack))
+        assert np.array_equal(got[:4], np.stack([dilate_naive(m, 127) for m in stack[:4]]))
+        wide = rng.choice([0, 1, 2], size=(40, 56), p=[0.97, 0.005, 0.025]).astype(np.uint8)
+        for radius in (3, 60):
+            assert np.array_equal(D.apply_fire_buffer(wide, radius), dilate_naive(wide, radius))
 
 
 class TestKFold:

@@ -397,6 +397,21 @@ class TestMaxPoolMatchesReference:
         assert gi.tobytes() == ref_gi.tobytes()
         assert np.signbit(gi).any()  # -0.0 routed where a negative gradient is masked out
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_nan_windows_give_their_first_nan(self, dtype):
+        rng = np.random.default_rng(42)
+        x = self.planted(rng, (3, 4, 6, 10), dtype)
+        x[rng.random(x.shape) < 0.15] = np.nan
+        x[0, 0, :2, :2] = [[np.nan, 1.0], [2.0, 3.0]]
+        x[0, 0, :2, 2:4] = [[3.0, 3.0], [-np.nan, np.nan]]  # the NaN's sign bit is kept
+        x[0, 0, :2, 4:6] = [[-0.0, np.nan], [0.0, np.nan]]
+        out, idx = K.maxpool2x2_forward(x)
+        ref_out, ref_idx = maxpool2x2_reference(x)
+        assert np.isnan(ref_out).any() and not np.isnan(ref_out).all()
+        assert out.tobytes() == ref_out.tobytes()
+        assert idx.tobytes() == ref_idx.tobytes()
+        assert list(idx[0, 0, 0, :3]) == [0, 2, 1]
+
     def test_strided_input(self):
         rng = np.random.default_rng(41)
         x = self.planted(rng, (2, 6, 8, 8), np.float32)[:, ::2]

@@ -7,6 +7,7 @@ from fireseg.metrics import (
     Scores,
     confusion,
     format_scores,
+    pixel_code,
     sensitivity,
     shybrid,
     specificity,
@@ -87,6 +88,27 @@ class TestConfusion:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(Exception):
             confusion(np.zeros((2, 2), np.uint8), np.zeros((3, 2), np.uint8))
+
+    def test_batches_and_dtypes_match_naive_loop(self):
+        # a [N, H, W] batch as validation scores it; truth of any integer
+        # type; every nonzero prediction byte counts as fire
+        rng = np.random.default_rng(2)
+        truth = rng.integers(0, 3, (32, 32, 32))
+        fire = rng.random(truth.shape) < 0.4
+        want = confusion_naive(fire.astype(np.uint8), truth)
+        for pred in (fire, fire.astype(np.uint8), np.where(fire, rng.choice([2, 255], truth.shape), 0)):
+            for t in (truth, truth.astype(np.uint8)):
+                c = confusion(pred, t)
+                assert (c.tp, c.fn, c.tn, c.fp) == want
+
+    def test_labels_outside_the_code_rejected(self):
+        with pytest.raises(ValueError, match="labels"):
+            confusion(np.zeros((2, 2), np.uint8), np.full((2, 2), 3, np.uint8))
+
+    def test_pixel_code_names_each_outcome(self):
+        truth = np.array([0, 0, 1, 1, 2, 2], np.int64)
+        code = pixel_code(truth, np.array([0, 7, 0, 1, 0, 1], np.uint8))
+        assert code.dtype == np.uint8 and code.tolist() == [0, 1, 2, 3, 4, 5]  # TN FP FN TP water
 
     def test_counts_additive_across_disjoint_sets(self):
         rng = np.random.default_rng(1)

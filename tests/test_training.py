@@ -225,10 +225,11 @@ class TestTrainFoldMemory:
         # forward, so the sample's tiles and a fold over them hold the shared
         # arrays, about 4-5 parameter sizes (params, Adam's moments, the best
         # checkpoint, Adam's new arrays) and one step; two live steps would
-        # exceed this
+        # exceed this. Each tile is listed four times, so that a copy of the
+        # fold's train tiles would exceed it too
         store, tileset, encoded = tiny_setup
-        specs = [spec for day in encoded for spec in D.extract_tiles(day)]
-        assert len(specs) == 24
+        specs = [spec for day in encoded for spec in D.extract_tiles(day)] * 4
+        assert len(specs) == 96
         train = np.arange(len(specs))
         val = np.array([specs.index(s) for s in tileset.specs])  # its fire makes scores defined
         config = tiny_config(init_features=4, batch_size=batch_size, max_epochs=3, patience=2)
@@ -247,6 +248,8 @@ class TestTrainFoldMemory:
         )
         arrays = feats.nbytes + masks.nbytes + 5 * sum(t.nbytes for t in params.tensors())
         assert fold <= arrays + 1.2 * step, (fold, arrays, step, (fold - arrays) / step)
+        train_copy = len(train) * feats[0].nbytes  # what feats[train] would take
+        assert train_copy > arrays + 1.2 * step - fold, (train_copy, fold, arrays, step)
 
 
 class TestEvaluateHoldout:
