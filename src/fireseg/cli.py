@@ -34,15 +34,13 @@ from . import synthetic as S
 from . import training as T
 from .metrics import format_scores
 
-# a config key is named after the TrainConfig/SynthConfig field it sets, but
-# for `tr`; deterministic_labels is settable from Python only
+# a config key is named after the TrainConfig/SynthConfig field it sets, but for `tr`
 _KEY_FOR_FIELD = {"tile_ratio": "tr"}
-_NOT_KEYS = {"deterministic_labels"}
 
 
 def _field_keys(cls) -> dict[str, Field]:
     """Config key -> the field of dataclass cls that it sets."""
-    return {_KEY_FOR_FIELD.get(f.name, f.name): f for f in fields(cls) if f.name not in _NOT_KEYS}
+    return {_KEY_FOR_FIELD.get(f.name, f.name): f for f in fields(cls)}
 
 
 # the default of every key but the two directories: the TrainConfig and
@@ -245,6 +243,22 @@ def cmd_prepare(cfg: dict) -> int:
 _SPLIT = {D.SAMPLED: "train_val", D.HOLDOUT: "holdout"}  # the splits.json list a manifest draws on
 
 
+class _Channels:
+    """The channel names of the first prepared stack a command reads, which every
+    later stack must repeat, and the input count of the checkpoint they feed, if any."""
+
+    def __init__(self, checkpoint: Path | None = None, in_channels: int | None = None):
+        self.checkpoint, self.in_channels, self.first = checkpoint, in_channels, None
+
+    def check(self, stack: Path, names: list[str]) -> None:
+        if self.in_channels not in (None, len(names)):
+            raise CliError(f"{self.checkpoint}: checkpoint takes {self.in_channels} input "
+                           f"channels, {stack} holds {len(names)}")
+        self.first = self.first or (stack, names)
+        if names != self.first[1]:
+            raise CliError(f"{stack}: channel names differ from those of {self.first[0]}")
+
+
 class _ManifestDays(Mapping):
     """The prepared days a manifest names, and the days it must cover, in date
     order. Each is read from disk when looked up, and kept only by the caller.
@@ -254,14 +268,16 @@ class _ManifestDays(Mapping):
     every land tile of its days, which are all the holdout days of its split.
     """
 
-    def __init__(self, data: Path, path: Path, tileset: D.TileSet, covered: Sequence[date] = ()):
+    def __init__(self, data: Path, path: Path, tileset: D.TileSet, channels: _Channels,
+                 covered: Sequence[date] = ()):
         self.data, self.path, self.split = data, path, _SPLIT[tileset.provenance]
+        self.channels = channels
         self.rows: dict[date, set[D.TileSpec]] = {day_id: set() for day_id in covered}
         for spec in tileset.specs:
             self.rows.setdefault(spec.day_id, set()).add(spec)
 
     def __getitem__(self, day_id: date) -> D.GridDay:
-        rows, day = self.rows[day_id], _read_prepared(self.data, day_id)
+        rows, day = self.rows[day_id], _read_prepared(self.data, day_id, self.channels)
         land = set(D.holdout_tileset([day]).specs)
         if not (rows == land if self.split == "holdout" else rows <= land):
             raise CliError(f"{self.path}: does not match prepared {self.split} day {day_id}; "
@@ -275,9 +291,11 @@ class _ManifestDays(Mapping):
         return len(self.rows)
 
 
-def _load_manifest(data: Path, name: str, provenance: str) -> tuple[D.TileSet, _ManifestDays]:
+def _load_manifest(data: Path, name: str, provenance: str,
+                   channels: _Channels | None = None) -> tuple[D.TileSet, _ManifestDays]:
     """The manifest data/name and its days, refused unless it carries
-    provenance and every day it names is on its list in splits.json."""
+    provenance and every day it names is on its list in splits.json.
+    Its days' channels are checked by channels (default: with each other)."""
     path = data / name
     tileset = F.read_manifest(_require_file(path, "manifest"))
     if tileset.provenance != provenance:
@@ -285,15 +303,19 @@ def _load_manifest(data: Path, name: str, provenance: str) -> tuple[D.TileSet, _
     splits = _require_file(data / "splits.json", "splits file")
     train_ids, holdout_ids = F.read_splits(splits)
     listed = holdout_ids if provenance == D.HOLDOUT else train_ids
-    days = _ManifestDays(data, path, tileset, listed if provenance == D.HOLDOUT else ())
+    days = _ManifestDays(data, path, tileset, channels or _Channels(),
+                         listed if provenance == D.HOLDOUT else ())
     for day_id in days:
         if day_id not in listed:
             raise CliError(f"{path}: day {day_id} is not a {_SPLIT[provenance]} day of {splits}")
     return tileset, days
 
 
-def _read_prepared(data: Path, day_id: date) -> D.GridDay:
-    return F.read_day(_require_dir(data / "prepared", "prepared data"), day_id)[0]
+def _read_prepared(data: Path, day_id: date, channels: _Channels) -> D.GridDay:
+    directory = _require_dir(data / "prepared", "prepared data")
+    day, names = F.read_day(directory, day_id)
+    channels.check(F.day_paths(directory, day_id)[0], names)
+    return day
 
 
 def cmd_train(cfg: dict) -> int:
@@ -357,7 +379,8 @@ def cmd_evaluate(cfg: dict, checkpoint: Path) -> int:
     config = T.TrainConfig(threshold=_get(cfg, "threshold"))
     data, out = _data_and_out(cfg)
     params = F.read_checkpoint(_require_file(checkpoint, "checkpoint"))
-    _, days = _load_manifest(data, "holdout_tiles.csv", D.HOLDOUT)
+    channels = _Channels(checkpoint, params.config.in_channels)
+    _, days = _load_manifest(data, "holdout_tiles.csv", D.HOLDOUT, channels)
     day_ids = list(days)
 
     digests = {}
@@ -390,10 +413,12 @@ def cmd_predict(cfg: dict, checkpoint: Path, day_args: list[str], render: bool) 
         day_ids = [date.fromisoformat(s) for s in day_args]
     except ValueError as exc:
         raise CliError(f"invalid day id: {exc}") from exc
-    for day_id in day_ids:  # a missing or misshapen day fails before any prediction is written
-        for path in F.day_paths(data / "prepared", day_id):
+    channels = _Channels(checkpoint, params.config.in_channels)
+    for day_id in day_ids:  # a missing, misshapen or mismatched day fails before any mask is written
+        paths = F.day_paths(data / "prepared", day_id)
+        for path in paths:
             _require_file(path, "prepared day")
-        F.check_day(data / "prepared", day_id)
+        channels.check(paths[0], F.check_day(data / "prepared", day_id))
     threshold = _get(cfg, "threshold")
     recorded = F.read_evaluate_record(out / F.EVALUATE_RECORD, threshold, F.file_sha256(checkpoint))
 
@@ -403,7 +428,7 @@ def cmd_predict(cfg: dict, checkpoint: Path, day_args: list[str], render: bool) 
         entry = recorded.get(day_id.isoformat())
         kept = entry is not None and pred_path.is_file() and entry == _day_digests(data, out, day_id)
         if not kept:
-            day = _read_prepared(data, day_id)
+            day = _read_prepared(data, day_id, channels)
             truth, pred = day.mask, T.predict_day(params, day, threshold)
             F.write_mask(pred_path, pred)
         elif render:

@@ -18,9 +18,9 @@ from datetime import date
 
 import numpy as np
 
-from .kernels import ShapeError
+from .kernels import IGNORE_LABEL, ShapeError
 
-NO_FIRE, FIRE, WATER = 0, 1, 2
+NO_FIRE, FIRE, WATER = 0, 1, IGNORE_LABEL  # water pixels carry the loss's ignore label
 TILE_SIDE = 32
 
 NUMERIC = "numeric"

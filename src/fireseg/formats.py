@@ -233,18 +233,20 @@ def write_day(directory: Path, day: GridDay, names: list[str]) -> None:
     write_mask(mask_path, day.mask)
 
 
-def check_day(directory: Path, day_id: date) -> None:
-    """Parse the headers of a day's stack and mask, which check each file's size, and their grids.
+def check_day(directory: Path, day_id: date) -> list[str]:
+    """Parse the headers of a day's stack and mask, which check each file's size, and their grids;
+    return the stack's channel names.
 
     Reads no payload, so a truncated, overlong or misshapen file fails before
     a caller writes anything; a non-finite value only fails in read_day.
     """
     stack_path, mask_path = day_paths(directory, day_id)
     with open(stack_path, "rb") as f:
-        grid = _stack_header(f)[1][1:]
+        names, (_, h, w) = _stack_header(f)
     with open(mask_path, "rb") as f:
-        if (mask_grid := _mask_header(f)) != grid:  # GridDay's refusal, before any payload
-            raise FormatError(f"{mask_path}: mask {mask_grid} does not match feature grid {grid}")
+        if (mask_grid := _mask_header(f)) != (h, w):  # GridDay's refusal, before any payload
+            raise FormatError(f"{mask_path}: mask {mask_grid} does not match feature grid {(h, w)}")
+    return names
 
 
 def read_day(directory: Path, day_id: date) -> tuple[GridDay, list[str]]:
@@ -368,7 +370,6 @@ def read_rule(path: Path):
             spread_p2=float(_typed(doc["spread_p2"], float, int)),
             static_channels=tuple(_typed(c, int) for c in _typed(doc["static_channels"], list)),
             dynamic_channels=tuple(_typed(c, int) for c in _typed(doc["dynamic_channels"], list)),
-            deterministic_level=_typed(doc.get("deterministic_level"), float, int, type(None)),
         )
 
 

@@ -87,7 +87,6 @@ class SynthConfig:
     water_fraction: float = 0.15
     seed: int = 0
     blur_radius: int = 9
-    deterministic_labels: bool = False  # threshold the marginal instead of sampling
 
     def __post_init__(self):
         if not 0.0 < self.target_fire_rate <= 0.05:
@@ -120,7 +119,6 @@ class PlantedRule:
     spread_p2: float
     static_channels: tuple[int, ...]
     dynamic_channels: tuple[int, ...]
-    deterministic_level: float | None = None  # marginal threshold when labels are noiseless
 
     @property
     def channels(self) -> tuple[int, int, int]:
@@ -366,7 +364,7 @@ def stream_dataset(
 
     rule = PlantedRule(
         channel_a=dynamic[0],
-        channel_b=dynamic[1] if len(dynamic) > 1 else dynamic[0],
+        channel_b=dynamic[1],
         channel_c=static[0],
         coef_a=1.2,
         coef_b=0.9,
@@ -395,26 +393,19 @@ def stream_dataset(
         mask[fire] = FIRE
         return mask
 
-    if config.deterministic_labels:
-        marginals = [rule.fire_marginal(planes, land) for planes in scored]
-        level = float(np.quantile(np.concatenate([m[land] for m in marginals]),
-                                  1.0 - config.target_fire_rate))
-        rule = replace(rule, deterministic_level=level)
-        masks = [as_mask(land & (m >= level)) for m in marginals]
+    lo = 0.8 * config.target_fire_rate
+    hi = 1.2 * config.target_fire_rate
+    for attempt in range(8):
+        masks = [as_mask(_draw_labels(rule, p, land, _child_rng(seed, _TAG_LABELS, d, attempt)))
+                 for d, p in enumerate(scored)]
+        achieved = sum(int((m == FIRE).sum()) for m in masks) / (config.days * int(land.sum()))
+        if lo <= achieved <= hi:
+            break
     else:
-        lo = 0.8 * config.target_fire_rate
-        hi = 1.2 * config.target_fire_rate
-        for attempt in range(8):
-            masks = [as_mask(_draw_labels(rule, p, land, _child_rng(seed, _TAG_LABELS, d, attempt)))
-                     for d, p in enumerate(scored)]
-            achieved = sum(int((m == FIRE).sum()) for m in masks) / (config.days * int(land.sum()))
-            if lo <= achieved <= hi:
-                break
-        else:
-            raise RuntimeError(
-                f"fire-rate calibration failed: achieved {achieved:.2e}, "
-                f"target {config.target_fire_rate:.2e} +-20%"
-            )
+        raise RuntimeError(
+            f"fire-rate calibration failed: achieved {achieved:.2e}, "
+            f"target {config.target_fire_rate:.2e} +-20%"
+        )
 
     def full_days() -> Iterator[GridDay]:
         for d, (planes, mask) in enumerate(zip(scored, masks)):
@@ -502,19 +493,19 @@ class ReferencePoint(Scores):
     tau: float
 
 
-def bayes_reference(
-    days: list[GridDay], rule: PlantedRule, taus: list[float] | None = None
-) -> list[ReferencePoint]:
-    """Evaluate the planted rule's own fire marginal as a predictor.
+# the thresholds bayes_reference scores the fire marginal at: 0.05, 0.10, ..., 0.95
+REFERENCE_TAUS = tuple(i / 20 for i in range(1, 20))
+
+
+def bayes_reference(days: list[GridDay], rule: PlantedRule) -> list[ReferencePoint]:
+    """Evaluate the planted rule's own fire marginal as a predictor, at each of REFERENCE_TAUS.
 
     This is the ceiling a trained model is compared against: no model can
     systematically beat thresholded true marginals on labels drawn from them.
     """
-    if taus is None:
-        taus = [i / 20 for i in range(1, 20)]
     marginals = [rule.fire_marginal(day.features, day.mask != WATER) for day in days]
     out = []
-    for tau in taus:
+    for tau in REFERENCE_TAUS:
         pooled = (confusion((m >= tau).astype(np.uint8), day.mask) for day, m in zip(days, marginals))
         point = ReferencePoint.of(sum(pooled, ConfusionCounts()), tau=tau)
         if point is not None:

@@ -32,6 +32,10 @@ BUFFER_TRAIN_VAL = "train+val"
 # early-stopping scores, each named after the metric attribute it reads
 ES_METRICS = ("sh1", "sh2")
 
+# tiles per forward in predict_day; not the training batch_size, since a tile's
+# logits depend in their last bits on its batch and a mask must not move with it
+PREDICT_BATCH = 32
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -302,14 +306,12 @@ def evaluate_holdout(
     return result
 
 
-def predict_day(
-    params: U.UNetParams, day: D.GridDay, threshold: float = TrainConfig.threshold
-) -> np.ndarray:
+def predict_day(params: U.UNetParams, day: D.GridDay, threshold: float) -> np.ndarray:
     """Predict a full day raster by tiling, then stitch tiles back together."""
     out = np.zeros((day.height, day.width), np.uint8)
     specs = D.extract_tiles(day)
-    for lo in range(0, len(specs), TrainConfig.batch_size):  # a day's tiles are never all cut
-        chunk = specs[lo : lo + TrainConfig.batch_size]
+    for lo in range(0, len(specs), PREDICT_BATCH):  # a day's tiles are never all cut
+        chunk = specs[lo : lo + PREDICT_BATCH]
         feats, _ = D.materialize_batch(chunk, {day.day_id: day})
         logits, _ = U.forward(params, feats)
         pred = U.predict_mask(logits, threshold)

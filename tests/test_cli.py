@@ -85,6 +85,12 @@ class TestConfigSurface:
             assert set(keys) <= C.KNOWN_KEYS, keys
         assert set(C.SHARED_KEYS) <= C.KNOWN_KEYS
 
+    def test_every_config_field_is_a_key(self):
+        # a field no key sets would be a setting only Python callers reach
+        keys = {"tr" if f.name == "tile_ratio" else f.name
+                for cls in (T.TrainConfig, S.SynthConfig) for f in dataclasses.fields(cls)}
+        assert keys <= C.KNOWN_KEYS
+
     def test_train_config_defaults_are_the_dataclass_defaults(self):
         assert C.train_config({}) == T.TrainConfig()
 
@@ -1232,6 +1238,47 @@ class TestErrorContract:
             f"error: {mask}: mask (64, 32) does not match feature grid (64, 64)"
         ]
         assert list(out.glob("pred_*")) == [] and not (out / "holdout.csv").exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_a_checkpoint_of_other_input_channels_names_both_files(self, pipeline, tmp_path,
+                                                                   capsys, command):
+        ds, _ = pipeline
+        checkpoint = tmp_path / "five.unc"
+        F.write_checkpoint(checkpoint, U.init_params(U.UNetConfig(in_channels=5, init_features=2)))
+        out = tmp_path / "run"
+        days = HOLDOUT_DAYS if command == "predict" else []
+        assert C.main([command, "--data", str(ds), "--out", str(out), str(checkpoint), *days]) == 1
+        stack = ds / "prepared" / f"{HOLDOUT_DAYS[0]}.fsk"
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {checkpoint}: checkpoint takes 5 input channels, {stack} holds 12"
+        ]
+        assert list(out.glob("pred_*")) == [] and not (out / "holdout.csv").exists()
+
+    @pytest.mark.parametrize("command", ["train", "evaluate", "predict"])
+    def test_a_stack_whose_channel_names_differ_names_both_stacks(self, pipeline, tmp_path,
+                                                                  capsys, command):
+        ds, run = pipeline
+        data = tmp_path / "ds"
+        shutil.copytree(ds, data)
+        if command == "train":  # train reads its days in the order of their first manifest row
+            specs = F.read_manifest(data / "train_val_tiles.csv").specs
+            read = list(dict.fromkeys(spec.day_id for spec in specs))
+        else:
+            read = [date.fromisoformat(day) for day in HOLDOUT_DAYS]
+        first, renamed = (data / "prepared" / f"{read[i].isoformat()}.fsk" for i in (0, -1))
+        names, features = F.read_stack(renamed)
+        F.write_stack(renamed, [names[0] + "x", *names[1:]], features)
+        out = tmp_path / "run"
+        args = {"train": ["--folds", "2", "--max-epochs", "2", "--patience", "1"],
+                "evaluate": [str(run / "best.unc")],
+                "predict": [str(run / "best.unc"), *HOLDOUT_DAYS]}[command]
+        assert C.main([command, "--data", str(data), "--out", str(out), *args]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {renamed}: channel names differ from those of {first}"
+        ]
+        # evaluate keeps the masks of the days it scored before the failure, and writes no record
+        scored = {f"pred_{day}.msk" for day in HOLDOUT_DAYS[:-1]} if command == "evaluate" else set()
+        assert {path.name for path in out.glob("*")} == scored
 
     def test_a_setting_too_large_to_allocate_is_one_line(self, tmp_path):
         # 10^7 x 10^7 float64 planes: numpy refuses the allocation at once

@@ -453,6 +453,10 @@ class TestJsonSidecars:
         path = tmp_path / "rule.json"
         F.write_rule(path, rule)
         assert F.read_rule(path) == rule
+        # a rule.json from when labels could be the thresholded marginal
+        # carries "deterministic_level": null; it reads as the same rule
+        path.write_text(json.dumps({**json.loads(path.read_text()), "deterministic_level": None}))
+        assert F.read_rule(path) == rule
 
     def test_generated_sidecar_bytes_are_pinned(self, tmp_path):
         # the digests of the manifests and prepared days do not cover these two files
@@ -463,7 +467,7 @@ class TestJsonSidecars:
                    for name in ("schema.json", "rule.json")}
         assert digests == {
             "schema.json": "d40bf0bbce0cdc29cce7e0acf00835d3db4082b1ff3e4f86040a6793458d70c5",
-            "rule.json": "b8cf3bf2898a254de516cc91f4fc8afb19ab29d3a9417afb350eda0f9274fe7f",
+            "rule.json": "d8637eed324951503e351fc2e7342804caa3995b4f6284eedc1a19112e3582b6",
         }
 
     def test_rule_refuses_a_number_of_the_wrong_kind(self, tmp_path):

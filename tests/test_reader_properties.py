@@ -81,7 +81,7 @@ def _write_rule(path):
     rule = PlantedRule(
         channel_a=0, channel_b=2, channel_c=1, coef_a=1.2, coef_b=0.9, coef_c=0.6,
         gain=4.0, bias=17.25, spread_p1=0.35, spread_p2=0.08,
-        static_channels=(1, 3), dynamic_channels=(0, 2), deterministic_level=0.25,
+        static_channels=(1, 3), dynamic_channels=(0, 2),
     )
     F.write_rule(path, rule)
 

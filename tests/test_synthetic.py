@@ -50,35 +50,26 @@ class TestGeneration:
             assert np.array_equal(a.mask, b.mask)
 
     @pytest.mark.parametrize(
-        "extra, bias_hex, level, digest",
+        "extra, bias_hex, digest",
         [
             (
                 dict(days=3, seed=4),
                 "0x1.83b9b38711a10p+4",
-                None,
                 "b13615c32c37f4459f6c790b9c6201d08174bd140cac7bdb5ab07a76016b5925",
-            ),
-            (
-                dict(days=4, seed=6, deterministic_labels=True),
-                "0x1.dcb24c166ebe0p+2",
-                0.3660280407358429,
-                "0897a519984e249e094e55e3498565503675251201711f84d6e090a0313f0c4e",
             ),
             (  # no water: the pixels that can burn reach the raster edge
                 dict(days=3, seed=8, water_fraction=0.0),
                 "0x1.b50ee6fa30176p+3",
-                None,
                 "5aaa958669846ffbe4b9926fdd8759d782b6082c035d74771b663648c4f305cb",
             ),
             (  # non-square: a row/column stride mix-up shows here
                 dict(days=3, seed=9, width=96),
                 "0x1.96b57f9423952p+3",
-                None,
                 "e497616a54e5cc51f00f960329ca9565a0bcde9aac7d3e077daf45364f9ddfa1",
             ),
         ],
     )
-    def test_generated_bytes_are_pinned(self, extra, bias_hex, level, digest):
+    def test_generated_bytes_are_pinned(self, extra, bias_hex, digest):
         # golden values: any change to a generated bit (calibration, marginal,
         # label draws) must show here, not only in a downstream benchmark
         cfg = SynthConfig(**{"height": 64, "width": 64, "target_fire_rate": 5e-3, **extra})
@@ -88,7 +79,6 @@ class TestGeneration:
             sha.update(day.features.tobytes())
             sha.update(day.mask.tobytes())
         assert rule.bias.hex() == bias_hex
-        assert rule.deterministic_level == level
         assert sha.hexdigest() == digest
 
     def test_achieved_rate_within_20_percent(self, full_dataset):
@@ -152,20 +142,6 @@ class TestGeneration:
         assert len(clustered) >= 5
         assert np.mean(clustered) < np.mean(uniform)
 
-    def test_deterministic_labels_compute_each_marginal_once(self, monkeypatch):
-        calls = []
-        marginal = PlantedRule.fire_marginal
-
-        def counted(rule, features, land):
-            calls.append(features)
-            return marginal(rule, features, land)
-
-        monkeypatch.setattr(PlantedRule, "fire_marginal", counted)
-        cfg = SynthConfig(height=64, width=64, days=4, seed=6, target_fire_rate=5e-3,
-                          deterministic_labels=True)
-        days, _, _ = generate_dataset(cfg)
-        assert len(calls) == len(days) == 4
-
     def test_calibration_failure_reports_achieved_rate(self):
         cfg = SynthConfig(
             height=64, width=64, days=1, seed=2, target_fire_rate=1e-7, water_fraction=0.0
@@ -189,13 +165,20 @@ class TestGeneration:
 
 class TestBayesReference:
     def test_noiseless_rule_is_a_perfect_predictor(self):
-        cfg = SynthConfig(
-            height=64, width=64, days=4, seed=6, target_fire_rate=5e-3, deterministic_labels=True
-        )
-        days, _, rule = generate_dataset(cfg)
-        assert rule.deterministic_level is not None
-        pts = bayes_reference(days, rule, taus=[rule.deterministic_level])
-        assert pts[0].sens == 1.0 and pts[0].spec == 1.0
+        # labels that are the marginal thresholded at a grid tau: at that tau
+        # the reference predicts every pixel right
+        cfg = SynthConfig(height=64, width=64, days=4, seed=6, target_fire_rate=5e-3)
+        drawn, _, rule = generate_dataset(cfg)
+        tau = 0.5
+        days = []
+        for day in drawn:
+            land = day.mask != D.WATER
+            fire = land & (rule.fire_marginal(day.features, land) >= tau)
+            mask = np.where(land, np.where(fire, D.FIRE, D.NO_FIRE), D.WATER).astype(np.uint8)
+            days.append(replace(day, mask=mask))
+        assert sum(int((d.mask == D.FIRE).sum()) for d in days) > 0
+        [point] = [p for p in bayes_reference(days, rule) if p.tau == tau]
+        assert point.sens == 1.0 and point.spec == 1.0
 
     def test_noisy_ceiling_defined_and_imperfect(self, full_dataset):
         _, days, _, rule = full_dataset
@@ -223,7 +206,7 @@ class TestBayesReference:
             sens, spec = sensitivity(counts), specificity(counts)
             if sens is not None and spec is not None:
                 expected.append((tau, sens, spec, shybrid(1, sens, spec), shybrid(2, sens, spec)))
-        got = [(p.tau, p.sens, p.spec, p.sh1, p.sh2) for p in bayes_reference(days, rule, taus)]
+        got = [(p.tau, p.sens, p.spec, p.sh1, p.sh2) for p in bayes_reference(days, rule)]
         assert got == expected
 
     def test_marginal_is_exact_for_a_nailed_down_rule(self):
