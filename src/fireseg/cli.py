@@ -77,6 +77,8 @@ def parse_config_file(path: Path) -> dict[str, str]:
         key = key.strip()
         if key not in KNOWN_KEYS:
             raise CliError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in values:
+            raise CliError(f"{path}:{lineno}: key {key!r} set twice")
         values[key] = value.strip()
     return values
 
@@ -413,6 +415,8 @@ def cmd_predict(cfg: dict, checkpoint: Path, day_args: list[str], render: bool) 
         day_ids = [date.fromisoformat(s) for s in day_args]
     except ValueError as exc:
         raise CliError(f"invalid day id: {exc}") from exc
+    if len(set(day_ids)) != len(day_ids):
+        raise CliError(f"day {next(d for d in day_ids if day_ids.count(d) > 1)} is named twice")
     channels = _Channels(checkpoint, params.config.in_channels)
     for day_id in day_ids:  # a missing, misshapen or mismatched day fails before any mask is written
         paths = F.day_paths(data / "prepared", day_id)

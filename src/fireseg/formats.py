@@ -473,6 +473,8 @@ def read_manifest(path: Path) -> TileSet:
             raise
         except (csv.Error, ValueError) as exc:  # a bad date, offset, class or encoding
             raise FormatError(f"{path}: line {reader.line_num}: {exc}") from None
+    if not specs:
+        raise FormatError(f"{path}: manifest lists no tile")
     if len(provenances) != 1:
         raise FormatError(f"{path}: manifest mixes provenances {sorted(provenances)}")
     try:
@@ -535,15 +537,6 @@ def read_checkpoint(path: Path) -> UNetParams:
         raise FormatError(f"{path}: {exc}") from None
 
 
-def read_checkpoint_metrics(path: Path) -> dict[str, float]:
-    sidecar = checkpoint_metrics_path(path)
-    with open(sidecar, newline="") as f:
-        row = next(csv.DictReader(f), None)
-    if row is None:
-        raise FormatError(f"{sidecar}: no metrics row under the header")
-    return {k: float(v) for k, v in row.items()}
-
-
 # ---------------------------------------------------------------------------
 # metric tables
 
@@ -562,11 +555,16 @@ def metric_row(prefix: list, values: tuple[float, ...]) -> list[str]:
     return [str(v) for v in prefix] + [f"{v:.4f}" for v in values] + [repr(float(v)) for v in values]
 
 
+def _csv_cell(cell: str) -> str:
+    """cell as csv.reader reads it back: quoted, its quotes doubled, if it holds , " CR or LF."""
+    return '"' + cell.replace('"', '""') + '"' if any(c in cell for c in ',"\r\n') else cell
+
+
 def write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
     for row in rows:
         if len(row) != len(header):
             raise FormatError(f"row width {len(row)} != header width {len(header)}")
-    lines = [",".join(header)] + [",".join(row) for row in rows]
+    lines = [",".join(map(_csv_cell, row)) for row in [header, *rows]]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

@@ -32,8 +32,8 @@ BUFFER_TRAIN_VAL = "train+val"
 # early-stopping scores, each named after the metric attribute it reads
 ES_METRICS = ("sh1", "sh2")
 
-# tiles per forward in predict_day; not the training batch_size, since a tile's
-# logits depend in their last bits on its batch and a mask must not move with it
+# tiles per inference forward (predict_tiles); not the training batch_size, since a
+# tile's logits depend in their last bits on its batch and a mask must not move with it
 PREDICT_BATCH = 32
 
 
@@ -223,11 +223,8 @@ def train_fold(
                 f"fold {fold_index}: parameters not finite after epoch {epoch}; training diverged"
             )
 
-        counts = ConfusionCounts()
-        for lo in range(0, len(val), config.batch_size):
-            batch = val[lo : lo + config.batch_size]
-            logits, _ = U.forward(params, feats[batch])
-            counts = counts + confusion(U.predict_mask(logits, config.threshold), val_masks[batch])
+        pred = predict_tiles(params, len(val), lambda at: feats[val[at]], config.threshold)
+        counts = confusion(pred, val_masks[val])
         em = EpochMetrics.of(counts, epoch=epoch, train_loss=epoch_loss / max(batches, 1))
         if em is None:
             raise ValueError(f"fold {fold_index}: validation metrics undefined at epoch {epoch}")
@@ -306,17 +303,24 @@ def evaluate_holdout(
     return result
 
 
+def predict_tiles(params: U.UNetParams, n: int, cut: Callable[[slice], np.ndarray],
+                  threshold: float) -> np.ndarray:
+    """Masks [n, 32, 32] of n tiles, PREDICT_BATCH per forward; cut(at) gives slice at's tiles."""
+    masks = np.empty((n, D.TILE_SIDE, D.TILE_SIDE), np.uint8)
+    for lo in range(0, n, PREDICT_BATCH):
+        logits, _ = U.forward(params, cut(slice(lo, lo + PREDICT_BATCH)))
+        masks[lo : lo + PREDICT_BATCH] = U.predict_mask(logits, threshold)
+    return masks
+
+
 def predict_day(params: U.UNetParams, day: D.GridDay, threshold: float) -> np.ndarray:
     """Predict a full day raster by tiling, then stitch tiles back together."""
     out = np.zeros((day.height, day.width), np.uint8)
-    specs = D.extract_tiles(day)
-    for lo in range(0, len(specs), PREDICT_BATCH):  # a day's tiles are never all cut
-        chunk = specs[lo : lo + PREDICT_BATCH]
-        feats, _ = D.materialize_batch(chunk, {day.day_id: day})
-        logits, _ = U.forward(params, feats)
-        pred = U.predict_mask(logits, threshold)
-        for n, s in enumerate(chunk):
-            # the slice stops at the raster edge, dropping an edge tile's padding
-            window = out[s.row_off : s.row_off + D.TILE_SIDE, s.col_off : s.col_off + D.TILE_SIDE]
-            window[...] = pred[n, : window.shape[0], : window.shape[1]]
+    specs, days = D.extract_tiles(day), {day.day_id: day}
+    pred = predict_tiles(  # a day's tiles are never all cut
+        params, len(specs), lambda at: D.materialize_batch(specs[at], days)[0], threshold)
+    for s, tile in zip(specs, pred):
+        # the slice stops at the raster edge, dropping an edge tile's padding
+        window = out[s.row_off : s.row_off + D.TILE_SIDE, s.col_off : s.col_off + D.TILE_SIDE]
+        window[...] = tile[: window.shape[0], : window.shape[1]]
     return out

@@ -6,13 +6,14 @@ finite differences) and shares no code with the library kernels.
 
 from __future__ import annotations
 
+import csv
 import re
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from fireseg.formats import PALETTE, FormatError
+from fireseg.formats import PALETTE, FormatError, checkpoint_metrics_path
 
 
 def conv2d_naive(x, w, b, stride=1, padding=0):
@@ -310,6 +311,16 @@ def param_count(config):
     """The U-Net's parameter count in closed form."""
     f, c = config.init_features, config.in_channels
     return 6809 * f * f + 9 * c * f + 94 * f + 2
+
+
+def read_checkpoint_metrics(path):
+    """The metrics row of a checkpoint's sidecar, by column; a header-only sidecar is a FormatError."""
+    sidecar = checkpoint_metrics_path(path)
+    with open(sidecar, newline="") as f:
+        row = next(csv.DictReader(f), None)
+    if row is None:
+        raise FormatError(f"{sidecar}: no metrics row under the header")
+    return {k: float(v) for k, v in row.items()}
 
 
 def read_ppm(path):

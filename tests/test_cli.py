@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import dataclasses
 import hashlib
 import io
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import read_ppm
+from oracles import read_checkpoint_metrics, read_ppm
 
 import fireseg
 from fireseg import cli as C
@@ -54,6 +55,14 @@ class TestConfigFile:
         path.write_text("seed=1\njust words\n")
         with pytest.raises(C.CliError, match=r"run\.cfg:2"):
             C.parse_config_file(path)
+
+    def test_a_key_set_twice_names_line(self, tmp_path):
+        # the last value would win silently
+        path = tmp_path / "run.cfg"
+        path.write_text("seed=1\nseed=2\n")
+        code, errors = _main_quietly(["generate", "--config", path, "--out", tmp_path / "ds"])
+        assert (code, errors) == (1, [f"error: {path}:2: key 'seed' set twice"])
+        assert not (tmp_path / "ds").exists()
 
     def test_flags_override_file(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -258,7 +267,7 @@ class TestPipeline:
             assert (run / name).is_file(), name
         params = F.read_checkpoint(run / "best.unc")
         assert params.config.init_features == 2
-        metrics = F.read_checkpoint_metrics(run / "best.unc")
+        metrics = read_checkpoint_metrics(run / "best.unc")
         assert {"fold", "epoch", "sensitivity", "specificity", "sh1", "sh2"} <= set(metrics)
 
     def test_report_headers_are_pinned(self, pipeline):
@@ -273,12 +282,12 @@ class TestPipeline:
             "trace_fold_0.csv": f"epoch,train_loss,{scores}",
             "holdout.csv": f"checkpoint,holdout_days,tiles,{scores},{full},tp,fn,tn,fp",
         }
-        metrics = F.read_checkpoint_metrics(run / "best.unc")
+        metrics = read_checkpoint_metrics(run / "best.unc")
         assert list(metrics) == ["fold", "epoch", "sensitivity", "specificity", "sh1", "sh2"]
 
     def test_best_checkpoint_metrics_are_its_fold_row(self, pipeline):
         _, run = pipeline
-        metrics = F.read_checkpoint_metrics(run / "best.unc")
+        metrics = read_checkpoint_metrics(run / "best.unc")
         header, *rows = (run / "validation.csv").read_text().strip().splitlines()
         table = [dict(zip(header.split(","), row.split(","))) for row in rows]
         (fold,) = [r for r in table if r["fold"] == str(int(metrics["fold"]))]
@@ -1191,6 +1200,25 @@ class TestErrorContract:
         assert proc.returncode == 1
         assert proc.stderr.splitlines() == [f"error: {bad}: {message}"]
         assert list(out.glob("pred_*")) == []
+
+    def test_predict_refuses_a_day_named_twice_before_writing(self, pipeline, tmp_path):
+        ds, run = pipeline
+        proc = run_cli("predict", "--data", ds, "--out", tmp_path, run / "best.unc",
+                       HOLDOUT_DAYS[0], HOLDOUT_DAYS[1], HOLDOUT_DAYS[0])
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [f"error: day {HOLDOUT_DAYS[0]} is named twice"]
+        assert list(tmp_path.glob("pred_*")) == []
+
+    def test_a_checkpoint_path_with_a_comma_is_one_holdout_cell(self, pipeline, tmp_path):
+        ds, run = pipeline
+        out = tmp_path / "a,b"
+        out.mkdir()
+        shutil.copy(run / "best.unc", out / "best.unc")
+        assert _main_quietly(["evaluate", "--data", ds, "--out", out, out / "best.unc"]) == (0, [])
+        with open(out / "holdout.csv", newline="") as f:
+            header, row = csv.reader(f)
+        assert header == F.HOLDOUT_COLUMNS
+        assert len(row) == len(header) and row[0] == str(out / "best.unc")
 
     def test_invalid_day_id(self, tmp_path):
         proc = run_cli("predict", "--data", tmp_path, "--out", tmp_path,

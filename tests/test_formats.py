@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import re
@@ -7,7 +8,7 @@ from datetime import date
 
 import numpy as np
 import pytest
-from oracles import read_ppm, render_panels_masks
+from oracles import read_checkpoint_metrics, read_ppm, render_panels_masks
 
 from fireseg import data as D
 from fireseg import formats as F
@@ -288,6 +289,13 @@ class TestManifest:
         with pytest.raises(F.FormatError, match="header"):
             F.read_manifest(path)
 
+    def test_a_manifest_without_rows_says_so(self, tmp_path):
+        path = tmp_path / "tiles.csv"
+        path.write_text("day_id,row_off,col_off,tile_class,provenance\n")
+        with pytest.raises(F.FormatError) as info:
+            F.read_manifest(path)
+        assert str(info.value) == f"{path}: manifest lists no tile"
+
     def test_mixed_provenance_rejected(self, tmp_path):
         path = tmp_path / "tiles.csv"
         path.write_text(
@@ -349,6 +357,20 @@ class TestManifest:
             F.read_manifest(path)
 
 
+class TestWriteCsv:
+    def test_every_cell_reads_back_as_one_cell(self, tmp_path):
+        path = tmp_path / "table.csv"
+        rows = [["a,b", 'say "x"', "cr\rhere", "lf\nhere"], ["", " 1", "0.25", "-"]]
+        F.write_csv(path, ["w", "x", "y", "z"], rows)
+        with open(path, newline="") as f:
+            assert list(csv.reader(f)) == [["w", "x", "y", "z"], *rows]
+
+    def test_plain_cells_keep_their_bytes(self, tmp_path):
+        path = tmp_path / "table.csv"
+        F.write_csv(path, ["day_id", "tile_class"], [["2021-06-01", "no-fire"], ["", "0.5"]])
+        assert path.read_bytes() == b"day_id,tile_class\n2021-06-01,no-fire\n,0.5\n"
+
+
 class TestCheckpoint:
     def test_round_trip_bitwise_with_sidecar(self, tmp_path):
         params = init_params(UNetConfig(in_channels=5, init_features=2, seed=77))
@@ -360,7 +382,7 @@ class TestCheckpoint:
         assert back.config == params.config
         for a, b in zip(back.tensors(), params.tensors()):
             assert np.array_equal(a, b)
-        assert F.read_checkpoint_metrics(path) == metrics
+        assert read_checkpoint_metrics(path) == metrics
 
     def test_header_only_metrics_sidecar_names_the_file(self, tmp_path):
         path = tmp_path / "net.unc"
@@ -369,7 +391,7 @@ class TestCheckpoint:
         sidecar = F.checkpoint_metrics_path(path)
         sidecar.write_text("fold,epoch\n")
         with pytest.raises(F.FormatError, match=re.escape(str(sidecar))):
-            F.read_checkpoint_metrics(path)
+            read_checkpoint_metrics(path)
 
     def test_corrupt_tensor_shapes_rejected(self, tmp_path):
         params = init_params(UNetConfig(in_channels=3, init_features=2, seed=0))

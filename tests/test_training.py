@@ -146,15 +146,35 @@ class TestTrainFold:
         feats, masks, folds = fold_arrays(store, tileset)
         config = tiny_config(fire_buffer="train")
         result = T.train_fold(feats, masks, folds[1], folds[0], config, fold_index=0)
+        # validation forwards PREDICT_BATCH tiles at a time, whatever the batch_size
         counts = ConfusionCounts()
-        for lo in range(0, len(folds[0]), config.batch_size):
-            rows = folds[0][lo : lo + config.batch_size]
+        for lo in range(0, len(folds[0]), T.PREDICT_BATCH):
+            rows = folds[0][lo : lo + T.PREDICT_BATCH]
             logits, _ = U.forward(result.best.params, feats[rows])
             counts = counts + confusion(U.predict_mask(logits, config.threshold), masks[rows])
-        sens = counts.tp / (counts.tp + counts.fn)
-        spec = counts.tn / (counts.tn + counts.fp)
-        assert abs(sens - result.best.sens) < 1e-6
-        assert abs(spec - result.best.spec) < 1e-6
+        assert counts.tp / (counts.tp + counts.fn) == result.best.sens
+        assert counts.tn / (counts.tn + counts.fp) == result.best.spec
+
+    def test_validation_forwards_predict_batch_tiles_whatever_the_batch_size(
+        self, tiny_setup, monkeypatch
+    ):
+        # 70 validation tiles go through the network as 32 + 32 + 6 every
+        # epoch, while the training steps take 8 tiles each
+        store, _, encoded = tiny_setup
+        specs = [spec for day in encoded for spec in D.extract_tiles(day)] * 4
+        feats, masks = D.materialize_batch(specs, store)
+        inference, steps = [], []
+        forward = U.forward
+
+        def recording(params, batch, training=False):
+            (steps if training else inference).append(len(batch))
+            return forward(params, batch, training)
+
+        monkeypatch.setattr(T.U, "forward", recording)
+        config = tiny_config(batch_size=8, max_epochs=2, patience=1)
+        result = T.train_fold(feats, masks, np.arange(len(specs)), np.arange(70), config)
+        assert inference == [32, 32, 6] * len(result.trace)
+        assert steps == [8] * 12 * len(result.trace)
 
     def test_validation_without_fire_errors_with_fold_name(self, tiny_setup):
         store, tileset, _ = tiny_setup
