@@ -21,22 +21,23 @@ under 2**-55 that exp's rounding cannot cross it. So a land pixel with no
 hot pixel within Chebyshev distance 2 gets the marginal 0.0 that the full
 product gives it, and the product runs, with the same factors in the same
 order, only at the others; they are found by comparing each land pixel's
-highest land score within distance 2 with the cutoff. Calibration bisects
-the bias against the exact expected rate. It sums each day over all its
-land pixels (so numpy's pairwise summation sees the array the full product
-gives) and stops the bisection at its fixed point (where a step no longer
-moves either bound). A day keeps the active set of the last pass that
-scanned all its land pixels (the pixels whose highest score reaches the
-cutoff, ascending, with their scores and highest scores) while that set
-holds at most an eighth of its land. A later pass whose cutoff is no lower
-filters the kept set by highest score instead of scanning: the same pixels
-in the same order with the same scores, since a score does not depend on
-the bias. The bisection steps the cutoff down until a step first raises the
-lower bound; every later cutoff lies above that one, so a day whose set was
-kept there scans no more. A day computes the highest scores of all its land
-pixels when it scans and drops them once it keeps a set, so no day holds
-one value per pixel beyond its scan, unless its active set is too large to
-keep.
+highest land score within distance 2 with the cutoff. Calibration returns
+the bias that bisecting [-30, 60] against the exact expected rate settles
+on at its fixed point (where a step no longer moves either bound), from
+about a quarter of its rate evaluations (see _calibrate_bias). The rate
+sums each day over all its land pixels (so numpy's pairwise summation sees
+the array the full product gives). A day keeps the active set of the last
+pass that scanned all its land pixels (the pixels whose highest score
+reaches the cutoff, ascending, with their scores and highest scores) while
+that set holds at most an eighth of its land. A later pass whose cutoff is
+no lower filters the kept set by highest score instead of scanning: the
+same pixels in the same order with the same scores, since a score does not
+depend on the bias. The search steps the cutoff down until a step first
+raises the lower bound; every later probe lies inside the bracket that step
+left, above its cutoff, so a day whose set was kept there scans no more. A
+day computes the highest scores of all its land pixels when it scans and
+drops them once it keeps a set, so no day holds one value per pixel beyond
+its scan, unless its active set is too large to keep.
 
 Label draws read only the uniforms they use. A contagion uniform matters
 only at a pixel whose neighbor at that offset is a seed; the generator's
@@ -54,10 +55,11 @@ that ceiling; it is not part of the schema the model sees.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from datetime import date, timedelta
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 
@@ -468,23 +470,51 @@ def _expected_rate(rule: PlantedRule, stacks: list, land: np.ndarray):
 
 
 def _calibrate_bias(rule: PlantedRule, stacks: list, land: np.ndarray, target: float) -> float:
-    """Bisect the rule bias so the exact expected fire rate hits the target."""
-    expected_rate = _expected_rate(rule, stacks, land)
+    """The bias bisecting [-30, 60] against the exact expected rate settles on, from fewer rates.
+
+    Bisect to a bracket under 0.5 wide, close it to adjacent doubles by
+    Anderson-Bjorck regula falsi on the log rate, then replay the bisection.
+    The rate does not increase with the bias, so only replayed midpoints
+    inside the bracket need a rate, and a range check needs one only at a
+    bound that never moved off -30 or 60 (at -30 every land pixel is active).
+    """
+    rate = cache(_expected_rate(rule, stacks, land))
+
+    def gap(bias: float) -> float:  # log(rate / target): near linear in the bias
+        ratio = rate(bias) / target
+        return math.log(ratio) if ratio > 0 else -math.inf
+
+    def damping(f_new: float, f_old: float) -> float:  # Anderson-Bjorck's, for an end kept twice
+        m = 1.0 - f_new / f_old if f_old else 0.0
+        return m if m > 0 else 0.5
+
+    a, b = -30.0, 60.0
+    while b - a >= 0.5:
+        mid = 0.5 * (a + b)
+        a, b = (mid, b) if rate(mid) >= target else (a, mid)
+    a, b = (a if a > -30.0 else -math.inf), (b if b < 60.0 else math.inf)  # unevaluated: no bound
+    if math.isfinite(b - a):
+        fa, fb, side = gap(a), gap(b), 0
+        while math.nextafter(a, b) < b:
+            x = b - fb * (b - a) / (fb - fa)  # NaN when a gap is -inf
+            x = 0.5 * (a + b) if math.isnan(x) else x
+            x = min(max(x, math.nextafter(a, b)), math.nextafter(b, a))
+            fx = gap(x)
+            if rate(x) >= target:
+                fb *= damping(fx, fa) if side == 1 else 1.0
+                a, fa, side = x, fx, 1
+            else:
+                fa *= damping(fx, fb) if side == -1 else 1.0
+                b, fb, side = x, fx, -1
     lo, hi = -30.0, 60.0
-    outside = "fire-rate target outside the calibratable range"
-    if not target >= expected_rate(hi):
-        raise RuntimeError(outside)
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        step = (mid, hi) if expected_rate(mid) >= target else (lo, mid)
+        step = (mid, hi) if (rate(mid) >= target if a < mid < b else mid <= a) else (lo, mid)
         if step == (lo, hi):
             break  # fixed point: every later step would repeat this one
         lo, hi = step
-    # the rate does not increase with the bias, so a step that raised lo found
-    # a rate >= target above -30; only an unmoved lo needs the (costly, every
-    # land pixel active) evaluation at -30
-    if lo == -30.0 and not expected_rate(lo) >= target:
-        raise RuntimeError(outside)
+    if hi == 60.0 and not target >= rate(hi) or lo == -30.0 and not rate(lo) >= target:
+        raise RuntimeError("fire-rate target outside the calibratable range")
     return 0.5 * (lo + hi)
 
 

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from fireseg import synthetic
 from fireseg.formats import PALETTE, FormatError, checkpoint_metrics_path
 
 
@@ -284,6 +285,29 @@ def calibrate_bias_dense(rule, stacks, land, target):
         if step == (lo, hi):
             return 0.5 * (lo + hi)
         lo, hi = step
+
+
+def calibrate_bias_bisection(rule, stacks, land, target):
+    """Bisect the bias on synthetic._expected_rate from [-30, 60], one evaluation per step.
+
+    Checks the top of the range first and the bottom only when the lower
+    bound never moved; stops once a step would leave both bounds where they
+    are, or after 80 steps.
+    """
+    expected_rate = synthetic._expected_rate(rule, stacks, land)
+    outside = "fire-rate target outside the calibratable range"
+    if not target >= expected_rate(60.0):
+        raise RuntimeError(outside)
+    lo, hi = -30.0, 60.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        step = (mid, hi) if expected_rate(mid) >= target else (lo, mid)
+        if step == (lo, hi):
+            break
+        lo, hi = step
+    if lo == -30.0 and not expected_rate(lo) >= target:
+        raise RuntimeError(outside)
+    return 0.5 * (lo + hi)
 
 
 def box1d_padded(a, radius, axis):

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from oracles import (
+    calibrate_bias_bisection,
     calibrate_bias_dense,
     draw_labels_dense,
     expected_rate_dense,
@@ -24,6 +25,7 @@ from fireseg.synthetic import (
     bayes_reference,
     best_reference,
     generate_dataset,
+    stream_dataset,
 )
 
 
@@ -332,12 +334,25 @@ class TestSparseMarginal:
         generate_dataset(SynthConfig(height=64, width=64, days=3, seed=4, target_fire_rate=5e-3))
         assert len(biases) > 10 and -30.0 not in biases
 
+    def test_calibration_never_evaluates_the_highest_bias(self, monkeypatch):
+        # a step that lowered the upper bound already showed the rate at 60 is
+        # under the target, so the range check there has nothing to add
+        biases = []
+
+        def recording(*args):
+            rate = _expected_rate(*args)
+            return lambda bias: biases.append(bias) or rate(bias)
+
+        monkeypatch.setattr(synthetic, "_expected_rate", recording)
+        generate_dataset(SynthConfig(height=64, width=64, days=3, seed=4, target_fire_rate=5e-3))
+        assert len(biases) > 10 and 60.0 not in biases
+
     def test_full_land_scan_runs_only_below_the_kept_cutoff(self, monkeypatch):
         # a day scans all its land pixels only when it keeps no active set (it
         # had none yet, or the last held over an eighth of its land) or the
         # cutoff falls below the kept set's; every other pass filters that set.
         # Before the sets were kept, this calibration scanned 171 times (3 days
-        # x 57 passes); now it scans 6 times.
+        # x 57 passes); now it scans 3 times.
         cutoffs, scans = [], []
         scan, expected_rate = synthetic._scan, synthetic._expected_rate
 
@@ -365,13 +380,22 @@ class TestSparseMarginal:
                     assert (key, scan_cut) == (keys[d], cut)
                     kept[d] = cut if size <= small else None
         assert next(recorded, None) is None
-        assert (len(cutoffs), len(scans)) == (57, 6)
+        assert (len(cutoffs), len(scans)) == (14, 3)
 
     def test_target_above_the_rate_at_the_lowest_bias_refused(self):
         days = [random_day(30 + d) for d in range(2)]
         stacks, land = [f for f, _ in days], days[0][1]
         with pytest.raises(RuntimeError, match="outside the calibratable range"):
             _calibrate_bias(RULE, stacks, land, 1.5)
+
+    def test_target_below_the_rate_at_the_highest_bias_refused(self):
+        # at gain 0.25 every land pixel is hot even at bias 60
+        rule = replace(RULE, gain=0.25)
+        days = [random_day(30 + d) for d in range(2)]
+        stacks, land = [f for f, _ in days], days[0][1]
+        assert _expected_rate(rule, stacks, land)(60.0) > 1e-12
+        with pytest.raises(RuntimeError, match="fire-rate target outside the calibratable range"):
+            _calibrate_bias(rule, stacks, land, 1e-12)
 
     def test_expected_rate_equals_dense_mean(self):
         # each day's sum runs over every land pixel, zeros included, so numpy's
@@ -410,6 +434,67 @@ class TestSparseMarginal:
                 tracemalloc.stop()
 
         assert peak(24) - peak(8) <= 16 * 3 * h * w * 8
+
+
+class _Calibrating(Exception):
+    """Raised in place of the calibration, carrying its arguments."""
+
+
+@pytest.fixture(scope="module")
+def calibration_grid():
+    """Each grid config with the (rule, stacks, land, target) its generation calibrates on."""
+    def stop(*args):
+        raise _Calibrating(args)
+
+    grid = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(synthetic, "_calibrate_bias", stop)
+        for seed in range(1, 7):
+            for h, w in ((64, 64), (96, 96), (64, 96)):
+                for target in (1e-3, 5e-3, 1e-2, 0.05):
+                    config = SynthConfig(height=h, width=w, days=3, seed=seed, target_fire_rate=target)
+                    with pytest.raises(_Calibrating) as caught:
+                        stream_dataset(config)
+                    grid.append((config, caught.value.args[0]))
+    return grid
+
+
+class TestCalibrationSearch:
+    """_calibrate_bias returns the bisection's bias bit for bit from fewer rate evaluations."""
+
+    def test_equals_the_bisection_in_fewer_evaluations(self, calibration_grid, monkeypatch):
+        biases = []
+
+        def counting(*args):
+            rate = _expected_rate(*args)
+            return lambda bias: biases.append(bias) or rate(bias)
+
+        monkeypatch.setattr(synthetic, "_expected_rate", counting)
+        searched, bisected = [], []
+        for config, args in calibration_grid:
+            found = []
+            for calibrate in (_calibrate_bias, calibrate_bias_bisection):
+                biases.clear()
+                found.append((calibrate(*args), len(biases)))
+            (bias, n), (want, n_want) = found
+            assert bias.hex() == want.hex(), config
+            assert n <= n_want, config
+            searched.append(n)
+            bisected.append(n_want)
+        assert np.median(searched) <= np.median(bisected) / 2
+
+    def test_rate_does_not_increase_around_the_calibrated_bias(self, calibration_grid):
+        # the replay takes a midpoint's side from the bracket's ends: sound only
+        # while the computed rate does not increase with the bias, ulp by ulp
+        for config, (rule, stacks, land, target) in calibration_grid:
+            bias = _calibrate_bias(rule, stacks, land, target)
+            below, above = [bias], [bias]
+            for _ in range(8):
+                below.append(float(np.nextafter(below[-1], -np.inf)))
+                above.append(float(np.nextafter(above[-1], np.inf)))
+            rate = _expected_rate(rule, stacks, land)
+            rates = [rate(b) for b in below[:0:-1] + above]
+            assert np.all(np.diff(rates) <= 0), config
 
 
 class _CountingPCG64(np.random.PCG64):
