@@ -205,11 +205,10 @@ def cmd_prepare(cfg: dict) -> int:
     data, out = _data_and_out(cfg, cfg.get("out_dir", "."))
     schema = F.read_schema(_require_file(data / "schema.json", "schema"))
     train_ids, holdout_ids = F.read_splits(_require_file(data / "splits.json", "splits file"))
-    raw = _require_dir(data / "raw", "raw data")
-    for day_id in train_ids + holdout_ids:  # a missing or misshapen day fails before any write
-        F.check_day(raw, day_id)
+    raw = _Days(data, "raw", (data / "schema.json", [ch.name for ch in schema.channels]))
+    raw.check(train_ids + holdout_ids)
 
-    scaling = D.fit_scaling((F.read_day(raw, d)[0] for d in train_ids), schema)
+    scaling = D.fit_scaling((raw[d] for d in train_ids), schema)
     F.write_scaling(out / "scaling.json", scaling)
     if out.resolve() != data.resolve():  # train and evaluate check the manifests' days against it
         F.write_splits(out / "splits.json", train_ids, holdout_ids)
@@ -221,7 +220,7 @@ def cmd_prepare(cfg: dict) -> int:
     # encoding keeps the day's mask, so the raw day's tiles are the encoded day's
     def prepare_day(job: tuple[date, bool]) -> Sequence[D.TileSpec]:
         day_id, held_out = job
-        day = F.read_day(raw, day_id)[0]
+        day = raw[day_id]
         enc, _ = D.one_hot_encode(D.apply_scaling(day, scaling), schema)
         F.write_day(prepared, enc, encoded_names)
         return D.holdout_tileset([day]).specs if held_out else D.extract_tiles(day)
@@ -245,41 +244,56 @@ def cmd_prepare(cfg: dict) -> int:
 _SPLIT = {D.SAMPLED: "train_val", D.HOLDOUT: "holdout"}  # the splits.json list a manifest draws on
 
 
-class _Channels:
-    """The channel names of the first prepared stack a command reads, which every
-    later stack must repeat, and the input count of the checkpoint they feed, if any."""
+class _Days:
+    """The days of directory data/kind (raw or prepared), held to one channel-name rule:
+    every stack carries the reference's names (the file and names given, else the
+    first stack checked or read) and, for a checkpoint (path, input count), exactly that many."""
 
-    def __init__(self, checkpoint: Path | None = None, in_channels: int | None = None):
-        self.checkpoint, self.in_channels, self.first = checkpoint, in_channels, None
+    def __init__(self, data: Path, kind: str, reference: tuple[Path, list[str]] | None = None,
+                 checkpoint: tuple[Path, int] | None = None):
+        self.directory, self.kind = _require_dir(data / kind, f"{kind} data"), kind
+        self.reference, self.checkpoint = reference, checkpoint
 
-    def check(self, stack: Path, names: list[str]) -> None:
-        if self.in_channels not in (None, len(names)):
-            raise CliError(f"{self.checkpoint}: checkpoint takes {self.in_channels} input "
+    def _check_names(self, stack: Path, names: list[str]) -> None:
+        if self.checkpoint and self.checkpoint[1] != len(names):
+            raise CliError(f"{self.checkpoint[0]}: checkpoint takes {self.checkpoint[1]} input "
                            f"channels, {stack} holds {len(names)}")
-        self.first = self.first or (stack, names)
-        if names != self.first[1]:
-            raise CliError(f"{stack}: channel names differ from those of {self.first[0]}")
+        self.reference = self.reference or (stack, names)
+        if names != self.reference[1]:
+            raise CliError(f"{stack}: channel names differ from those of {self.reference[0]}")
+
+    def check(self, day_ids: Sequence[date]) -> None:
+        """Refuse a missing, misshapen or misnamed day among day_ids; reads only
+        headers, so a command calls it before its first write."""
+        for day_id in day_ids:
+            paths = F.day_paths(self.directory, day_id)
+            for path in paths:
+                _require_file(path, f"{self.kind} day")
+            self._check_names(paths[0], F.check_day(self.directory, day_id))
+
+    def __getitem__(self, day_id: date) -> D.GridDay:
+        day, names = F.read_day(self.directory, day_id)
+        self._check_names(F.day_paths(self.directory, day_id)[0], names)
+        return day
 
 
 class _ManifestDays(Mapping):
     """The prepared days a manifest names, and the days it must cover, in date
-    order. Each is read from disk when looked up, and kept only by the caller.
+    order. Each is read through _Days when looked up, and kept only by the caller.
 
     A day read is checked against its manifest rows: every row must be one of
     the day's land tiles, with its class, and a holdout manifest must hold
     every land tile of its days, which are all the holdout days of its split.
     """
 
-    def __init__(self, data: Path, path: Path, tileset: D.TileSet, channels: _Channels,
-                 covered: Sequence[date] = ()):
-        self.data, self.path, self.split = data, path, _SPLIT[tileset.provenance]
-        self.channels = channels
+    def __init__(self, path: Path, tileset: D.TileSet, prepared: _Days, covered: Sequence[date] = ()):
+        self.path, self.split, self.prepared = path, _SPLIT[tileset.provenance], prepared
         self.rows: dict[date, set[D.TileSpec]] = {day_id: set() for day_id in covered}
         for spec in tileset.specs:
             self.rows.setdefault(spec.day_id, set()).add(spec)
 
     def __getitem__(self, day_id: date) -> D.GridDay:
-        rows, day = self.rows[day_id], _read_prepared(self.data, day_id, self.channels)
+        rows, day = self.rows[day_id], self.prepared[day_id]
         land = set(D.holdout_tileset([day]).specs)
         if not (rows == land if self.split == "holdout" else rows <= land):
             raise CliError(f"{self.path}: does not match prepared {self.split} day {day_id}; "
@@ -294,10 +308,10 @@ class _ManifestDays(Mapping):
 
 
 def _load_manifest(data: Path, name: str, provenance: str,
-                   channels: _Channels | None = None) -> tuple[D.TileSet, _ManifestDays]:
-    """The manifest data/name and its days, refused unless it carries
-    provenance and every day it names is on its list in splits.json.
-    Its days' channels are checked by channels (default: with each other)."""
+                   checkpoint: tuple[Path, int] | None = None) -> tuple[D.TileSet, _ManifestDays]:
+    """The manifest data/name and its prepared days, refused unless it carries
+    provenance and every day it names is on its list in splits.json; the days
+    are read as _Days holds them, for the checkpoint if one is given."""
     path = data / name
     tileset = F.read_manifest(_require_file(path, "manifest"))
     if tileset.provenance != provenance:
@@ -305,19 +319,12 @@ def _load_manifest(data: Path, name: str, provenance: str,
     splits = _require_file(data / "splits.json", "splits file")
     train_ids, holdout_ids = F.read_splits(splits)
     listed = holdout_ids if provenance == D.HOLDOUT else train_ids
-    days = _ManifestDays(data, path, tileset, channels or _Channels(),
-                         listed if provenance == D.HOLDOUT else ())
+    prepared = _Days(data, "prepared", checkpoint=checkpoint)
+    days = _ManifestDays(path, tileset, prepared, listed if provenance == D.HOLDOUT else ())
     for day_id in days:
         if day_id not in listed:
             raise CliError(f"{path}: day {day_id} is not a {_SPLIT[provenance]} day of {splits}")
     return tileset, days
-
-
-def _read_prepared(data: Path, day_id: date, channels: _Channels) -> D.GridDay:
-    directory = _require_dir(data / "prepared", "prepared data")
-    day, names = F.read_day(directory, day_id)
-    channels.check(F.day_paths(directory, day_id)[0], names)
-    return day
 
 
 def cmd_train(cfg: dict) -> int:
@@ -374,16 +381,19 @@ def cmd_evaluate(cfg: dict, checkpoint: Path) -> int:
     """Score the checkpoint on the holdout days, writing each day's mask as
     predict would, then the run's record. Memory: one prepared day, one worker.
 
-    Of the training keys it reads only threshold. A day's mask is written as
-    soon as the day is scored; evaluate.json is the last write, so a run that
-    fails leaves the masks of the days before the failure and no new record.
+    Of the training keys it reads only threshold. Every day's headers are
+    checked first; then a day's mask is written as soon as the day is scored,
+    and evaluate.json is the last write, so a run that fails later (a stale
+    manifest row, a non-finite value) leaves the masks of the days before the
+    failure and no new record.
     """
     config = T.TrainConfig(threshold=_get(cfg, "threshold"))
     data, out = _data_and_out(cfg)
     params = F.read_checkpoint(_require_file(checkpoint, "checkpoint"))
-    channels = _Channels(checkpoint, params.config.in_channels)
-    _, days = _load_manifest(data, "holdout_tiles.csv", D.HOLDOUT, channels)
+    _, days = _load_manifest(data, "holdout_tiles.csv", D.HOLDOUT,
+                             (checkpoint, params.config.in_channels))
     day_ids = list(days)
+    days.prepared.check(day_ids)  # as predict does, before the first mask is written
 
     digests = {}
 
@@ -417,12 +427,8 @@ def cmd_predict(cfg: dict, checkpoint: Path, day_args: list[str], render: bool) 
         raise CliError(f"invalid day id: {exc}") from exc
     if len(set(day_ids)) != len(day_ids):
         raise CliError(f"day {next(d for d in day_ids if day_ids.count(d) > 1)} is named twice")
-    channels = _Channels(checkpoint, params.config.in_channels)
-    for day_id in day_ids:  # a missing, misshapen or mismatched day fails before any mask is written
-        paths = F.day_paths(data / "prepared", day_id)
-        for path in paths:
-            _require_file(path, "prepared day")
-        channels.check(paths[0], F.check_day(data / "prepared", day_id))
+    days = _Days(data, "prepared", checkpoint=(checkpoint, params.config.in_channels))
+    days.check(day_ids)
     threshold = _get(cfg, "threshold")
     recorded = F.read_evaluate_record(out / F.EVALUATE_RECORD, threshold, F.file_sha256(checkpoint))
 
@@ -432,7 +438,7 @@ def cmd_predict(cfg: dict, checkpoint: Path, day_args: list[str], render: bool) 
         entry = recorded.get(day_id.isoformat())
         kept = entry is not None and pred_path.is_file() and entry == _day_digests(data, out, day_id)
         if not kept:
-            day = _read_prepared(data, day_id, channels)
+            day = days[day_id]
             truth, pred = day.mask, T.predict_day(params, day, threshold)
             F.write_mask(pred_path, pred)
         elif render:

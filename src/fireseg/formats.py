@@ -20,11 +20,11 @@ file before allocating, then reads every array once; a failed check is a
 FormatError naming the file.
 
 Tile manifests and metric tables are CSV. `evaluate.json` is the record
-of an `evaluate` run: the threshold, the fireseg/numpy/BLAS/CPU identity,
-the checkpoint's sha256 and, per holdout day, the sha256 of its prepared
-stack and mask and of the mask evaluate wrote. It holds no path outside
-the data and output directories and no time, so two runs on equal inputs
-write equal records. Every writer is atomic
+of an `evaluate` run: the threshold, the fireseg source digest, the
+numpy/BLAS/CPU identity, the checkpoint's sha256 and, per holdout day, the
+sha256 of its prepared stack and mask and of the mask evaluate wrote. It
+holds no path outside the data and output directories and no time, so two
+runs on equal inputs write equal records. Every writer is atomic
 (write to a temp file in the same directory, then rename). A binary
 writer writes its header bytes, then each array straight from the array's
 buffer: no payload is copied unless it first needs converting to its
@@ -34,6 +34,7 @@ stored little-endian type or a contiguous layout.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -47,7 +48,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
 from .data import (
     FIRE,
     Channel,
@@ -409,9 +409,16 @@ def blas_identity() -> tuple[str, str, str]:
     return f"{blas.get('name')} {blas.get('version')}", blas.get("openblas configuration", ""), cpu
 
 
+@functools.cache
+def _source_digest() -> str:
+    """sha256 of one `<sha256> <name>` line per *.py file of this package, in name order."""
+    files = sorted(Path(__file__).parent.glob("*.py"))
+    return hashlib.sha256("".join(f"{file_sha256(p)} {p.name}\n" for p in files).encode()).hexdigest()
+
+
 def _record_header(threshold: float, checkpoint_sha256: str) -> dict:
     blas, blas_config, cpu = blas_identity()
-    return {"threshold": threshold, "fireseg": __version__, "numpy": np.__version__,
+    return {"threshold": threshold, "fireseg": _source_digest(), "numpy": np.__version__,
             "blas": blas, "blas_config": blas_config, "cpu": cpu, "checkpoint": checkpoint_sha256}
 
 
@@ -423,7 +430,7 @@ def write_evaluate_record(path: Path, threshold: float, checkpoint_sha256: str,
 
 def read_evaluate_record(path: Path, threshold: float, checkpoint_sha256: str) -> dict:
     """The day digests of the record at path, if it was written at this threshold,
-    for this checkpoint, by this fireseg, numpy, BLAS and CPU; else {}.
+    for this checkpoint, by this fireseg source, numpy, BLAS and CPU; else {}.
 
     A record that is missing or does not parse is no error: it is not used.
     """

@@ -343,10 +343,7 @@ def stream_dataset(
     smooth = _Smoother(h, w, config.blur_radius)
     static_fields = {i: smooth(_child_rng(seed, _TAG_STATIC, i)).astype(np.float32) for i in static}
     water_field = smooth(_child_rng(seed, _TAG_WATER))
-    if config.water_fraction > 0:
-        water = water_field < np.quantile(water_field, config.water_fraction)
-    else:
-        water = np.zeros((h, w), dtype=bool)
+    water = water_field < np.quantile(water_field, config.water_fraction)  # none at fraction 0
     land = ~water
 
     lc_field = smooth(_child_rng(seed, _TAG_LANDCOVER))

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
 import re
 import shutil
 import struct
@@ -400,8 +401,10 @@ class TestEvaluateRecord:
         record = json.loads((out / "evaluate.json").read_text())
         blas, blas_config, cpu = F.blas_identity()
         sha = lambda path: hashlib.sha256(path.read_bytes()).hexdigest()  # noqa: E731
+        sources = sorted(Path(fireseg.__file__).parent.glob("*.py"))
+        source = hashlib.sha256("".join(f"{sha(p)} {p.name}\n" for p in sources).encode()).hexdigest()
         assert record == {
-            "threshold": 0.5, "fireseg": fireseg.__version__, "numpy": np.__version__,
+            "threshold": 0.5, "fireseg": source, "numpy": np.__version__,
             "blas": blas, "blas_config": blas_config, "cpu": cpu, "checkpoint": sha(checkpoint),
             "days": {day: {f"prepared/{day}.fsk": sha(data / "prepared" / f"{day}.fsk"),
                            f"prepared/{day}.msk": sha(data / "prepared" / f"{day}.msk"),
@@ -500,6 +503,25 @@ class TestPredictKeepsEvaluateMasks:
         assert C.main(["predict", "--data", str(data), "--out", str(out), str(checkpoint),
                        "2021-06-01"]) == 0
         assert calls[0] > 0
+
+    def test_a_record_written_by_other_source_keeps_no_mask(self, evaluated, tmp_path):
+        # a copy of the package one comment line apart writes the same masks,
+        # but its predict trusts no record the original's evaluate wrote
+        data, out, checkpoint = evaluated
+        package = tmp_path / "src" / "fireseg"
+        shutil.copytree(Path(fireseg.__file__).parent, package,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        with open(package / "metrics.py", "a") as f:
+            f.write("# one more line\n")
+        masks = _outputs(out)
+        proc = subprocess.run(
+            [sys.executable, "-m", "fireseg.cli", "predict", "--data", data, "--out", out,
+             checkpoint, *HOLDOUT_DAYS],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(package.parent)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"predicted {len(HOLDOUT_DAYS)} day(s) into {out}\n"  # none kept
+        assert _outputs(out) == masks
 
     @pytest.mark.parametrize("spoil", [
         _other_checkpoint, _other_threshold, _flip_last_stack_value, _flip_a_truth_pixel,
@@ -911,6 +933,8 @@ class TestFlipSweep:
                         or str(tmp_path) not in err[0]:
                     broken.append((args[0], path.name, i, code, err))
         assert not broken
+        # a raw stack whose header took a flip is refused, its names by schema.json's
+        assert ("prepare", f"{t}.fsk") not in accepted, accepted
         # a flipped manifest byte names no other day of the same split here,
         # so a manifest that took a flip would be trained or scored on silently
         assert not {key for key in accepted if key[1].endswith("_tiles.csv")}, accepted
@@ -1304,9 +1328,24 @@ class TestErrorContract:
         assert capsys.readouterr().err.splitlines() == [
             f"error: {renamed}: channel names differ from those of {first}"
         ]
-        # evaluate keeps the masks of the days it scored before the failure, and writes no record
-        scored = {f"pred_{day}.msk" for day in HOLDOUT_DAYS[:-1]} if command == "evaluate" else set()
-        assert {path.name for path in out.glob("*")} == scored
+        # evaluate, like predict, checks every day's names before it writes a mask
+        assert list(out.glob("*")) == []
+
+    def test_prepare_refuses_a_raw_stack_named_off_the_schema(self, pipeline, tmp_path, capsys):
+        ds, _ = pipeline
+        data = tmp_path / "ds"
+        shutil.copytree(ds / "raw", data / "raw")
+        for name in ("schema.json", "splits.json"):
+            shutil.copy(ds / name, data)
+        renamed = data / "raw" / f"{HOLDOUT_DAYS[-1]}.fsk"  # the last day prepare reads
+        names, features = F.read_stack(renamed)
+        F.write_stack(renamed, [*names[:-1], names[-1] + "x"], features)
+        out = tmp_path / "prepared_ds"
+        assert C.main(["prepare", "--data", str(data), "--out", str(out), "--tr", "2"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {renamed}: channel names differ from those of {data / 'schema.json'}"
+        ]
+        assert list(out.rglob("*")) == []
 
     def test_a_setting_too_large_to_allocate_is_one_line(self, tmp_path):
         # 10^7 x 10^7 float64 planes: numpy refuses the allocation at once
