@@ -403,11 +403,11 @@ def cmd_evaluate(cfg: dict, checkpoint: Path) -> int:
 
     result = T.evaluate_holdout(params, days.values(), config, on_mask=write_pred)
     days_run = f"{day_ids[0].isoformat()}..{day_ids[-1].isoformat()}"
-    row = F.metric_row([checkpoint, days_run, result.tiles], result.values())
+    checkpoint_sha = F.file_sha256(checkpoint)
+    row = F.metric_row([checkpoint_sha, days_run, result.tiles], result.values())
     row += [str(getattr(result.counts, c)) for c in F.COUNT_COLUMNS]
     F.write_csv(out / "holdout.csv", F.HOLDOUT_COLUMNS, [row])
-    F.write_evaluate_record(out / F.EVALUATE_RECORD, config.threshold,
-                            F.file_sha256(checkpoint), digests)
+    F.write_evaluate_record(out / F.EVALUATE_RECORD, config.threshold, checkpoint_sha, digests)
     print(f"holdout: tiles={result.tiles} {format_scores(result.values())}")
     return 0
 
@@ -419,6 +419,7 @@ def cmd_predict(cfg: dict, checkpoint: Path, day_args: list[str], render: bool) 
     checkpoint and threshold, with its prepared files and its mask on disk
     unchanged, keeps that mask: it is rendered from it, not predicted again.
     """
+    threshold = T.TrainConfig(threshold=_get(cfg, "threshold")).threshold
     data, out = _data_and_out(cfg)
     params = F.read_checkpoint(_require_file(checkpoint, "checkpoint"))
     try:
@@ -429,7 +430,6 @@ def cmd_predict(cfg: dict, checkpoint: Path, day_args: list[str], render: bool) 
         raise CliError(f"day {next(d for d in day_ids if day_ids.count(d) > 1)} is named twice")
     days = _Days(data, "prepared", checkpoint=(checkpoint, params.config.in_channels))
     days.check(day_ids)
-    threshold = _get(cfg, "threshold")
     recorded = F.read_evaluate_record(out / F.EVALUATE_RECORD, threshold, F.file_sha256(checkpoint))
 
     def predict_one(day_id: date) -> bool:

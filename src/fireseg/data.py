@@ -337,7 +337,7 @@ def apply_fire_buffer(mask: np.ndarray, radius: int) -> np.ndarray:
 
 
 def kfold_split(
-    tileset: TileSet, k: int, seed: int, grouping: str = "by-tile"
+    tileset: TileSet, k: int, seed: int, grouping: str
 ) -> list[tuple[TileSpec, ...]]:
     """Partition a tile set into k folds with balanced group counts.
 

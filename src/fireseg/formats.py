@@ -562,16 +562,11 @@ def metric_row(prefix: list, values: tuple[float, ...]) -> list[str]:
     return [str(v) for v in prefix] + [f"{v:.4f}" for v in values] + [repr(float(v)) for v in values]
 
 
-def _csv_cell(cell: str) -> str:
-    """cell as csv.reader reads it back: quoted, its quotes doubled, if it holds , " CR or LF."""
-    return '"' + cell.replace('"', '""') + '"' if any(c in cell for c in ',"\r\n') else cell
-
-
 def write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
     for row in rows:
         if len(row) != len(header):
             raise FormatError(f"row width {len(row)} != header width {len(header)}")
-    lines = [",".join(map(_csv_cell, row)) for row in [header, *rows]]
+    lines = [",".join(row) for row in [header, *rows]]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

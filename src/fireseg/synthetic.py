@@ -542,5 +542,5 @@ def bayes_reference(days: list[GridDay], rule: PlantedRule) -> list[ReferencePoi
     return out
 
 
-def best_reference(points: list[ReferencePoint], es_metric: str = "sh2") -> ReferencePoint:
+def best_reference(points: list[ReferencePoint], es_metric: str) -> ReferencePoint:
     return max(points, key=lambda p: p.score(es_metric))

@@ -57,7 +57,7 @@ NUM_CLASSES = 2
 @dataclass(frozen=True)
 class UNetConfig:
     in_channels: int
-    init_features: int = 8
+    init_features: int
     seed: int = 0
 
     def __post_init__(self):

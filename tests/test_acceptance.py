@@ -350,17 +350,10 @@ def test_criterion_7_bitwise_reproducibility(main_run, tmp_path_factory):
     root = tmp_path_factory.mktemp("acceptance_b")
     ds_b, run_b = run_pipeline(root)
 
-    def without_path_column(raw: bytes) -> list[str]:
-        # the checkpoint path column embeds the per-run directory; drop it
-        return [line.split(",", 1)[1] for line in raw.decode().splitlines()]
-
     compared = 0
     for name in sorted(p.name for p in run_a.iterdir()):
-        a, b = (run_a / name).read_bytes(), (run_b / name).read_bytes()
-        if name == "holdout.csv":
-            assert without_path_column(a) == without_path_column(b), name
-        else:
-            assert a == b, f"{name} differs between identical runs"
+        assert (run_a / name).read_bytes() == (run_b / name).read_bytes(), \
+            f"{name} differs between identical runs"
         compared += 1
     for rel in ["scaling.json", "train_val_tiles.csv", "holdout_tiles.csv", "schema.json",
                 "rule.json", "splits.json"]:

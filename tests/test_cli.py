@@ -1,5 +1,4 @@
 import contextlib
-import csv
 import dataclasses
 import hashlib
 import io
@@ -125,31 +124,36 @@ class TestConfigSurface:
         assert caught.value.args[0] == S.SynthConfig(days=40)
 
     def test_readme_table_matches_keys_and_defaults(self):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        section = readme.split("\n## Configuration keys\n", 1)[1].split("\n## ", 1)[0]
-        table = {}
-        for line in section.splitlines():
-            if line.startswith("| `"):
-                key, default = (cell.strip().strip("`") for cell in line.split("|")[1:3])
-                table[key] = default
+        table = _readme_table()
         assert set(table) == C.KNOWN_KEYS
-        for cls in (T.TrainConfig, S.SynthConfig):
-            for f in dataclasses.fields(cls):
-                key = "tr" if f.name == "tile_ratio" else f.name
-                if key in table:
-                    assert table[key] == str(f.default), key
+        assert {key: table[key][0] for key in C.DEFAULTS} == {k: str(v) for k, v in C.DEFAULTS.items()}
+        # DEFAULTS keeps the last dataclass's default of a key both declare
+        train, synth = (C._field_keys(cls) for cls in (T.TrainConfig, S.SynthConfig))
+        shared = train.keys() & synth.keys()
+        assert "seed" in shared
+        for key in shared:
+            assert train[key].default == synth[key].default, key
+
+
+def _readme_table() -> dict[str, tuple[str, str]]:
+    """Key -> its (default, read by) cells in the README, notes in parentheses and backticks dropped."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Configuration keys\n", 1)[1].split("\n## ", 1)[0]
+    table = {}
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            key, default, read_by = (re.sub(r"\([^)]*\)", "", cell).strip().strip("`")
+                                     for cell in line.split("|")[1:4])
+            table[key] = (default, read_by)
+    return table
 
 
 def _readme_readers() -> dict[str, set[str]]:
-    """Key -> the commands the README's "read by" column names; notes in parentheses are skipped."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    section = readme.split("\n## Configuration keys\n", 1)[1].split("\n## ", 1)[0]
+    """Key -> the commands the README's "read by" column names."""
     readers = {}
-    for line in section.splitlines():
-        if line.startswith("| `"):
-            key, _, read_by = (cell.strip() for cell in line.split("|")[1:4])
-            names = {name.strip() for name in re.sub(r"\([^)]*\)", "", read_by).split(",")}
-            readers[key.strip("`")] = set(C.COMMANDS) if names == {"all commands"} else names
+    for key, (_, read_by) in _readme_table().items():
+        names = {name.strip() for name in read_by.split(",")}
+        readers[key] = set(C.COMMANDS) if names == {"all commands"} else names
     return readers
 
 
@@ -302,6 +306,8 @@ class TestPipeline:
         assert lines[0] == ",".join(F.HOLDOUT_COLUMNS)
         assert len(lines) == 2
         row = lines[1].split(",")
+        checkpoint = hashlib.sha256((run / "best.unc").read_bytes()).hexdigest()
+        assert row[0] == checkpoint == json.loads((run / "evaluate.json").read_text())["checkpoint"]
         assert row[1] == "2021-06-09..2021-06-12"
         cells = dict(zip(F.HOLDOUT_COLUMNS, row))
         counts = M.ConfusionCounts(*(int(cells[c]) for c in F.COUNT_COLUMNS))
@@ -325,14 +331,17 @@ class TestPipeline:
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "holdout.csv").read_bytes() == (run / "holdout.csv").read_bytes()
 
-    def test_evaluate_refuses_a_threshold_outside_zero_to_one(self, pipeline, tmp_path):
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_refuses_a_threshold_outside_zero_to_one(self, pipeline, tmp_path, command):
+        # before anything is made or read: the output directory never appears
         ds, run = pipeline
-        cfg = tmp_path / "c.cfg"
+        cfg, out = tmp_path / "c.cfg", tmp_path / "out"
         cfg.write_text("threshold=1.5\n")
-        proc = run_cli("evaluate", "--config", cfg, "--data", ds, "--out", tmp_path, run / "best.unc")
+        days = HOLDOUT_DAYS[:1] if command == "predict" else []
+        proc = run_cli(command, "--config", cfg, "--data", ds, "--out", out, run / "best.unc", *days)
         assert proc.returncode == 1
         assert proc.stderr.splitlines() == ["error: threshold must be a probability"]
-        assert not (tmp_path / "holdout.csv").exists()
+        assert not out.exists()
 
     def test_no_temp_droppings(self, pipeline):
         ds, run = pipeline
@@ -359,7 +368,8 @@ class TestPipelinePin:
         digest = hashlib.sha256()
         for name in files:
             digest.update(name.encode() + b"\0" + (run / name).read_bytes())
-        # holdout.csv less its first column, the checkpoint path
+        # holdout.csv less its first column, the checkpoint's sha256, which
+        # best.unc's bytes above already fix
         rows = (run / "holdout.csv").read_text().splitlines()
         digest.update(b"holdout.csv\0" + "\n".join(r.split(",", 1)[1] for r in rows).encode())
         identity = F.blas_identity()
@@ -1233,16 +1243,15 @@ class TestErrorContract:
         assert proc.stderr.splitlines() == [f"error: day {HOLDOUT_DAYS[0]} is named twice"]
         assert list(tmp_path.glob("pred_*")) == []
 
-    def test_a_checkpoint_path_with_a_comma_is_one_holdout_cell(self, pipeline, tmp_path):
+    def test_a_checkpoint_under_a_comma_path_scores_to_the_same_bytes(self, pipeline, tmp_path):
+        # no output names a path, so where the checkpoint lives changes no byte
         ds, run = pipeline
         out = tmp_path / "a,b"
         out.mkdir()
         shutil.copy(run / "best.unc", out / "best.unc")
         assert _main_quietly(["evaluate", "--data", ds, "--out", out, out / "best.unc"]) == (0, [])
-        with open(out / "holdout.csv", newline="") as f:
-            header, row = csv.reader(f)
-        assert header == F.HOLDOUT_COLUMNS
-        assert len(row) == len(header) and row[0] == str(out / "best.unc")
+        for name in ["holdout.csv", "evaluate.json"]:
+            assert (out / name).read_bytes() == (run / name).read_bytes(), name
 
     def test_invalid_day_id(self, tmp_path):
         proc = run_cli("predict", "--data", tmp_path, "--out", tmp_path,

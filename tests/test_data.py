@@ -337,14 +337,14 @@ class TestKFold:
     def test_every_fold_gets_fire(self):
         ts = self.specs_for_days(8, 4)
         for k in (2, 3, 4):
-            folds = D.kfold_split(ts, k=k, seed=7)
+            folds = D.kfold_split(ts, k=k, seed=7, grouping="by-tile")
             for f in folds:
                 assert any(s.tile_class == D.FIRE_TILE for s in f)
 
     def test_too_few_fire_groups_errors_with_guidance(self):
         ts = self.specs_for_days(4, 2)  # 2 fire tiles only
         with pytest.raises(ValueError, match="lower k"):
-            D.kfold_split(ts, k=3, seed=0)
+            D.kfold_split(ts, k=3, seed=0, grouping="by-tile")
 
     def test_by_day_grouping_never_splits_a_day(self):
         rng = np.random.default_rng(8)
@@ -365,7 +365,7 @@ class TestKFold:
 
     def test_partition_is_disjoint_and_complete(self):
         ts = self.specs_for_days(6, 5)
-        folds = D.kfold_split(ts, k=4, seed=3)
+        folds = D.kfold_split(ts, k=4, seed=3, grouping="by-tile")
         flat = [s for f in folds for s in f]
         assert len(flat) == len(ts.specs)
         assert len(set(flat)) == len(flat)

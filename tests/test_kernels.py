@@ -517,7 +517,7 @@ class TestConvAcceptanceShapes:
     3x3 layers, at an even and at an odd output width."""
 
     # the acceptance net: 12 encoded input channels, 8 initial features
-    SHAPES = [wshape for _, wshape, _ in U.layer_shapes(U.UNetConfig(in_channels=12))]
+    SHAPES = [wshape for _, wshape, _ in U.layer_shapes(U.UNetConfig(in_channels=12, init_features=8))]
     PAIRS = sorted({(ci, co) for co, ci, kh, _ in SHAPES if kh == 3})
 
     @pytest.mark.parametrize("hw", [(6, 8), (5, 7)])

@@ -5,9 +5,9 @@ train keys and runs generate -> prepare -> train -> evaluate -> predict
 through cli.main in process, at --threads 1, at --threads 2, and at
 --threads 1 again. Each command exits 0 or prints exactly one `error:`
 line of a kind listed in REFUSALS. A completed pipeline writes the same
-bytes at every thread count and on every run (holdout.csv less its
-checkpoint-path cell), a `predict` into a fresh directory writes the
-masks `evaluate` wrote, and the holdout counts add up to the holdout
+bytes, every file whole, at every thread count and on every run, each in
+its own directory, a `predict` into a fresh directory writes the masks
+`evaluate` wrote, and the holdout counts add up to the holdout
 days' land pixels. Examples are derandomized, so the suite stays
 deterministic.
 """
@@ -99,11 +99,8 @@ def _pipeline(root: Path, cfg: dict, threads: int) -> str | None:
 
 
 def _tree(root: Path) -> dict[str, bytes]:
-    files = {p.relative_to(root).as_posix(): p.read_bytes()
-             for p in sorted(root.rglob("*")) if p.is_file() and p.name != "train.cfg"}
-    rows = files.pop("run/holdout.csv", b"").splitlines()
-    files["run/holdout.csv less paths"] = b"\n".join(row.split(b",", 1)[-1] for row in rows)
-    return files
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file() and p.name != "train.cfg"}
 
 
 @PIPELINES

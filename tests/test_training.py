@@ -126,7 +126,7 @@ def fold_arrays(store, tileset, k=2, seed=5):
     """The sample's tiles and its k folds' index arrays, as cross_validate builds them."""
     feats, masks = D.materialize_batch(tileset.specs, store)
     row = {spec: n for n, spec in enumerate(tileset.specs)}
-    folds = [np.array([row[s] for s in fold]) for fold in D.kfold_split(tileset, k, seed=seed)]
+    folds = [np.array([row[s] for s in fold]) for fold in D.kfold_split(tileset, k, seed=seed, grouping="by-tile")]
     return feats, masks, folds
 
 

@@ -73,7 +73,7 @@ class TestInit:
 
     def test_bad_config_rejected(self):
         with pytest.raises(K.ConfigError):
-            U.UNetConfig(in_channels=0)
+            U.UNetConfig(in_channels=0, init_features=8)
 
     def test_wrong_tensor_shapes_rejected_on_load(self):
         params = U.init_params(U.UNetConfig(in_channels=3, init_features=2, seed=0))
