@@ -205,8 +205,8 @@ def cmd_prepare(cfg: dict) -> int:
     data, out = _data_and_out(cfg, cfg.get("out_dir", "."))
     schema = F.read_schema(_require_file(data / "schema.json", "schema"))
     train_ids, holdout_ids = F.read_splits(_require_file(data / "splits.json", "splits file"))
-    raw = _Days(data, "raw", (data / "schema.json", [ch.name for ch in schema.channels]))
-    raw.check(train_ids + holdout_ids)
+    raw = _Days(data, "raw", train_ids + holdout_ids,
+                (data / "schema.json", [ch.name for ch in schema.channels]))
 
     scaling = D.fit_scaling((raw[d] for d in train_ids), schema)
     F.write_scaling(out / "scaling.json", scaling)
@@ -245,49 +245,49 @@ _SPLIT = {D.SAMPLED: "train_val", D.HOLDOUT: "holdout"}  # the splits.json list 
 
 
 class _Days:
-    """The days of directory data/kind (raw or prepared), held to one channel-name rule:
-    every stack carries the reference's names (the file and names given, else the
-    first stack checked or read) and, for a checkpoint (path, input count), exactly that many."""
+    """The days day_ids of directory data/kind (raw or prepared), held to one channel-name rule:
+    every stack carries the reference's names (the file and names given, else the first day's)
+    and, for a checkpoint (path, input count), exactly that many. Opening them checks every
+    day's headers, reading no payload, and fixes the reference, so a command opens its days
+    in its main thread before its first write; a lookup then only reads and compares."""
 
-    def __init__(self, data: Path, kind: str, reference: tuple[Path, list[str]] | None = None,
+    def __init__(self, data: Path, kind: str, day_ids: Sequence[date],
+                 reference: tuple[Path, list[str]] | None = None,
                  checkpoint: tuple[Path, int] | None = None):
-        self.directory, self.kind = _require_dir(data / kind, f"{kind} data"), kind
-        self.reference, self.checkpoint = reference, checkpoint
+        self.directory, self.reference = _require_dir(data / kind, f"{kind} data"), reference
+        for day_id in day_ids:
+            stack, mask = F.day_paths(self.directory, day_id)
+            for path in (stack, mask):
+                _require_file(path, f"{kind} day")
+            names = F.check_day(self.directory, day_id)
+            if checkpoint and checkpoint[1] != len(names):
+                raise CliError(f"{checkpoint[0]}: checkpoint takes {checkpoint[1]} input "
+                               f"channels, {stack} holds {len(names)}")
+            self.reference = self.reference or (stack, names)
+            self._same_names(stack, names)
 
-    def _check_names(self, stack: Path, names: list[str]) -> None:
-        if self.checkpoint and self.checkpoint[1] != len(names):
-            raise CliError(f"{self.checkpoint[0]}: checkpoint takes {self.checkpoint[1]} input "
-                           f"channels, {stack} holds {len(names)}")
-        self.reference = self.reference or (stack, names)
+    def _same_names(self, stack: Path, names: list[str]) -> None:
         if names != self.reference[1]:
             raise CliError(f"{stack}: channel names differ from those of {self.reference[0]}")
 
-    def check(self, day_ids: Sequence[date]) -> None:
-        """Refuse a missing, misshapen or misnamed day among day_ids; reads only
-        headers, so a command calls it before its first write."""
-        for day_id in day_ids:
-            paths = F.day_paths(self.directory, day_id)
-            for path in paths:
-                _require_file(path, f"{self.kind} day")
-            self._check_names(paths[0], F.check_day(self.directory, day_id))
-
     def __getitem__(self, day_id: date) -> D.GridDay:
         day, names = F.read_day(self.directory, day_id)
-        self._check_names(F.day_paths(self.directory, day_id)[0], names)
+        self._same_names(F.day_paths(self.directory, day_id)[0], names)
         return day
 
 
 class _ManifestDays(Mapping):
     """The prepared days a manifest names, and the days it must cover, in date
-    order. Each is read through _Days when looked up, and kept only by the caller.
+    order. Each is read through `prepared`, the _Days that _load_manifest opens
+    on them, when looked up, and kept only by the caller.
 
     A day read is checked against its manifest rows: every row must be one of
     the day's land tiles, with its class, and a holdout manifest must hold
     every land tile of its days, which are all the holdout days of its split.
     """
 
-    def __init__(self, path: Path, tileset: D.TileSet, prepared: _Days, covered: Sequence[date] = ()):
-        self.path, self.split, self.prepared = path, _SPLIT[tileset.provenance], prepared
+    def __init__(self, path: Path, tileset: D.TileSet, covered: Sequence[date] = ()):
+        self.path, self.split = path, _SPLIT[tileset.provenance]
         self.rows: dict[date, set[D.TileSpec]] = {day_id: set() for day_id in covered}
         for spec in tileset.specs:
             self.rows.setdefault(spec.day_id, set()).add(spec)
@@ -310,8 +310,8 @@ class _ManifestDays(Mapping):
 def _load_manifest(data: Path, name: str, provenance: str,
                    checkpoint: tuple[Path, int] | None = None) -> tuple[D.TileSet, _ManifestDays]:
     """The manifest data/name and its prepared days, refused unless it carries
-    provenance and every day it names is on its list in splits.json; the days
-    are read as _Days holds them, for the checkpoint if one is given."""
+    provenance and every day it names is on its list in splits.json; then the
+    days are opened as _Days, for the checkpoint if one is given."""
     path = data / name
     tileset = F.read_manifest(_require_file(path, "manifest"))
     if tileset.provenance != provenance:
@@ -319,11 +319,11 @@ def _load_manifest(data: Path, name: str, provenance: str,
     splits = _require_file(data / "splits.json", "splits file")
     train_ids, holdout_ids = F.read_splits(splits)
     listed = holdout_ids if provenance == D.HOLDOUT else train_ids
-    prepared = _Days(data, "prepared", checkpoint=checkpoint)
-    days = _ManifestDays(path, tileset, prepared, listed if provenance == D.HOLDOUT else ())
+    days = _ManifestDays(path, tileset, listed if provenance == D.HOLDOUT else ())
     for day_id in days:
         if day_id not in listed:
             raise CliError(f"{path}: day {day_id} is not a {_SPLIT[provenance]} day of {splits}")
+    days.prepared = _Days(data, "prepared", list(days), checkpoint=checkpoint)
     return tileset, days
 
 
@@ -393,7 +393,6 @@ def cmd_evaluate(cfg: dict, checkpoint: Path) -> int:
     _, days = _load_manifest(data, "holdout_tiles.csv", D.HOLDOUT,
                              (checkpoint, params.config.in_channels))
     day_ids = list(days)
-    days.prepared.check(day_ids)  # as predict does, before the first mask is written
 
     digests = {}
 
@@ -428,8 +427,7 @@ def cmd_predict(cfg: dict, checkpoint: Path, day_args: list[str], render: bool) 
         raise CliError(f"invalid day id: {exc}") from exc
     if len(set(day_ids)) != len(day_ids):
         raise CliError(f"day {next(d for d in day_ids if day_ids.count(d) > 1)} is named twice")
-    days = _Days(data, "prepared", checkpoint=(checkpoint, params.config.in_channels))
-    days.check(day_ids)
+    days = _Days(data, "prepared", day_ids, checkpoint=(checkpoint, params.config.in_channels))
     recorded = F.read_evaluate_record(out / F.EVALUATE_RECORD, threshold, F.file_sha256(checkpoint))
 
     def predict_one(day_id: date) -> bool:
@@ -457,20 +455,22 @@ def cmd_predict(cfg: dict, checkpoint: Path, day_args: list[str], render: bool) 
 # argument wiring
 
 
-# command -> (help, the keys it takes as flags); `--out`/`--data` set the two
-# directories, and every other key has the flag of its name, `--tr` style
+# command -> (help, the keys of its flags besides SHARED_KEYS): a flag for each key it reads
+# and no other, but `evaluate --seed` and `--threads` on train and evaluate (see the README).
+# `--out`/`--data` set the two directories; every other key has a flag of its name, `--tr` style
 COMMANDS = {
     "generate": ("write a synthetic dataset",
-                 ("days", "holdout_days", "height", "width", "numeric_channels", "categories",
-                  "target_fire_rate", "water_fraction", "blur_radius")),
-    "prepare": ("normalize, encode, tile and sample", ("tr",)),
+                 ("seed", "days", "holdout_days", "height", "width", "numeric_channels",
+                  "categories", "target_fire_rate", "water_fraction", "blur_radius")),
+    "prepare": ("normalize, encode, tile and sample", ("data_dir", "seed", "tr")),
     "train": ("k-fold cross-validated training",
-              ("tr", "fire_buffer", "buffer_radius", "init_features", "es_metric", "folds",
-               "patience", "max_epochs", "lr", "batch_size")),
-    "evaluate": ("pixel metrics on the untouched holdout", ("threshold",)),
-    "predict": ("predict day masks, optionally rendered", ("threshold",)),
+              ("data_dir", "seed", "tr", "fire_buffer", "buffer_radius", "init_features",
+               "es_metric", "folds", "patience", "max_epochs", "lr", "batch_size", "threshold",
+               "grouping")),
+    "evaluate": ("pixel metrics on the untouched holdout", ("data_dir", "seed", "threshold")),
+    "predict": ("predict day masks, optionally rendered", ("data_dir", "threshold")),
 }
-SHARED_KEYS = ("seed", "threads", "out_dir", "data_dir")
+SHARED_KEYS = ("threads", "out_dir")
 _DIR_FLAGS = {"out_dir": "--out", "data_dir": "--data"}
 
 

@@ -351,7 +351,6 @@ IGNORE_LABEL = 2  # water / invalid pixels: no loss, no gradient, no metrics
 class LossResult:
     loss: float
     grad_logits: np.ndarray
-    counted: int  # non-ignored pixels; 0 flags a fully-ignored batch
 
 
 def weighted_ce_loss(
@@ -378,7 +377,7 @@ def weighted_ce_loss(
     valid = target != IGNORE_LABEL
     counted = int(valid.sum())
     if counted == 0:
-        return LossResult(0.0, np.zeros_like(logits), 0)
+        return LossResult(0.0, np.zeros_like(logits))
 
     z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)
@@ -392,7 +391,7 @@ def weighted_ce_loss(
     probs = e / esum[:, None]  # softmax2(logits), without a second exp
     onehot = cls[:, None] == np.arange(2).reshape(1, 2, 1, 1)
     grad = (wpix[:, None] * (probs - onehot) / counted).astype(logits.dtype)
-    return LossResult(loss, grad, counted)
+    return LossResult(loss, grad)
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import dataclasses
 import hashlib
@@ -5,6 +6,7 @@ import io
 import json
 import os
 import re
+import shlex
 import shutil
 import struct
 import subprocess
@@ -90,9 +92,13 @@ class TestConfigSurface:
         }
 
     def test_every_flag_sets_a_known_key(self):
-        for _, keys in C.COMMANDS.values():
-            assert set(keys) <= C.KNOWN_KEYS, keys
-        assert set(C.SHARED_KEYS) <= C.KNOWN_KEYS
+        # each command's parser takes the flags of its COMMANDS keys and SHARED_KEYS, no other
+        [commands] = [a.choices for a in C.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)]
+        for command, (_, keys) in C.COMMANDS.items():
+            flags = {a.dest for a in commands[command]._actions if a.option_strings}
+            assert flags - {"help", "config", "render"} == set(keys) | set(C.SHARED_KEYS), command
+            assert set(keys) | set(C.SHARED_KEYS) <= C.KNOWN_KEYS, command
 
     def test_every_config_field_is_a_key(self):
         # a field no key sets would be a setting only Python callers reach
@@ -122,6 +128,17 @@ class TestConfigSurface:
             C.main(["generate", "--out", str(tmp_path)])
         # `days` counts train days (30) and `holdout_days` adds 10
         assert caught.value.args[0] == S.SynthConfig(days=40)
+
+    def test_readme_quickstart_commands_parse(self):
+        # each `fireseg ...` command of the Quickstart, its continued lines joined
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n## Quickstart\n", 1)[1].split("\n## ", 1)[0]
+        lines = section.replace("\\\n", " ").splitlines()
+        commands = [shlex.split(line)[1:] for line in lines if line.startswith("fireseg ")]
+        assert [argv[0] for argv in commands] == list(C.COMMANDS)
+        parser = C.build_parser()
+        for argv in commands:
+            parser.parse_args(argv)  # an unknown flag or a bad value raises CliError
 
     def test_readme_table_matches_keys_and_defaults(self):
         table = _readme_table()
@@ -192,16 +209,13 @@ class TestKeyRecord:
         readers = _readme_readers()
         for command, keys in reads.items():
             assert keys == {k for k, names in readers.items() if command in names}, command
-            assert set(C.COMMANDS[command][1]) <= keys, command  # no flag goes unread
-        # what the flags and the reads do not share today: keys read from a
-        # config file only, and shared flags a command ignores
-        file_only = {c: keys - set(C.COMMANDS[c][1]) - set(C.SHARED_KEYS) for c, keys in reads.items()}
-        assert file_only == {"generate": set(), "prepare": set(),
-                             "train": {"threshold", "grouping"}, "evaluate": set(),
-                             "predict": set()}
-        ignored = {c: set(C.SHARED_KEYS) - keys for c, keys in reads.items()}
-        assert ignored == {"generate": {"data_dir"}, "prepare": set(), "train": {"threads"},
-                           "evaluate": {"seed", "threads"}, "predict": {"seed"}}
+        # every key a command reads has its flag; the flags a command takes
+        # without reading their keys are the ones the README gives reasons for
+        flags = {c: set(keys) | set(C.SHARED_KEYS) for c, (_, keys) in C.COMMANDS.items()}
+        file_only = {c: keys - flags[c] for c, keys in reads.items()}
+        assert file_only == {c: set() for c in C.COMMANDS}
+        ignored = {c: flags[c] - keys for c, keys in reads.items() if flags[c] - keys}
+        assert ignored == {"train": {"threads"}, "evaluate": {"seed", "threads"}}
 
 
 HOLDOUT_DAYS = ["2021-06-09", "2021-06-10", "2021-06-11", "2021-06-12"]
@@ -221,8 +235,7 @@ def pipeline(tmp_path_factory):
          "--max-epochs", "4", "--patience", "2", "--folds", "2", "--fire-buffer", "train",
          *common],
         ["evaluate", "--data", ds, "--out", run, run / "best.unc", *common],
-        ["predict", "--data", ds, "--out", run, run / "best.unc", *HOLDOUT_DAYS, "--render",
-         *common],
+        ["predict", "--data", ds, "--out", run, run / "best.unc", *HOLDOUT_DAYS, "--render"],
     ]
     for step in steps:
         proc = run_cli(*step)
@@ -627,7 +640,7 @@ class TestDeterminism:
         days = HOLDOUT_DAYS
         for out, threads in [("t1", "1"), ("t2", "2")]:
             proc = run_cli("predict", "--data", ds, "--out", tmp_path / out, run / "best.unc",
-                           *days, "--seed", "3", "--threads", threads)
+                           *days, "--threads", threads)
             assert proc.returncode == 0, proc.stderr
         masks = sorted(p.name for p in (tmp_path / "t1").glob("pred_*.msk"))
         assert masks == [f"pred_{day}.msk" for day in days]
@@ -952,10 +965,12 @@ class TestFlipSweep:
 class TestErrorContract:
     @pytest.mark.parametrize("args, message", [
         (["train", "--folds", "x"], "argument --folds: invalid int value: 'x'"),
-        (["train", "--grouping", "by-day"], "unrecognized arguments: --grouping by-day"),
+        (["prepare", "--threshold", "0.5"], "unrecognized arguments: --threshold 0.5"),
         ([], "the following arguments are required: command"),
         (["train", "--fire-buffer", "bogus"], "unknown fire_buffer mode 'bogus'"),
-    ], ids=["bad-value", "unknown-flag", "no-command", "bad-choice"])
+        (["generate"], "unrecognized arguments: --data "),
+        (["predict", "best.unc", HOLDOUT_DAYS[0], "--seed", "1"], "unrecognized arguments: --seed 1"),
+    ], ids=["bad-value", "unknown-flag", "no-command", "bad-choice", "generate-data", "predict-seed"])
     def test_usage_error_is_one_line(self, pipeline, tmp_path, args, message):
         ds, _ = pipeline
         dirs = ["--data", ds, "--out", tmp_path / "run"] if args else []
@@ -1235,6 +1250,34 @@ class TestErrorContract:
         assert proc.stderr.splitlines() == [f"error: {bad}: {message}"]
         assert list(out.glob("pred_*")) == []
 
+    @pytest.mark.parametrize("spoil", ["truncated-stack", "renamed-stack", "mask-off-grid"])
+    def test_train_refuses_a_bad_last_day_before_reading_any(self, pipeline, tmp_path, monkeypatch,
+                                                             spoil):
+        # train checks the headers of every day its manifest names before it
+        # reads the payload of the first
+        ds, _ = pipeline
+        data = tmp_path / "ds"
+        shutil.copytree(ds, data)
+        days = sorted({spec.day_id for spec in F.read_manifest(data / "train_val_tiles.csv").specs})
+        (first, _), (stack, mask) = (F.day_paths(data / "prepared", day) for day in (days[0], days[-1]))
+        if spoil == "truncated-stack":
+            stack.write_bytes(stack.read_bytes()[:-1])
+            message = f"{stack}: truncated file while reading float payload"
+        elif spoil == "renamed-stack":
+            names, features = F.read_stack(stack)
+            F.write_stack(stack, [names[0] + "x", *names[1:]], features)
+            message = f"{stack}: channel names differ from those of {first}"
+        else:
+            F.write_mask(mask, np.zeros((64, 32), np.uint8))
+            message = f"{mask}: mask (64, 32) does not match feature grid (64, 64)"
+        reads = []
+        read_day = F.read_day
+        monkeypatch.setattr(F, "read_day", lambda *a: reads.append(a) or read_day(*a))
+        out = tmp_path / "run"
+        assert _main_quietly(["train", "--data", data, "--out", out, "--init-features", 2,
+                              "--max-epochs", 2, "--patience", 1, "--folds", 2]) == (1, [f"error: {message}"])
+        assert reads == [] and list(out.glob("*")) == []
+
     def test_predict_refuses_a_day_named_twice_before_writing(self, pipeline, tmp_path):
         ds, run = pipeline
         proc = run_cli("predict", "--data", ds, "--out", tmp_path, run / "best.unc",
@@ -1380,7 +1423,9 @@ class TestErrorContract:
         (["--folds", "40"], "fire-bearing by-tile groups for k=40 folds"),
         (["--init-features", "0"], "init_features must be at least 1"),
         (["--tr", "-3"], "config key tr=-3.0: the tile ratio must be finite and non-negative"),
-    ], ids=["folds", "init-features", "tr"])
+        (["--grouping", "bogus"], "unknown grouping 'bogus'"),
+        (["--threshold", "2"], "threshold must be a probability"),
+    ], ids=["folds", "init-features", "tr", "grouping", "threshold"])
     def test_bad_training_settings_fail_before_any_day_is_read(self, pipeline, tmp_path, monkeypatch,
                                                                setting, message):
         ds, _ = pipeline

@@ -199,6 +199,16 @@ class TestCheckDay:
         with pytest.raises(F.FormatError, match="non-finite"):
             F.read_day(tmp_path, date(2021, 6, 1))
 
+    def test_read_day_names_a_mask_off_its_stacks_grid(self, tmp_path):
+        # 32x128 pixels are as many bytes as the stack's 64x64 grid: only the grids differ
+        day = D.GridDay(date(2021, 6, 1), np.zeros((2, 64, 64), np.float32), np.zeros((64, 64), np.uint8))
+        F.write_day(tmp_path, day, ["a", "b"])
+        _, mask = F.day_paths(tmp_path, day.day_id)
+        F.write_mask(mask, np.zeros((32, 128), np.uint8))
+        with pytest.raises(F.FormatError) as caught:
+            F.read_day(tmp_path, day.day_id)
+        assert str(caught.value) == f"{mask}: mask (32, 128) does not match feature grid (64, 64)"
+
     def test_read_day_scans_the_features_once(self, tmp_path, monkeypatch):
         self.write(tmp_path)
         scanned = []

@@ -70,19 +70,17 @@ def _pipeline(root: Path, cfg: dict, threads: int) -> str | None:
     """Run the five commands into root/ds and root/run; the refusal's kind, or None."""
     ds, run = root / "ds", root / "run"
     root.mkdir()
-    # train takes these two keys from a config file only
-    (root / "train.cfg").write_text(f"grouping={cfg['grouping']}\nthreshold={cfg['threshold']!r}\n")
     shared = ["--seed", cfg["seed"], "--threads", threads]
     net = [run / "best.unc", "--threshold", repr(cfg["threshold"])]
     steps = [
         ["generate", "--out", ds, *shared, *_flags(cfg, "height", "width", "days", "holdout_days",
          "numeric_channels", "categories", "target_fire_rate", "water_fraction", "blur_radius")],
         ["prepare", "--data", ds, "--out", ds, *shared, *_flags(cfg, "tr")],
-        ["train", "--config", root / "train.cfg", "--data", ds, "--out", run, *shared,
-         "--max-epochs", 2, "--patience", 1, *_flags(cfg, "tr", "fire_buffer", "buffer_radius",
-         "init_features", "folds", "es_metric", "batch_size")],
+        ["train", "--data", ds, "--out", run, *shared, "--max-epochs", 2, "--patience", 1,
+         *_flags(cfg, "tr", "fire_buffer", "buffer_radius", "init_features", "folds", "es_metric",
+         "batch_size", "grouping", "threshold")],
         ["evaluate", "--data", ds, "--out", run, *shared, *net],
-        ["predict", "--data", ds, "--out", run, *shared, *net, "--render"],
+        ["predict", "--data", ds, "--out", run, "--threads", threads, *net, "--render"],
     ]
     for step in steps:
         if step[0] == "predict":
@@ -100,7 +98,7 @@ def _pipeline(root: Path, cfg: dict, threads: int) -> str | None:
 
 def _tree(root: Path) -> dict[str, bytes]:
     return {p.relative_to(root).as_posix(): p.read_bytes()
-            for p in sorted(root.rglob("*")) if p.is_file() and p.name != "train.cfg"}
+            for p in sorted(root.rglob("*")) if p.is_file()}
 
 
 @PIPELINES
