@@ -422,9 +422,9 @@ def cmd_predict(cfg: dict, checkpoint: Path, day_args: list[str], render: bool) 
     data, out = _data_and_out(cfg)
     params = F.read_checkpoint(_require_file(checkpoint, "checkpoint"))
     try:
-        day_ids = [date.fromisoformat(s) for s in day_args]
+        day_ids = [date.fromisoformat(arg := s) for s in day_args]
     except ValueError as exc:
-        raise CliError(f"invalid day id: {exc}") from exc
+        raise CliError(f"invalid day id {arg!r}: {exc}") from exc
     if len(set(day_ids)) != len(day_ids):
         raise CliError(f"day {next(d for d in day_ids if day_ids.count(d) > 1)} is named twice")
     days = _Days(data, "prepared", day_ids, checkpoint=(checkpoint, params.config.in_channels))

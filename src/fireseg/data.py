@@ -65,10 +65,6 @@ class FeatureSchema:
         if len(set(names)) != len(names):
             raise ValueError("channel names must be unique")
 
-    @property
-    def raw_count(self) -> int:
-        return len(self.channels)
-
     def encoded_names(self) -> list[str]:
         out: list[str] = []
         for ch in self.channels:
@@ -81,13 +77,6 @@ class FeatureSchema:
     @property
     def encoded_count(self) -> int:
         return len(self.encoded_names())
-
-    def check_channels(self, day: GridDay) -> None:
-        """Raise ShapeError unless day holds one raster channel per schema channel."""
-        if day.features.shape[0] != self.raw_count:
-            raise ShapeError(
-                f"day {day.day_id} has {day.features.shape[0]} channels, schema declares {self.raw_count}"
-            )
 
 
 class NonFiniteError(ValueError):
@@ -103,8 +92,6 @@ class GridDay:
     mask: np.ndarray
 
     def __post_init__(self):
-        if self.features.ndim != 3:
-            raise ShapeError(f"features must be [C,H,W], got {self.features.shape}")
         if self.features.dtype != np.float32:
             raise ValueError(f"features must be float32, got {self.features.dtype}")
         # a plane at a time: a mask of the whole stack would hold a quarter of its bytes
@@ -136,8 +123,6 @@ class ScalingParams:
     maxs: tuple[float, ...]
 
     def __post_init__(self):
-        if not len(self.indices) == len(self.names) == len(self.mins) == len(self.maxs):
-            raise ValueError("scaling parameter fields must align")
         for name, lo, hi in zip(self.names, self.mins, self.maxs):
             if hi < lo:
                 raise ValueError(f"channel {name!r}: max {hi} < min {lo}")
@@ -159,7 +144,6 @@ def fit_scaling(days: Iterable[GridDay], schema: FeatureSchema) -> ScalingParams
     maxs = np.full(len(idx), -np.inf)
     count = 0
     for count, day in enumerate(days, 1):
-        schema.check_channels(day)
         land = day.mask != WATER
         # a day without land leaves both bounds as they are
         planes = [day.features[i] for i in idx]
@@ -198,7 +182,6 @@ def one_hot_encode(day: GridDay, schema: FeatureSchema) -> tuple[GridDay, int]:
     codes outside that range (unseen at fit time) produce an all-zero row.
     Returns the encoded day and the number of unknown-category pixels.
     """
-    schema.check_channels(day)
     out: list[np.ndarray] = []
     unknown = 0
     for i, ch in enumerate(schema.channels):
@@ -320,8 +303,6 @@ def apply_fire_buffer(mask: np.ndarray, radius: int) -> np.ndarray:
     with the same radius gives the same result). Rows, then columns, are
     dilated, each up to its length - 1, the farthest any two pixels lie apart.
     """
-    if radius < 0:
-        raise ValueError(f"buffer radius must be non-negative, got {radius}")
     if mask.ndim < 2:
         raise ShapeError(f"mask must be [..., H, W], got shape {mask.shape}")
     reach = mask == FIRE
@@ -346,11 +327,6 @@ def kfold_split(
     first so every fold sees fire; if that is impossible the split errors
     and suggests lowering k.
     """
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    if grouping not in GROUPINGS:
-        raise ValueError(f"unknown grouping {grouping!r}")
-
     if grouping == "by-tile":
         groups = [(spec,) for spec in tileset.specs]
     else:
@@ -397,8 +373,6 @@ def materialize_batch(
     day is looked up once, in the order of its first spec, and dropped once
     its tiles are cut, so `days` may read a day from disk when it is looked up.
     """
-    if not specs:
-        raise ValueError("cannot materialize an empty batch")
     by_day: dict[date, list[int]] = {}
     for n, spec in enumerate(specs):
         by_day.setdefault(spec.day_id, []).append(n)
@@ -414,8 +388,6 @@ def materialize_batch(
             r, c = specs[n].row_off, specs[n].col_off
             rows = min(TILE_SIDE, day.height - r)
             cols = min(TILE_SIDE, day.width - c)
-            if rows <= 0 or cols <= 0:
-                raise ShapeError(f"tile at ({r},{c}) lies outside day {day_id} raster")
             feats[n, :, :rows, :cols] = day.features[:, r : r + rows, c : c + cols]
             masks[n, :rows, :cols] = day.mask[r : r + rows, c : c + cols]
         del day  # a day read on lookup is dropped before the next is read

@@ -152,8 +152,6 @@ def _read_array(f, shape: tuple[int, ...], dtype: str, what: str) -> np.ndarray:
 
 
 def write_stack(path: Path, names: list[str], features: np.ndarray) -> None:
-    if features.ndim != 3 or features.shape[0] != len(names):
-        raise FormatError(f"stack shape {features.shape} does not match {len(names)} channel names")
     parts = [MAGIC_STACK, struct.pack("<III", *features.shape)]
     for name in names:
         raw = name.encode("utf-8")
@@ -198,8 +196,6 @@ def read_stack(path: Path) -> tuple[list[str], np.ndarray]:
 
 
 def write_mask(path: Path, mask: np.ndarray) -> None:
-    if mask.ndim != 2:
-        raise FormatError(f"mask must be 2-d, got shape {mask.shape}")
     if mask.size and (mask.min() < 0 or mask.max() > 2):
         raise FormatError("mask values must be in {0,1,2}")
     atomic_write_bytes(path, MAGIC_MASK + struct.pack("<II", *mask.shape), _payload(mask, "u1"))
@@ -563,9 +559,6 @@ def metric_row(prefix: list, values: tuple[float, ...]) -> list[str]:
 
 
 def write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
-    for row in rows:
-        if len(row) != len(header):
-            raise FormatError(f"row width {len(row)} != header width {len(header)}")
     lines = [",".join(row) for row in [header, *rows]]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
@@ -591,8 +584,6 @@ def render_panels(truth: np.ndarray, pred: np.ndarray) -> np.ndarray:
 
 
 def write_ppm(path: Path, rgb: np.ndarray) -> None:
-    if rgb.ndim != 3 or rgb.shape[2] != 3 or rgb.dtype != np.uint8:
-        raise FormatError(f"expected [H,W,3] uint8 image, got {rgb.shape} {rgb.dtype}")
     h, w = rgb.shape[:2]
     atomic_write_bytes(path, f"P6\n{w} {h}\n255\n".encode("ascii"), _payload(rgb, "u1"))
 

@@ -64,8 +64,6 @@ class ConvKernel:
     bias: np.ndarray
 
     def __post_init__(self):
-        if self.weights.ndim != 4:
-            raise ShapeError(f"weights must be 4-d [out,in,kh,kw], got {self.weights.shape}")
         if self.bias.shape != (self.weights.shape[0],):
             raise ShapeError(
                 f"bias shape {self.bias.shape} does not match out_channels {self.weights.shape[0]}"
@@ -247,10 +245,6 @@ def conv_transpose2d_backward(
     _require_conv_input(x, k)
     n, ci, h, w = x.shape
     co = k.out_channels
-    if grad_out.shape != (n, co, 2 * h, 2 * w):
-        raise ShapeError(
-            f"grad_output shape {grad_out.shape} does not match forward output {(n, co, 2*h, 2*w)}"
-        )
     dtype = np.result_type(x, k.weights)
     # g[(image, y, x), (a, b, o)] = grad_out[image, o, 2y + a, 2x + b], the forward's t
     g = _nhwc(grad_out, dtype=dtype).reshape(n, h, 2, w, 2 * co).transpose(0, 1, 3, 2, 4)
@@ -293,8 +287,6 @@ def maxpool2x2_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def maxpool2x2_backward(idx: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     """Route each pooled gradient back to its argmax source position."""
-    if idx.shape != grad_out.shape:
-        raise ShapeError(f"argmax indices {idx.shape} do not match grad_output {grad_out.shape}")
     n, c, oh, ow = grad_out.shape
     out = np.empty((n, 2 * oh, 2 * ow, c), grad_out.dtype)
     idx, grad_out = _nhwc(idx), _nhwc(grad_out)
@@ -311,8 +303,6 @@ def relu_forward(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     """Pass gradient where x > 0, subgradient 0 at exactly 0. x may be the ReLU's
     input or its output: x > 0 is the same mask on both, -0.0 and NaN included."""
-    if x.shape != grad_out.shape:
-        raise ShapeError(f"input {x.shape} and grad_output {grad_out.shape} differ")
     # a bit select, the bits of np.where(x > 0, grad_out, 0): AND with all ones or with 0
     word = np.dtype(f"i{grad_out.itemsize}")
     return (grad_out.view(word) & -(x > 0).astype(word)).view(grad_out.dtype)
@@ -332,8 +322,6 @@ def concat_channels(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def split_channels(grad_out: np.ndarray, ca: int) -> tuple[np.ndarray, np.ndarray]:
     """Backward of concat_channels: two views of grad split at the first input's channels."""
-    if not 0 <= ca <= grad_out.shape[1]:
-        raise ShapeError(f"split point {ca} outside channel axis of size {grad_out.shape[1]}")
     return grad_out[:, :ca], grad_out[:, ca:]
 
 

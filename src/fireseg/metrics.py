@@ -25,10 +25,6 @@ class ConfusionCounts:
     tn: int = 0
     fp: int = 0
 
-    def __post_init__(self):
-        if min(self.tp, self.fn, self.tn, self.fp) < 0:
-            raise ValueError("confusion counts must be non-negative")
-
     def __add__(self, other: "ConfusionCounts") -> "ConfusionCounts":
         return ConfusionCounts(
             self.tp + other.tp, self.fn + other.fn, self.tn + other.tn, self.fp + other.fp

@@ -537,8 +537,6 @@ def bayes_reference(days: list[GridDay], rule: PlantedRule) -> list[ReferencePoi
         point = ReferencePoint.of(sum(pooled, ConfusionCounts()), tau=tau)
         if point is not None:
             out.append(point)
-    if not out:
-        raise ValueError("reference evaluation degenerate: no defined operating points")
     return out
 
 

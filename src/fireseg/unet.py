@@ -35,7 +35,6 @@ import numpy as np
 from .kernels import (
     ConfigError,
     ConvKernel,
-    ShapeError,
     channels_last,
     concat_channels,
     conv2d_backward,
@@ -63,8 +62,6 @@ class UNetConfig:
     def __post_init__(self):
         if self.in_channels < 1 or self.init_features < 1:
             raise ConfigError("in_channels and init_features must be >= 1")
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError("seed must fit in an unsigned 64-bit integer")
 
 
 def layer_shapes(config: UNetConfig) -> list[tuple[str, tuple[int, ...], tuple[int, ...]]]:
@@ -97,19 +94,6 @@ class UNetParams:
     config: UNetConfig
     kernels: dict[str, ConvKernel]
 
-    def __post_init__(self):
-        expected = layer_shapes(self.config)
-        names = [name for name, _, _ in expected]
-        if list(self.kernels) != names:
-            raise ShapeError("kernel inventory does not match the architecture layer list")
-        for name, wshape, bshape in expected:
-            k = self.kernels[name]
-            if k.weights.shape != wshape or k.bias.shape != bshape:
-                raise ShapeError(
-                    f"layer {name}: got weights {k.weights.shape} bias {k.bias.shape}, "
-                    f"expected {wshape} / {bshape}"
-                )
-
     def tensors(self) -> list[np.ndarray]:
         """Flat [w1, b1, w2, b2, ...] view in topology order (Adam/checkpoint order)."""
         return [t for k in self.kernels.values() for t in (k.weights, k.bias)]
@@ -118,8 +102,6 @@ class UNetParams:
     def from_tensors(cls, config: UNetConfig, tensors: list[np.ndarray]) -> "UNetParams":
         """Pair flat [w1, b1, w2, b2, ...] tensors with config's layers, in topology order."""
         names = [name for name, _, _ in layer_shapes(config)]
-        if len(tensors) != 2 * len(names):
-            raise ShapeError(f"expected {2 * len(names)} tensors, got {len(tensors)}")
         pairs = zip(names, tensors[::2], tensors[1::2])
         return cls(config, {name: ConvKernel(w, b) for name, w, b in pairs})
 
@@ -231,9 +213,5 @@ def backward(params: UNetParams, cache: dict, grad_logits: np.ndarray) -> list[n
 
 def predict_mask(logits: np.ndarray, threshold: float) -> np.ndarray:
     """Per-pixel labels: fire (1) where softmax fire-probability >= threshold."""
-    if logits.ndim != 4 or logits.shape[1] != 2:
-        raise ShapeError(f"logits must be [N,2,H,W], got {logits.shape}")
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold must be a probability, got {threshold}")
     fire_prob = softmax2(logits)[:, 1]
     return (fire_prob >= threshold).astype(np.uint8)

@@ -962,7 +962,99 @@ class TestFlipSweep:
         # so a manifest that took a flip would be trained or scored on silently
         assert not {key for key in accepted if key[1].endswith("_tiles.csv")}, accepted
 
+_GENERATE = ["generate", "--days", 2, "--holdout-days", 1, "--height", 64, "--width", 64]
+
+
+def _sampled_as_holdout(ds, run, tmp_path):
+    data = tmp_path / "ds"
+    data.mkdir()
+    shutil.copy(ds / "train_val_tiles.csv", data / "holdout_tiles.csv")
+    return (["evaluate", "--data", data, run / "best.unc"],
+            f"{data / 'holdout_tiles.csv'}: manifest carries sampled provenance, not holdout", [])
+
+
+def _holdout_without_fire(ds, run, tmp_path):
+    # every fire pixel of the holdout days relabelled no-fire, the manifest re-tiled to match
+    data = tmp_path / "ds"
+    shutil.copytree(ds, data)
+    days = []
+    for day_id in HOLDOUT_DAYS:
+        day = F.read_day(data / "prepared", date.fromisoformat(day_id))[0]
+        F.write_mask(data / "prepared" / f"{day_id}.msk", np.where(day.mask == D.FIRE, D.NO_FIRE, day.mask))
+        days.append(F.read_day(data / "prepared", day.day_id)[0])
+    F.write_manifest(data / "holdout_tiles.csv", D.holdout_tileset(days))
+    # scores undefined after the last day: its masks stay, as the README says, and no record
+    return (["evaluate", "--data", data, run / "best.unc"],
+            "holdout metrics undefined (a class is absent from the holdout days)",
+            [f"pred_{day_id}.msk" for day_id in HOLDOUT_DAYS])
+
+
+def _schema_edited(edit, message):
+    """A refusal case: prepare on a data directory whose schema.json channels took edit;
+    message is formatted with the edited channel entries."""
+    def case(ds, run, tmp_path):
+        data = tmp_path / "ds"
+        data.mkdir()
+        doc = json.loads((ds / "schema.json").read_text())
+        edit(doc["channels"])
+        (data / "schema.json").write_text(json.dumps(doc))
+        reason = message.format(*doc["channels"])
+        return (["prepare", "--data", data],
+                f"{data / 'schema.json'}: unexpected content (ValueError: {reason})", [])
+    return case
+
+
+def _raw_stack_short_of_a_channel(ds, run, tmp_path):
+    # the channel-name rule refuses another channel count too, before scaling reads a day
+    data = tmp_path / "ds"
+    shutil.copytree(ds / "raw", data / "raw")
+    for name in ("schema.json", "splits.json"):
+        shutil.copy(ds / name, data)
+    stack = data / "raw" / f"{HOLDOUT_DAYS[-1]}.fsk"
+    names, features = F.read_stack(stack)
+    F.write_stack(stack, names[:-1], features[:-1])
+    return (["prepare", "--data", data, "--tr", 2],
+            f"{stack}: channel names differ from those of {data / 'schema.json'}", [])
+
+
+# every refusal a user can reach that no other in-process test runs: (ds, run, tmp_path) ->
+# (the command's arguments but --out, its one error line, the files it leaves under --out)
+REFUSALS = {
+    "bad-value": lambda ds, *_: (["train", "--data", ds, "--folds", "x"],
+                                 "argument --folds: invalid int value: 'x'", []),
+    "categories": lambda *_: ([*_GENERATE, "--categories", 1], "need >= 2 categories and >= 1 day", []),
+    "water-fraction": lambda *_: ([*_GENERATE, "--water-fraction", 0.95],
+                                  "water_fraction must lie in [0, 0.9)", []),
+    "holdout-days": lambda *_: ([*_GENERATE, "--holdout-days", 0],
+                                "need at least 1 train-val and 1 holdout day, got 2 and 0", []),
+    "seed": lambda ds, *_: (["prepare", "--data", ds, "--seed", -1],
+                            "config key seed=-1: must be at least 0", []),
+    "threads": lambda ds, run, _: (["predict", "--data", ds, "--threads", 0, run / "best.unc",
+                                    HOLDOUT_DAYS[0]], "config key threads=0: must be at least 1", []),
+    "fire-buffer": lambda ds, *_: (["train", "--data", ds, "--fire-buffer", "bogus"],
+                                   "unknown fire_buffer mode 'bogus'", []),
+    "day-id": lambda ds, run, _: (["predict", "--data", ds, run / "best.unc", "2021-13-01"],
+                                  "invalid day id '2021-13-01': month must be in 1..12", []),
+    "day-named-twice": lambda ds, run, _: (["predict", "--data", ds, run / "best.unc", *HOLDOUT_DAYS[:2],
+                                            HOLDOUT_DAYS[0]], f"day {HOLDOUT_DAYS[0]} is named twice", []),
+    "numeric-categories": _schema_edited(lambda channels: channels[0].update(categories=["a"]),
+                                         "numeric channel {0[name]!r} must not declare categories"),
+    "names-twice": _schema_edited(lambda channels: channels[1].update(name=channels[0]["name"]),
+                                  "channel names must be unique"),
+    "raw-stack-short": _raw_stack_short_of_a_channel,
+    "sampled-manifest": _sampled_as_holdout,
+    "holdout-undefined": _holdout_without_fire,
+}
+
+
 class TestErrorContract:
+    @pytest.mark.parametrize("case", REFUSALS)
+    def test_a_refusal_is_one_line_naming_its_input(self, pipeline, tmp_path, case):
+        (command, *rest), error, left = REFUSALS[case](*pipeline, tmp_path)
+        out = tmp_path / "run"
+        assert _main_quietly([command, "--out", out, *rest]) == (1, [f"error: {error}"])
+        assert sorted(path.name for path in out.rglob("*")) == left
+
     @pytest.mark.parametrize("args, message", [
         (["train", "--folds", "x"], "argument --folds: invalid int value: 'x'"),
         (["prepare", "--threshold", "0.5"], "unrecognized arguments: --threshold 0.5"),
@@ -989,14 +1081,6 @@ class TestErrorContract:
         [error] = proc.stderr.splitlines()
         assert error.startswith(f"error: config key tr={float(tr)}: ")
         assert not (out / "scaling.json").exists() and not (out / "prepared").exists()
-
-    def test_negative_seed_is_refused_before_writing(self, pipeline, tmp_path):
-        ds, _ = pipeline
-        out = tmp_path / "prepared_ds"
-        proc = run_cli("prepare", "--data", ds, "--out", out, "--seed", "-2")
-        assert proc.returncode == 1
-        assert proc.stderr.splitlines() == ["error: config key seed=-2: must be at least 0"]
-        assert not out.exists()
 
     @pytest.mark.parametrize("threads", ["0", "-4"])
     def test_thread_count_below_one_is_refused_before_writing(self, tmp_path, threads):
@@ -1108,11 +1192,8 @@ class TestErrorContract:
         assert not (data / "scaling.json").exists()
 
     def test_missing_data_dir_is_one_line_error(self, tmp_path):
-        proc = run_cli("prepare", "--data", tmp_path / "nope", "--out", tmp_path)
-        assert proc.returncode == 1
-        errors = proc.stderr.strip().splitlines()
-        assert len(errors) == 1
-        assert errors[0].startswith("error: ")
+        assert _main_quietly(["prepare", "--data", tmp_path / "nope", "--out", tmp_path]) == (
+            1, [f"error: data directory {tmp_path / 'nope'} does not exist"])
 
     def test_missing_checkpoint(self, tmp_path):
         proc = run_cli("evaluate", "--data", tmp_path, "--out", tmp_path, tmp_path / "x.unc")
@@ -1174,10 +1255,9 @@ class TestErrorContract:
         raw = bytearray((run / "best.unc").read_bytes())
         raw[-4:] = struct.pack("<f", float("nan"))  # the last value of the last tensor
         bad.write_bytes(bytes(raw))
-        proc = run_cli("evaluate", "--data", ds, "--out", tmp_path, bad)
-        assert proc.returncode == 1
-        [error] = proc.stderr.splitlines()
-        assert error.startswith(f"error: {bad}: tensor ") and "non-finite" in error
+        code, err = _main_quietly(["evaluate", "--data", ds, "--out", tmp_path, bad])
+        assert code == 1 and len(err) == 1
+        assert err[0].startswith(f"error: {bad}: tensor ") and "non-finite" in err[0]
         assert not (tmp_path / "holdout.csv").exists()
 
     @pytest.mark.parametrize("days, holdout_days", [(6, -2), (6, 0), (-2, 6), (0, 2)])
@@ -1278,14 +1358,6 @@ class TestErrorContract:
                               "--max-epochs", 2, "--patience", 1, "--folds", 2]) == (1, [f"error: {message}"])
         assert reads == [] and list(out.glob("*")) == []
 
-    def test_predict_refuses_a_day_named_twice_before_writing(self, pipeline, tmp_path):
-        ds, run = pipeline
-        proc = run_cli("predict", "--data", ds, "--out", tmp_path, run / "best.unc",
-                       HOLDOUT_DAYS[0], HOLDOUT_DAYS[1], HOLDOUT_DAYS[0])
-        assert proc.returncode == 1
-        assert proc.stderr.splitlines() == [f"error: day {HOLDOUT_DAYS[0]} is named twice"]
-        assert list(tmp_path.glob("pred_*")) == []
-
     def test_a_checkpoint_under_a_comma_path_scores_to_the_same_bytes(self, pipeline, tmp_path):
         # no output names a path, so where the checkpoint lives changes no byte
         ds, run = pipeline
@@ -1296,11 +1368,17 @@ class TestErrorContract:
         for name in ["holdout.csv", "evaluate.json"]:
             assert (out / name).read_bytes() == (run / name).read_bytes(), name
 
-    def test_invalid_day_id(self, tmp_path):
-        proc = run_cli("predict", "--data", tmp_path, "--out", tmp_path,
-                       tmp_path / "x.unc", "not-a-date")
-        assert proc.returncode == 1
-        assert proc.stderr.startswith("error: ")
+    def test_invalid_day_id(self, pipeline, tmp_path):
+        # a real checkpoint, so the day ids are what predict refuses
+        ds, run = pipeline
+        out = tmp_path / "run"
+        for arg, reason in [("not-a-date", "Invalid isoformat string"),
+                            ("2021-13-01", "month must be in 1..12")]:
+            code, err = _main_quietly(["predict", "--data", ds, "--out", out, run / "best.unc",
+                                       HOLDOUT_DAYS[0], arg])
+            assert code == 1 and len(err) == 1, err
+            assert err[0].startswith(f"error: invalid day id '{arg}': ") and reason in err[0]
+        assert list(out.glob("*")) == []
 
     def test_evaluate_refuses_a_holdout_day_its_manifest_leaves_out(self, pipeline, tmp_path, capsys):
         # evaluate scores every holdout day of splits.json, not only the days
@@ -1425,7 +1503,10 @@ class TestErrorContract:
         (["--tr", "-3"], "config key tr=-3.0: the tile ratio must be finite and non-negative"),
         (["--grouping", "bogus"], "unknown grouping 'bogus'"),
         (["--threshold", "2"], "threshold must be a probability"),
-    ], ids=["folds", "init-features", "tr", "grouping", "threshold"])
+        # kfold_split and apply_fire_buffer take these values only through TrainConfig
+        (["--folds", "1"], "need at least 2 folds"),
+        (["--buffer-radius", "-1"], "invalid lr / batch_size / buffer_radius"),
+    ], ids=["folds", "init-features", "tr", "grouping", "threshold", "one-fold", "buffer-radius"])
     def test_bad_training_settings_fail_before_any_day_is_read(self, pipeline, tmp_path, monkeypatch,
                                                                setting, message):
         ds, _ = pipeline

@@ -55,6 +55,13 @@ class TestStackFormat:
         with pytest.raises(F.FormatError, match="magic"):
             F.read_stack(path)
 
+    def test_a_file_that_shrank_since_its_size_check_is_refused(self, tmp_path):
+        # a reader checks the payload size first; a file cut after that check still fails
+        path = tmp_path / "x.fsk"
+        path.write_bytes(bytes(7))
+        with open(path, "rb") as f, pytest.raises(F.FormatError, match="truncated file while reading x"):
+            F._read_array(f, (2,), "<f4", "x")
+
     def test_truncation_rejected(self, tmp_path):
         path = tmp_path / "x.fsk"
         F.write_stack(path, ["a"], np.zeros((1, 4, 4), np.float32))

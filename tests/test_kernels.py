@@ -769,6 +769,16 @@ class TestWeightedCELoss:
         with pytest.raises(ValueError):
             K.weighted_ce_loss(np.zeros((1, 2, 1, 1)), np.zeros((1, 1, 1), np.uint8), (0.0, 1.0))
 
+    @pytest.mark.parametrize("logits, target, error, message", [
+        ((1, 3, 2, 2), np.zeros((1, 2, 2), np.uint8), K.ShapeError, "2 class channels, got 3"),
+        ((1, 2, 2, 2), np.zeros((1, 2, 3), np.uint8), K.ShapeError, r"target shape \(1, 2, 3\)"),
+        ((1, 2, 2, 2), np.full((1, 2, 2), 3, np.uint8), ValueError, "labels must be in"),
+        ((1, 2, 2, 2), np.full((1, 2, 2), -1, np.int64), ValueError, "labels must be in"),
+    ], ids=["three-classes", "target-grid", "label-3", "label-minus-1"])
+    def test_rejects_logits_and_targets_that_do_not_pair(self, logits, target, error, message):
+        with pytest.raises(error, match=message):
+            K.weighted_ce_loss(np.zeros(logits), target, (1.0, 1.0))
+
 
 class TestAdam:
     def test_first_step_hand_computation(self):
@@ -809,3 +819,12 @@ class TestAdam:
         p = [np.zeros(2)]
         with pytest.raises(K.ShapeError):
             K.adam_step(p, [np.zeros(3)], AdamState.zeros_like(p), lr=0.1, t=1)
+
+    @pytest.mark.parametrize("grads, t, error, message", [
+        ([np.zeros(2), np.zeros(3)], 0, ValueError, "t must be >= 1"),
+        ([np.zeros(2)], 1, K.ShapeError, "lengths differ"),
+    ], ids=["step-0", "one-gradient-short"])
+    def test_rejects_a_step_count_or_gradient_list_that_does_not_fit(self, grads, t, error, message):
+        p = [np.zeros(2), np.zeros(3)]
+        with pytest.raises(error, match=message):
+            K.adam_step(p, grads, AdamState.zeros_like(p), lr=0.1, t=t)

@@ -113,8 +113,8 @@ class TestGeneration:
 
     def test_schema_matches_stack_layout(self, full_dataset):
         cfg, days, schema, _ = full_dataset
-        assert schema.raw_count == cfg.numeric_channels + 1
-        assert days[0].features.shape[0] == schema.raw_count
+        assert len(schema.channels) == cfg.numeric_channels + 1
+        assert days[0].features.shape[0] == len(schema.channels)
         kinds = [ch.kind for ch in schema.channels]
         assert kinds.count(D.CATEGORICAL) == 1
         assert schema.encoded_count == cfg.numeric_channels + cfg.categories

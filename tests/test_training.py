@@ -186,6 +186,14 @@ class TestTrainFold:
             T.train_fold(feats, masks, rows[: len(train)], rows[len(train) :], tiny_config(),
                          fold_index=7)
 
+    def test_validation_without_no_fire_errors_with_fold_and_epoch(self, tiny_setup):
+        # a validation fold whose every land pixel is fire has no specificity
+        store, tileset, _ = tiny_setup
+        feats, masks, folds = fold_arrays(store, tileset)
+        masks[folds[0]] = np.where(masks[folds[0]] == D.WATER, D.WATER, D.FIRE)
+        with pytest.raises(ValueError, match="^fold 3: validation metrics undefined at epoch 1$"):
+            T.train_fold(feats, masks, folds[1], folds[0], tiny_config(), fold_index=3)
+
     def test_diverged_parameters_stop_the_fold(self, tiny_setup):
         store, tileset, _ = tiny_setup
         feats, masks, folds = fold_arrays(store, tileset)
