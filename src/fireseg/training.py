@@ -15,7 +15,7 @@ scores every land tile of the holdout days.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import date
 
 import numpy as np
@@ -99,25 +99,26 @@ class FoldResult:
         return self.trace[-1].epoch
 
 
-def stopping_point(scores: Sequence[float], patience: int) -> tuple[int, bool]:
+def stopping_point(scores: Sequence[float], patience: int, max_epochs: int) -> tuple[int, bool]:
     """(best epoch, stop) for the monitored scores of the epochs run so far.
 
     The best epoch is the earliest maximum, 1-based, so a tie is no
-    improvement. Training stops once `patience` epochs have passed since it.
+    improvement. Training stops once `patience` epochs have passed since it,
+    or after `max_epochs`; Fold.settle and run_stopping_rule both call it.
     """
     best_epoch = 1 + int(np.argmax(scores))
-    return best_epoch, len(scores) - best_epoch >= patience
+    return best_epoch, len(scores) - best_epoch >= patience or len(scores) >= max_epochs
 
 
 def run_stopping_rule(trace: list[float], patience: int, max_epochs: int) -> tuple[int, int]:
     """Replay stopping_point over a recorded metric trace, epoch by epoch.
 
     Returns (epochs run, selected epoch), both 1-based: what train_fold
-    does with the same scores.
+    does with the same scores (max_epochs >= 1, as TrainConfig holds it).
     """
     run = best = 0
-    for run in range(1, min(len(trace), max_epochs) + 1):
-        best, stop = stopping_point(trace[:run], patience)
+    for run in range(1, len(trace) + 1):
+        best, stop = stopping_point(trace[:run], patience, max_epochs)
         if stop:
             break
     return run, best
@@ -141,33 +142,99 @@ def compute_class_weights(masks: np.ndarray) -> tuple[float, float]:
     return total / (2.0 * n0), total / (2.0 * n1)
 
 
-def _train_step(
-    params: U.UNetParams,
-    state: AdamState,
-    step: int,
-    feats: np.ndarray,
-    masks: np.ndarray,
-    batch: np.ndarray,
-    class_weights: tuple[float, float],
-    lr: float,
-) -> tuple[U.UNetParams, AdamState, float]:
-    """One Adam step on the tiles that `batch` indexes: (new params, new state, batch loss).
+@dataclass(frozen=True)
+class FoldState:
+    """A fold after `epoch` epochs and `step` Adam steps; best is None before the first settle."""
 
-    The forward cache, logits, loss result and gradients are this frame's
-    locals, so none of them outlives the step. The batch is selected in the
-    forward call, whose own channels-last copy is what the cache keeps, so
-    the selected copy dies when forward returns.
+    epoch: int
+    step: int
+    params: U.UNetParams
+    adam: AdamState
+    trace: tuple[EpochMetrics, ...]
+    best: Checkpoint | None
+    done: bool
+
+
+class Fold:
+    """One fold's fixed inputs and its current state, which each Adam step replaces.
+
+    feats [T, C, 32, 32] and masks [T, 32, 32] are the sample's tiles, which
+    every fold shares and none writes; `train` and `val` index them.
+
+    Memory: beyond the shared tiles, a buffered copy of the masks, one step and
+    4-6 parameter sizes (the parameters, Adam's two moments, the best checkpoint,
+    the gradients and Adam's new arrays). No earlier state outlives a step, whose
+    activations and gradients die before the next forward or validation.
     """
-    logits, cache = U.forward(params, feats[batch], training=True)
-    res = weighted_ce_loss(logits, masks[batch], class_weights)
-    grads = U.backward(params, cache, res.grad_logits)
-    loss = res.loss
-    del logits, cache, res  # Adam's new arrays need not sit on top of the activations
-    tensors, state = adam_step(params.tensors(), grads, state, lr=lr, t=step)
-    return params.with_tensors(tensors), state, loss
+
+    def __init__(self, feats: np.ndarray, masks: np.ndarray, train: np.ndarray,
+                 val: np.ndarray, config: TrainConfig, fold_index: int = 0):
+        if not (masks[val] == D.FIRE).any():
+            raise ValueError(f"fold {fold_index}: validation sensitivity undefined (no fire tiles)")
+        self.feats, self.train, self.val, self.config, self.index = feats, train, val, config, fold_index
+        self.buffered = masks
+        if config.fire_buffer != BUFFER_OFF:
+            self.buffered = D.apply_fire_buffer(masks, config.buffer_radius)
+        self.val_masks = self.buffered if config.fire_buffer == BUFFER_TRAIN_VAL else masks
+        self.class_weights = compute_class_weights(self.buffered[train])
+        seed = _derived_seed(config.seed, fold_index, 0)
+        params = U.init_params(U.UNetConfig(feats.shape[1], config.init_features, seed))
+        self.state = FoldState(0, 0, params, AdamState.zeros_like(params.tensors()), (), None, False)
+
+    def _step(self, batch: np.ndarray) -> float:
+        """One Adam step on the tiles that `batch` indexes; replaces the state, returns the loss.
+
+        The forward cache, logits, loss result and gradients are this frame's
+        locals, so none of them outlives the step. The batch is selected in the
+        forward call, whose own channels-last copy is what the cache keeps, so
+        the selected copy dies when forward returns.
+        """
+        s = self.state
+        logits, cache = U.forward(s.params, self.feats[batch], training=True)
+        res = weighted_ce_loss(logits, self.buffered[batch], self.class_weights)
+        grads = U.backward(s.params, cache, res.grad_logits)
+        loss = res.loss
+        del logits, cache, res  # Adam's new arrays need not sit on top of the activations
+        tensors, adam = adam_step(s.params.tensors(), grads, s.adam, lr=self.config.lr, t=s.step + 1)
+        self.state = replace(s, step=s.step + 1, params=s.params.with_tensors(tensors), adam=adam)
+        return loss
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def train_epoch(self) -> float:
+        """Shuffle, step through the next epoch and check the parameters are finite; the mean loss.
+
+        numpy's overflow and invalid warnings are off: the finite check reports a diverged fold.
+        """
+        epoch, size = self.state.epoch + 1, self.config.batch_size
+        rng = np.random.default_rng(np.random.SeedSequence([self.config.seed, self.index, epoch]))
+        order = rng.permutation(len(self.train))
+        loss, batches = 0.0, range(0, len(self.train), size)
+        for lo in batches:
+            loss += self._step(self.train[order[lo : lo + size]])
+        self.state = replace(self.state, epoch=epoch)
+        if not all(np.isfinite(t).all() for t in self.state.params.tensors()):
+            raise ValueError(
+                f"fold {self.index}: parameters not finite after epoch {epoch}; training diverged"
+            )
+        return loss / len(batches)  # compute_class_weights refused an empty train
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def settle(self, loss: float) -> None:
+        """Validate the epoch just trained, trace it, keep it if best, and decide the stop."""
+        s, config = self.state, self.config
+        pred = predict_tiles(s.params, len(self.val), lambda at: self.feats[self.val[at]],
+                             config.threshold)
+        em = EpochMetrics.of(confusion(pred, self.val_masks[self.val]), epoch=s.epoch, train_loss=loss)
+        if em is None:
+            raise ValueError(f"fold {self.index}: validation metrics undefined at epoch {s.epoch}")
+        trace = s.trace + (em,)
+        best_epoch, done = stopping_point([m.score(config.es_metric) for m in trace],
+                                          config.patience, config.max_epochs)
+        # adam_step builds new arrays, so later steps leave the best params alone
+        best = Checkpoint(**vars(em), params=s.params) if best_epoch == s.epoch else s.best
+        self.state = replace(s, trace=trace, best=best, done=done)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def train_fold(
     feats: np.ndarray,
     masks: np.ndarray,
@@ -176,68 +243,11 @@ def train_fold(
     config: TrainConfig,
     fold_index: int = 0,
 ) -> FoldResult:
-    """Train on the tiles `train` indexes, validate on those `val` indexes.
-
-    feats [T, C, 32, 32] and masks [T, 32, 32] are the sample's tiles, which
-    every fold shares and none writes. numpy's overflow and invalid-value
-    warnings are off: the finite check after each epoch reports a diverged fold.
-
-    Memory: beyond the shared tiles, a buffered copy of the masks, about 4-5
-    parameter sizes (the parameters, Adam's two moments, the best checkpoint,
-    Adam's new arrays) and one step. A step's activations and gradients are
-    freed before the next forward; none is alive in the validation forward.
-    """
-    if not (masks[val] == D.FIRE).any():
-        raise ValueError(f"fold {fold_index}: validation sensitivity undefined (no fire tiles)")
-    buffered = masks
-    if config.fire_buffer != BUFFER_OFF:
-        buffered = D.apply_fire_buffer(masks, config.buffer_radius)
-    val_masks = buffered if config.fire_buffer == BUFFER_TRAIN_VAL else masks
-    class_weights = compute_class_weights(buffered[train])
-    net_config = U.UNetConfig(
-        in_channels=feats.shape[1],
-        init_features=config.init_features,
-        seed=_derived_seed(config.seed, fold_index, 0),
-    )
-    params = U.init_params(net_config)
-    state = AdamState.zeros_like(params.tensors())
-    trace: list[EpochMetrics] = []
-    n = len(train)
-    step = 0
-
-    for epoch in range(1, config.max_epochs + 1):
-        rng = np.random.default_rng(np.random.SeedSequence([config.seed, fold_index, epoch]))
-        order = rng.permutation(n)
-        epoch_loss = 0.0
-        batches = 0
-        for lo in range(0, n, config.batch_size):
-            step += 1
-            batch = train[order[lo : lo + config.batch_size]]
-            params, state, loss = _train_step(
-                params, state, step, feats, buffered, batch, class_weights, config.lr
-            )
-            epoch_loss += loss
-            batches += 1
-        if not all(np.isfinite(t).all() for t in params.tensors()):
-            raise ValueError(
-                f"fold {fold_index}: parameters not finite after epoch {epoch}; training diverged"
-            )
-
-        pred = predict_tiles(params, len(val), lambda at: feats[val[at]], config.threshold)
-        counts = confusion(pred, val_masks[val])
-        em = EpochMetrics.of(counts, epoch=epoch, train_loss=epoch_loss / max(batches, 1))
-        if em is None:
-            raise ValueError(f"fold {fold_index}: validation metrics undefined at epoch {epoch}")
-        trace.append(em)
-        scores = [m.score(config.es_metric) for m in trace]
-        best_epoch, stop = stopping_point(scores, config.patience)
-        if best_epoch == epoch:
-            best_params = params  # adam_step builds new arrays, so later steps leave it alone
-        if stop:
-            break
-
-    best = Checkpoint(**vars(trace[best_epoch - 1]), params=best_params)
-    return FoldResult(fold_index, best, trace)
+    """Train on the tiles `train` indexes, validate on those `val` indexes (see Fold)."""
+    fold = Fold(feats, masks, train, val, config, fold_index)
+    while not fold.state.done:
+        fold.settle(fold.train_epoch())
+    return FoldResult(fold_index, fold.state.best, list(fold.state.trace))
 
 
 @dataclass
@@ -290,16 +300,19 @@ def evaluate_holdout(
     on_mask, if given, receives each day and its mask once the day is scored,
     before the next day is drawn.
     """
-    counts, tiles = ConfusionCounts(), 0
+    counts, tiles, day_ids = ConfusionCounts(), 0, []
     for day in holdout_days:
         pred = predict_day(params, day, config.threshold)
         counts = counts + confusion(pred, day.mask)
         tiles += len(D.holdout_tileset([day]).specs)
+        day_ids.append(day.day_id)
         if on_mask is not None:
             on_mask(day, pred)
     result = HoldoutResult.of(counts, counts=counts, tiles=tiles)
     if result is None:
-        raise ValueError("holdout metrics undefined (a class is absent from the holdout days)")
+        absent = "fire" if counts.actual_fire == 0 else "no-fire"
+        raise ValueError(f"holdout metrics undefined: holdout days {day_ids[0]}..{day_ids[-1]} "
+                         f"hold no {absent} pixel")
     return result
 
 

@@ -985,7 +985,8 @@ def _holdout_without_fire(ds, run, tmp_path):
     F.write_manifest(data / "holdout_tiles.csv", D.holdout_tileset(days))
     # scores undefined after the last day: its masks stay, as the README says, and no record
     return (["evaluate", "--data", data, run / "best.unc"],
-            "holdout metrics undefined (a class is absent from the holdout days)",
+            f"holdout metrics undefined: holdout days {HOLDOUT_DAYS[0]}..{HOLDOUT_DAYS[-1]} "
+            "hold no fire pixel",
             [f"pred_{day_id}.msk" for day_id in HOLDOUT_DAYS])
 
 
@@ -1018,25 +1019,32 @@ def _raw_stack_short_of_a_channel(ds, run, tmp_path):
 
 
 # every refusal a user can reach that no other in-process test runs: (ds, run, tmp_path) ->
-# (the command's arguments but --out, its one error line, the files it leaves under --out)
+# (the command's arguments but --out, its one error line, the files it leaves under --out,
+# None if it makes no --out)
 REFUSALS = {
     "bad-value": lambda ds, *_: (["train", "--data", ds, "--folds", "x"],
-                                 "argument --folds: invalid int value: 'x'", []),
-    "categories": lambda *_: ([*_GENERATE, "--categories", 1], "need >= 2 categories and >= 1 day", []),
+                                 "argument --folds: invalid int value: 'x'", None),
+    "categories": lambda *_: ([*_GENERATE, "--categories", 1],
+                              "need >= 2 categories and >= 1 day", None),
     "water-fraction": lambda *_: ([*_GENERATE, "--water-fraction", 0.95],
-                                  "water_fraction must lie in [0, 0.9)", []),
+                                  "water_fraction must lie in [0, 0.9)", None),
     "holdout-days": lambda *_: ([*_GENERATE, "--holdout-days", 0],
-                                "need at least 1 train-val and 1 holdout day, got 2 and 0", []),
+                                "need at least 1 train-val and 1 holdout day, got 2 and 0", None),
     "seed": lambda ds, *_: (["prepare", "--data", ds, "--seed", -1],
-                            "config key seed=-1: must be at least 0", []),
+                            "config key seed=-1: must be at least 0", None),
     "threads": lambda ds, run, _: (["predict", "--data", ds, "--threads", 0, run / "best.unc",
-                                    HOLDOUT_DAYS[0]], "config key threads=0: must be at least 1", []),
+                                    HOLDOUT_DAYS[0]], "config key threads=0: must be at least 1", None),
     "fire-buffer": lambda ds, *_: (["train", "--data", ds, "--fire-buffer", "bogus"],
-                                   "unknown fire_buffer mode 'bogus'", []),
+                                   "unknown fire_buffer mode 'bogus'", None),
     "day-id": lambda ds, run, _: (["predict", "--data", ds, run / "best.unc", "2021-13-01"],
-                                  "invalid day id '2021-13-01': month must be in 1..12", []),
+                                  "invalid day id '2021-13-01': month must be in 1..12", None),
+    # the day ids are checked before the checkpoint is read or --out is made
+    "day-id-first": lambda ds, *_: (["predict", "--data", ds, "missing.unc", "not-a-date"],
+                                    "invalid day id 'not-a-date': Invalid isoformat string: "
+                                    "'not-a-date'", None),
     "day-named-twice": lambda ds, run, _: (["predict", "--data", ds, run / "best.unc", *HOLDOUT_DAYS[:2],
-                                            HOLDOUT_DAYS[0]], f"day {HOLDOUT_DAYS[0]} is named twice", []),
+                                            HOLDOUT_DAYS[0]],
+                                           f"day {HOLDOUT_DAYS[0]} is named twice", None),
     "numeric-categories": _schema_edited(lambda channels: channels[0].update(categories=["a"]),
                                          "numeric channel {0[name]!r} must not declare categories"),
     "names-twice": _schema_edited(lambda channels: channels[1].update(name=channels[0]["name"]),
@@ -1053,7 +1061,7 @@ class TestErrorContract:
         (command, *rest), error, left = REFUSALS[case](*pipeline, tmp_path)
         out = tmp_path / "run"
         assert _main_quietly([command, "--out", out, *rest]) == (1, [f"error: {error}"])
-        assert sorted(path.name for path in out.rglob("*")) == left
+        assert (sorted(path.name for path in out.rglob("*")) if out.exists() else None) == left
 
     @pytest.mark.parametrize("args, message", [
         (["train", "--folds", "x"], "argument --folds: invalid int value: 'x'"),

@@ -59,10 +59,12 @@ class TestStoppingRule:
         assert T.run_stopping_rule([1.0, 1.0], patience=1, max_epochs=45) == (2, 1)
 
     def test_stopping_point_reports_best_epoch_and_stop(self):
-        assert T.stopping_point([1.0], patience=2) == (1, False)
-        assert T.stopping_point([1.0, 1.0], patience=2) == (1, False)  # a tie is no improvement
-        assert T.stopping_point([1.0, 1.0, 0.5], patience=2) == (1, True)
-        assert T.stopping_point([1.0, 1.0, 1.5], patience=2) == (3, False)
+        assert T.stopping_point([1.0], patience=2, max_epochs=45) == (1, False)
+        # a tie is no improvement
+        assert T.stopping_point([1.0, 1.0], patience=2, max_epochs=45) == (1, False)
+        assert T.stopping_point([1.0, 1.0, 0.5], patience=2, max_epochs=45) == (1, True)
+        assert T.stopping_point([1.0, 1.0, 1.5], patience=2, max_epochs=45) == (3, False)
+        assert T.stopping_point([1.0, 1.0, 1.5], patience=2, max_epochs=3) == (3, True)
 
     def test_matches_direct_rule_on_random_traces(self):
         rng = np.random.default_rng(0)
@@ -217,6 +219,35 @@ class TestTrainFold:
         assert np.array_equal(feats, before[0]) and np.array_equal(masks, before[1])
 
 
+class TestFoldState:
+    @pytest.mark.parametrize("kept_after", [2, 5])
+    def test_a_fresh_fold_continued_from_a_kept_state_ends_as_train_fold(
+        self, tiny_setup, kept_after
+    ):
+        # this fold stops at epoch 7 with its best at 4: a state kept after
+        # epoch 2 has a best that moves later, one kept after epoch 5 its last
+        store, tileset, _ = tiny_setup
+        feats, masks, folds = fold_arrays(store, tileset)
+        config = tiny_config(max_epochs=12, patience=3, lr=0.01, seed=2)
+        whole = T.train_fold(feats, masks, folds[1], folds[0], config)
+        assert (whole.stopped_epoch, whole.best.epoch) == (7, 4)
+        first = T.Fold(feats, masks, folds[1], folds[0], config)
+        while first.state.epoch < kept_after:
+            first.settle(first.train_epoch())
+        kept = first.state
+        assert (len(kept.trace), kept.done) == (kept_after, False)
+        fold = T.Fold(feats, masks, folds[1], folds[0], config)
+        fold.state = kept
+        while not fold.state.done:
+            fold.settle(fold.train_epoch())
+        best, want = fold.state.best, whole.best
+        assert fold.state.trace == tuple(whole.trace)
+        assert (best.epoch, best.values(), best.train_loss) == \
+            (want.epoch, want.values(), want.train_loss)
+        for got, expected in zip(best.params.tensors(), want.params.tensors(), strict=True):
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
 class TestCrossValidate:
     def test_emits_k_fold_results_and_arithmetic_mean(self, tiny_setup):
         store, tileset, _ = tiny_setup
@@ -246,6 +277,37 @@ def _traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
+def _fold_peaks(tiny_setup, init_features, batch_size):
+    """Traced (fold peak, one step's peak), and the bytes of the shared tiles,
+    one parameter size and one tile's features.
+
+    Each tile is listed four times, so that a copy of the fold's 96 train
+    tiles would exceed the first test's bound too.
+    """
+    store, tileset, encoded = tiny_setup
+    specs = [spec for day in encoded for spec in D.extract_tiles(day)] * 4
+    assert len(specs) == 96
+    train = np.arange(len(specs))
+    val = np.array([specs.index(s) for s in tileset.specs])  # its fire makes scores defined
+    config = tiny_config(init_features=init_features, batch_size=batch_size, max_epochs=3,
+                         patience=2)
+    feats, masks = D.materialize_batch(specs, store)
+    params = U.init_params(U.UNetConfig(in_channels=feats.shape[1], init_features=init_features))
+    batch_feats, batch_masks = feats[:batch_size].copy(), masks[:batch_size].copy()
+
+    def one_step():
+        logits, cache = U.forward(params, batch_feats, training=True)
+        res = weighted_ce_loss(logits, batch_masks, (1.0, 1.0))
+        U.backward(params, cache, res.grad_logits)
+
+    step = _traced_peak(one_step)
+    fold = _traced_peak(
+        lambda: T.train_fold(*D.materialize_batch(specs, store), train, val, config)
+    )
+    size = sum(t.nbytes for t in params.tensors())
+    return fold, step, feats.nbytes + masks.nbytes, size, feats[0].nbytes
+
+
 class TestTrainFoldMemory:
     @pytest.mark.parametrize("batch_size", [8, 24])
     def test_peak_is_the_folds_arrays_plus_one_step(self, tiny_setup, batch_size):
@@ -253,31 +315,22 @@ class TestTrainFoldMemory:
         # forward, so the sample's tiles and a fold over them hold the shared
         # arrays, about 4-5 parameter sizes (params, Adam's moments, the best
         # checkpoint, Adam's new arrays) and one step; two live steps would
-        # exceed this. Each tile is listed four times, so that a copy of the
-        # fold's train tiles would exceed it too
-        store, tileset, encoded = tiny_setup
-        specs = [spec for day in encoded for spec in D.extract_tiles(day)] * 4
-        assert len(specs) == 96
-        train = np.arange(len(specs))
-        val = np.array([specs.index(s) for s in tileset.specs])  # its fire makes scores defined
-        config = tiny_config(init_features=4, batch_size=batch_size, max_epochs=3, patience=2)
-        feats, masks = D.materialize_batch(specs, store)
-        params = U.init_params(U.UNetConfig(in_channels=feats.shape[1], init_features=4))
-        batch_feats, batch_masks = feats[:batch_size].copy(), masks[:batch_size].copy()
-
-        def one_step():
-            logits, cache = U.forward(params, batch_feats, training=True)
-            res = weighted_ce_loss(logits, batch_masks, (1.0, 1.0))
-            U.backward(params, cache, res.grad_logits)
-
-        step = _traced_peak(one_step)
-        fold = _traced_peak(
-            lambda: T.train_fold(*D.materialize_batch(specs, store), train, val, config)
-        )
-        arrays = feats.nbytes + masks.nbytes + 5 * sum(t.nbytes for t in params.tensors())
+        # exceed this, and so would a copy of the fold's train tiles
+        fold, step, shared, params, tile = _fold_peaks(tiny_setup, 4, batch_size)
+        arrays = shared + 5 * params
         assert fold <= arrays + 1.2 * step, (fold, arrays, step, (fold - arrays) / step)
-        train_copy = len(train) * feats[0].nbytes  # what feats[train] would take
+        train_copy = 96 * tile  # what feats[train] would take
         assert train_copy > arrays + 1.2 * step - fold, (train_copy, fold, arrays, step)
+
+    def test_no_earlier_state_outlives_a_step_where_parameters_dominate(self, tiny_setup):
+        # at 16 features a parameter size (6.98 MB) is 40 % of a step, and the
+        # peak holds the shared arrays, one step and 5.6 parameter sizes:
+        # params, Adam's moments, the best checkpoint, the gradients and Adam's
+        # new arrays, built tensor by tensor. An epoch's state kept while the
+        # next one trains adds its params and moments, about 2 sizes more
+        fold, step, shared, params, _ = _fold_peaks(tiny_setup, 16, 8)
+        sizes = (fold - shared - step) / params
+        assert fold <= shared + step + 6 * params, (fold, shared, step, sizes)
 
 
 class TestEvaluateHoldout:
